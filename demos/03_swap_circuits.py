@@ -1,10 +1,12 @@
-"""SWAP-rotation circuits that never leave the feasible subspace.
+"""SWAP-rotation circuits whose full-angle mixers map schedules to schedules.
 
 The elementary gate is e^{i beta SWAP} on a bit pair. At beta = pi/2 it
 is i*SWAP; mixers apply it to one job pair inside every position block,
-so a full-angle mixer permutes whole schedules. Composing mixers at
-full angle therefore steers one schedule onto any other: the plan below
-is found by factoring the connecting job permutation into adjacent
+so a full-angle mixer permutes whole schedules. At angles strictly
+between 0 and pi/2 a mixer also puts amplitude on infeasible strings,
+which is why the grid below uses only the corners. Composing mixers at
+full angle steers one schedule onto any other: the plan below is found
+by factoring the connecting job permutation into adjacent
 transpositions.
 """
 

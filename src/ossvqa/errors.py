@@ -15,4 +15,4 @@ class VerificationError(RuntimeError):
 
 
 class CapabilityError(RuntimeError):
-    """Request exceeds a deliberate size guard (factorial scans, dense exponentials)."""
+    """Request exceeds a deliberate size guard (factorial scans, state sizes)."""

@@ -253,28 +253,32 @@ def group_order(instance: OsspInstance) -> int:
     return math.factorial(instance.positions) * math.factorial(instance.jobs)
 
 
+def _closure(start, perms, act, max_size: int = GROUP_CLOSURE_CAP) -> set:
+    """Breadth-first closure of {start} under x -> act(p, x) for p in perms."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in perms:
+                y = act(p, x)
+                if y not in seen:
+                    if len(seen) >= max_size:
+                        raise CapabilityError(
+                            f"closure exceeded the cap of {max_size} elements"
+                        )
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def generate_group(perms, max_size: int = GROUP_CLOSURE_CAP) -> set[tuple[int, ...]]:
     """Closure of the given 0-based permutations under composition."""
     perms = [tuple(p) for p in perms]
     if not perms:
         return {()}
-    n = len(perms[0])
-    group = {identity_perm(n)}
-    frontier = [identity_perm(n)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in perms:
-                h = compose_perms(p, g)
-                if h not in group:
-                    if len(group) >= max_size:
-                        raise CapabilityError(
-                            f"group closure exceeded the cap of {max_size} elements"
-                        )
-                    group.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return group
+    return _closure(identity_perm(len(perms[0])), perms, compose_perms, max_size)
 
 
 def generated_group_order(instance: OsspInstance) -> int:
@@ -289,18 +293,7 @@ def orbit(instance: OsspInstance, z: str, generators) -> set[str]:
     if not is_feasible(instance, z):
         raise DomainError(f"orbit seed {z!r} is not a feasible string")
     perms = [vertex_permutation(instance, g) for g in generators]
-    seen = {z}
-    frontier = [z]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for p in perms:
-                img = apply_vertex_permutation(p, s)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
+    return _closure(z, perms, apply_vertex_permutation)
 
 
 def verify_block_system(instance: OsspInstance, blocks, generators) -> bool:
@@ -383,18 +376,7 @@ def check_mixing_family(instance: OsspInstance, family) -> bool:
         vertex_permutation(instance, job_transposition_element(instance, i))
         for i in family
     ]
-    seen = {solutions[0]}
-    frontier = [solutions[0]]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for p in perms:
-                img = apply_vertex_permutation(p, s)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(seen) == len(solutions)
+    return len(_closure(solutions[0], perms, apply_vertex_permutation)) == len(solutions)
 
 
 def bruteforce_feasibility_preservers(graph: ConstraintGraph, solutions) -> set[tuple[int, ...]]:

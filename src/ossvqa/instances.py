@@ -220,7 +220,10 @@ class LinearObjective:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        weights = tuple(float(w) for w in self.weights)
+        if not all(math.isfinite(w) for w in weights):
+            raise DomainError("linear weights must be finite")
+        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -241,8 +244,8 @@ class TspObjective:
             raise DomainError("distance matrix must be square")
         for u in range(n):
             for v in range(n):
-                if d[u][v] < 0:
-                    raise DomainError("distances must be nonnegative")
+                if not 0 <= d[u][v] < math.inf:
+                    raise DomainError("distances must be finite and nonnegative")
                 if abs(d[u][v] - d[v][u]) > 1e-12:
                     raise DomainError("distance matrix must be symmetric")
         object.__setattr__(self, "distances", d)

@@ -5,17 +5,23 @@ Two interchangeable engines hold the amplitudes:
 - full: the complete 2^N computational basis, indexed by the integer value of
   the bit string (bit 1, the leftmost printed character, is the most
   significant bit);
-- subspace: only the strings whose Hamming weight inside each position block
-  matches a reference string. Mixers act inside position blocks and phase
-  separators are diagonal, so these weights are conserved and the restriction
-  is exact (for a busy instance started from a solution: J^P states).
+- subspace: the strings sharing a reference string's Hamming weight inside
+  every position block. Mixers act inside position blocks and phase
+  separators are diagonal, so these weights are conserved and the
+  restriction is exact. The subspace is a tensor product of one sector per
+  block (the C(J, w) patterns of weight w on its J bits); amplitudes reshape
+  to one axis per block, and block 1 holds the most significant bits, so the
+  flat order is ascending string value. Started from a schedule of a busy
+  instance it holds J^P strings, of which J! are schedules.
 
 A swap rotation by angle beta multiplies basis states with equal bits on the
 pair by e^{i beta} and mixes unequal pairs as cos(beta)|z> + i sin(beta)
 |z_swapped>; at beta = pi/2 it acts as i * SWAP, at 0 as the identity. A
 mixer applies the rotation to one adjacent job pair inside every position
-block; the rotations commute. Circuits interleave phase separators
-e^{i gamma f(z)} with mixers; layers are stored in application order.
+block; the rotations commute. Only the angles 0 and pi/2 map schedules onto
+schedules: in between, a mixer puts amplitude on infeasible strings.
+Circuits interleave phase separators e^{i gamma f(z)} with mixers; layers
+are stored in application order.
 
 All state comparisons in tests use fidelity |<phi|psi>| since pi/2 rotations
 introduce global phases of i per swapped pair.
@@ -23,6 +29,7 @@ introduce global phases of i per swapped pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -42,8 +49,7 @@ from .instances import (
     position_blocks,
 )
 
-SUBSPACE_DIM_CAP = 1 << 20
-SIMULTANEOUS_DIM_CAP = 4096
+DIM_CAP = 1 << 20
 BETA_LO, BETA_HI = 0.0, math.pi / 2
 
 
@@ -53,34 +59,42 @@ BETA_LO, BETA_HI = 0.0, math.pi / 2
 
 @dataclass(eq=False)
 class Basis:
-    """Computational basis: full (states is None) or an explicit sorted subset."""
+    """All 2^N strings (sectors is None), or a tensor product of per-block
+    sectors: sectors[k] holds block k's allowed bit patterns in ascending
+    order and masks[k] holds its bits."""
 
     n_bits: int
-    states: np.ndarray | None = None  # sorted int64 basis-state values
+    sectors: tuple[np.ndarray, ...] | None = None
+    masks: tuple[int, ...] = ()
+    _partners: dict = field(default_factory=dict, repr=False)
 
     @property
     def engine(self) -> str:
-        return "full" if self.states is None else "subspace"
+        return "full" if self.sectors is None else "subspace"
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        if self.sectors is None:
+            return (1 << self.n_bits,)
+        return tuple(len(s) for s in self.sectors)
 
     @property
     def dim(self) -> int:
-        return (1 << self.n_bits) if self.states is None else len(self.states)
+        return math.prod(self.shape)
 
     def values(self) -> np.ndarray:
-        if self.states is None:
+        """Integer value of every basis string in amplitude order (ascending)."""
+        if self.sectors is None:
             return np.arange(1 << self.n_bits, dtype=np.int64)
-        return self.states
+        return functools.reduce(np.add.outer, self.sectors).ravel()
 
     def index_of(self, value: int) -> int:
-        if self.states is None:
-            if not (0 <= value < (1 << self.n_bits)):
-                raise DomainError(f"basis value {value} out of range for {self.n_bits} bits")
+        if self.sectors is None and 0 <= value < (1 << self.n_bits):
             return int(value)
-        pos = int(np.searchsorted(self.states, value))
-        if pos >= len(self.states) or self.states[pos] != value:
-            raise DomainError(
-                f"string {int_to_bits(value, self.n_bits)} is not in the restricted basis"
-            )
+        vals = self.values()
+        pos = int(np.searchsorted(vals, value))
+        if pos == len(vals) or vals[pos] != value:
+            raise DomainError(f"string {int_to_bits(value, self.n_bits)} is not in the basis")
         return pos
 
 
@@ -101,31 +115,36 @@ class QuantumState:
 
 
 def full_basis(n_bits: int) -> Basis:
-    return Basis(n_bits, None)
+    if (1 << n_bits) > DIM_CAP:
+        raise CapabilityError(f"full basis of 2^{n_bits} states would exceed {DIM_CAP} states")
+    return Basis(n_bits)
 
 
 def subspace_basis(instance: OsspInstance, z: str) -> Basis:
     """All strings sharing z's Hamming weight in every position block."""
     check_bitstring(z, instance.n_bits)
+    weights = tuple(sum(z[i - 1] == "1" for i in block) for block in position_blocks(instance))
+    return _sector_basis(instance, weights)
+
+
+@functools.lru_cache(maxsize=64)
+def _sector_basis(instance: OsspInstance, weights: tuple[int, ...]) -> Basis:
+    """Shared by all starts with these block weights, so they share its swap
+    partner memo; it holds no basis-sized array, so keeping it is cheap."""
     n = instance.n_bits
-    block_choices: list[list[int]] = []
+    sectors, masks = [], []
     dim = 1
-    for block in position_blocks(instance):
-        weight = sum(z[i - 1] == "1" for i in block)
+    for block, weight in zip(position_blocks(instance), weights):
         bit_masks = [1 << (n - i) for i in block]
-        choices = [
-            sum(combo) for combo in itertools.combinations(bit_masks, weight)
-        ]
-        dim *= len(choices)
-        if dim > SUBSPACE_DIM_CAP:
-            raise CapabilityError(
-                f"restricted basis would exceed {SUBSPACE_DIM_CAP} states"
-            )
-        block_choices.append(choices)
-    values = [0]
-    for choices in block_choices:
-        values = [v + c for v in values for c in choices]
-    return Basis(n, np.array(sorted(values), dtype=np.int64))
+        patterns = sorted(sum(c) for c in itertools.combinations(bit_masks, weight))
+        sector = np.array(patterns, dtype=np.int64)
+        sector.setflags(write=False)  # shared between callers
+        dim *= len(sector)
+        if dim > DIM_CAP:
+            raise CapabilityError(f"restricted basis would exceed {DIM_CAP} states")
+        sectors.append(sector)
+        masks.append(sum(bit_masks))
+    return Basis(n, tuple(sectors), tuple(masks))
 
 
 def basis_state(instance: OsspInstance, z: str, engine="full") -> QuantumState:
@@ -147,9 +166,10 @@ def basis_state(instance: OsspInstance, z: str, engine="full") -> QuantumState:
 def pure_state(n_bits: int, z: str) -> QuantumState:
     """Full-engine basis state without an instance (gate-level testing)."""
     check_bitstring(z, n_bits)
-    amps = np.zeros(1 << n_bits, dtype=np.complex128)
+    basis = full_basis(n_bits)
+    amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[bits_to_int(z)] = 1.0
-    return QuantumState(full_basis(n_bits), amps)
+    return QuantumState(basis, amps)
 
 
 def amplitude(state: QuantumState, z: str) -> complex:
@@ -163,10 +183,10 @@ def amplitude(state: QuantumState, z: str) -> complex:
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
     """|<a|b>| for states over the identical basis."""
-    if a.basis.n_bits != b.basis.n_bits or a.basis.engine != b.basis.engine:
+    if a.basis.n_bits != b.basis.n_bits or a.basis.engine != b.basis.engine or (
+        a.basis.sectors is not None and not np.array_equal(a.basis.values(), b.basis.values())
+    ):
         raise DomainError("fidelity requires states over the same basis")
-    if a.basis.states is not None and not np.array_equal(a.basis.states, b.basis.states):
-        raise DomainError("fidelity requires states over the same restricted basis")
     return float(abs(np.vdot(a.amps, b.amps)))
 
 
@@ -178,36 +198,44 @@ def basis_strings(basis: Basis) -> list[str]:
 # gates
 
 
-def _pair_masks(basis: Basis, pair) -> tuple[int, int]:
-    a, b = pair
-    n = basis.n_bits
-    if not (1 <= a <= n and 1 <= b <= n) or a == b:
-        raise DomainError(f"invalid bit pair {pair!r} for {n} bits")
-    return 1 << (n - a), 1 << (n - b)
+def _swap_partners(basis: Basis, pair) -> tuple[int, np.ndarray, np.ndarray]:
+    """The axis whose block holds both bits of the 1-based pair, the indices
+    along it of patterns with bits (1, 0) on the pair, and those of their
+    swapped partners (present, as a sector holds every pattern of its
+    weight). Memoised on the basis."""
+    pair = tuple(pair)
+    if pair not in basis._partners:
+        a, b = pair
+        n = basis.n_bits
+        if not (1 <= a <= n and 1 <= b <= n) or a == b:
+            raise DomainError(f"invalid bit pair {pair!r} for {n} bits")
+        ma, mb = 1 << (n - a), 1 << (n - b)
+        if basis.sectors is None:
+            axis, patterns = 0, basis.values()
+        else:
+            axis = next((k for k, m in enumerate(basis.masks) if m & ma and m & mb), None)
+            if axis is None:
+                raise DomainError(f"swap on pair {pair} leaves the restricted basis")
+            patterns = basis.sectors[axis]
+        d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
+        partners = patterns[d10] ^ (ma | mb)
+        p01 = partners if basis.sectors is None else np.searchsorted(patterns, partners)
+        basis._partners[pair] = (axis, d10, p01)
+    return basis._partners[pair]
 
 
 def apply_swap_rotation(state: QuantumState, pair, beta: float) -> QuantumState:
     """e^{i beta SWAP} on the two given 1-based bit indices."""
-    ma, mb = _pair_masks(state.basis, pair)
-    vals = state.basis.values()
-    has_a = (vals & ma) != 0
-    has_b = (vals & mb) != 0
-    out = state.amps * np.exp(1j * beta)  # equal-bit states pick up the phase
-    d10 = np.nonzero(has_a & ~has_b)[0]
+    axis, d10, p01 = _swap_partners(state.basis, pair)
+    amps = state.amps.reshape(state.basis.shape)
+    out = amps * np.exp(1j * beta)  # equal-bit states pick up the phase
     if len(d10):
-        partners = vals[d10] ^ (ma | mb)
-        if state.basis.states is None:
-            p01 = partners
-        else:
-            p01 = np.searchsorted(state.basis.states, partners)
-            if np.any(p01 >= len(vals)) or not np.array_equal(vals[p01], partners):
-                raise DomainError(
-                    f"swap on pair {pair} leaves the restricted basis"
-                )
+        lead = (slice(None),) * axis
+        a10, a01 = amps[lead + (d10,)], amps[lead + (p01,)]
         c, s = math.cos(beta), math.sin(beta)
-        out[d10] = c * state.amps[d10] + 1j * s * state.amps[p01]
-        out[p01] = c * state.amps[p01] + 1j * s * state.amps[d10]
-    return QuantumState(state.basis, out)
+        out[lead + (d10,)] = c * a10 + 1j * s * a01
+        out[lead + (p01,)] = c * a01 + 1j * s * a10
+    return QuantumState(state.basis, out.ravel())
 
 
 @dataclass(frozen=True)
@@ -259,41 +287,29 @@ def apply_phase_separator(state: QuantumState, sep: PhaseSeparator, gamma: float
 
 
 def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> QuantumState:
-    """e^{-i beta sum_i B_i} via a dense exponential on the restricted basis.
+    """e^{-i beta sum_i B_i} on the restricted engine.
 
-    A single-member family therefore equals apply_mixer with beta -> -beta.
+    Every SWAP term acts inside one position block, so the sum splits into
+    commuting per-block terms and the exponential into one small matrix per
+    amplitude axis. A single-member family therefore equals apply_mixer with
+    beta -> -beta.
     """
-    if state.basis.states is None:
-        raise CapabilityError(
-            "the simultaneous mixer needs the restricted engine (dense exponential)"
-        )
-    dim = state.basis.dim
-    if dim > SIMULTANEOUS_DIM_CAP:
-        raise CapabilityError(
-            f"restricted basis of {dim} states exceeds the dense-exponential cap "
-            f"of {SIMULTANEOUS_DIM_CAP}"
-        )
+    basis = state.basis
+    if basis.sectors is None:
+        raise CapabilityError("the simultaneous mixer needs the restricted engine")
     from scipy.linalg import expm
 
-    vals = state.basis.states
-    h = np.zeros((dim, dim))
+    h = [np.zeros((len(s), len(s))) for s in basis.sectors]
     for mixer in mixer_list:
         for pair in mixer.pairs:
-            ma, mb = _pair_masks(state.basis, pair)
-            differ = ((vals & ma) != 0) != ((vals & mb) != 0)
-            same_idx = np.nonzero(~differ)[0]
-            h[same_idx, same_idx] += 1.0
-            d_idx = np.nonzero(differ)[0]
-            if len(d_idx):
-                partners = vals[d_idx] ^ (ma | mb)
-                p_idx = np.searchsorted(vals, partners)
-                if np.any(p_idx >= dim) or not np.array_equal(vals[p_idx], partners):
-                    raise DomainError(
-                        f"swap on pair {pair} leaves the restricted basis"
-                    )
-                h[p_idx, d_idx] += 1.0
-    u = expm(-1j * beta * h)
-    return QuantumState(state.basis, u @ state.amps)
+            axis, d10, p01 = _swap_partners(basis, pair)
+            perm = np.arange(len(h[axis]))
+            perm[d10], perm[p01] = p01, d10
+            h[axis] += np.eye(len(perm))[perm]
+    amps = state.amps.reshape(basis.shape)
+    for axis, hk in enumerate(h):
+        amps = np.moveaxis(np.tensordot(expm(-1j * beta * hk), amps, axes=(1, axis)), 0, axis)
+    return QuantumState(basis, amps.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +386,9 @@ class Circuit:
     _sep_cache: dict = field(default_factory=dict, repr=False)
 
     def phase_for(self, basis: Basis) -> PhaseSeparator:
-        key = id(basis)
-        hit = self._sep_cache.get(key)
-        if hit is not None and hit[0] is basis:
-            return hit[1]
-        sep = phase_separator(self.objective, self.instance, basis)
-        self._sep_cache[key] = (basis, sep)
-        return sep
+        if basis not in self._sep_cache:  # bases hash by identity
+            self._sep_cache[basis] = phase_separator(self.objective, self.instance, basis)
+        return self._sep_cache[basis]
 
 
 @dataclass(eq=False)

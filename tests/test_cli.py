@@ -80,6 +80,14 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_finite_weight_exits_2(tmp_path):
+    doc = {"machines": 1, "time_slots": 3, "jobs": 3,
+           "objective": {"linear": {"weights": [[1, 2, float("nan")], [3, 4, 5], [6, 7, 8]]}}}
+    path = write_instance(tmp_path, "nan.json", doc)
+    assert "NaN" in (tmp_path / "nan.json").read_text()
+    assert main(["enumerate", "--instance", path]) == 2
+
+
 def test_missing_inputs_and_unknown_preset(capsys):
     assert main(["enumerate"]) == 2
     assert main(["enumerate", "--preset", "nope"]) == 2
@@ -178,6 +186,16 @@ def test_simulate_grid_point(tmp_path):
     assert main(["simulate", "--preset", "ossp133", "--depth", "1",
                  "--beta", "0.1"]) == 2  # wrong slot count
     assert main(["simulate", "--preset", "ossp133", "--beta", "oops"]) == 2
+
+
+def test_simulate_full_engine_over_cap_exits_4(tmp_path):
+    # OSSP(2,3,6) has 36 bits: a full statevector would need 2^36 amplitudes
+    doc = {"machines": 2, "time_slots": 3, "jobs": 6,
+           "objective": {"linear": {"weights": [[1] * 6] * 6}}}
+    path = write_instance(tmp_path, "big.json", doc)
+    z = "".join("1" if k % 7 == 0 else "0" for k in range(36))
+    assert main(["simulate", "--instance", path, "--initial", z,
+                 "--engine", "full"]) == 4
 
 
 def test_optimize_and_report(tmp_path, capsys):

@@ -264,6 +264,8 @@ def test_tsp_objective():
     with pytest.raises(DomainError):
         TspObjective(((0.0, 1.0), (2.0, 0.0)))  # asymmetric
     with pytest.raises(DomainError):
+        TspObjective(((0.0, math.inf), (math.inf, 0.0)))  # no NaN "optimum"
+    with pytest.raises(DomainError):
         evaluate_objective(obj, OsspInstance(1, 3, 2), "100010")  # not TSP-shaped
 
 
@@ -293,6 +295,8 @@ def test_linear_from_rows_validation():
         linear_from_rows(OSSP224, [[1, 2, 3, 4]])  # wrong row count
     with pytest.raises(DomainError):
         linear_from_rows(OSSP133, [[1, 2], [3, 4], [5, 6]])  # wrong row width
+    with pytest.raises(DomainError):
+        linear_from_rows(OSSP133, [[1, 2, math.nan], [3, 4, 5], [6, 7, 8]])
 
 
 def test_instance_json_round_trip(tmp_path):

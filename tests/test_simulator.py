@@ -71,6 +71,17 @@ def test_basis_state():
         basis_state(OSSP133, "111", "full")
 
 
+def test_full_engine_cap_refuses_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("amplitudes allocated before the size check")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(CapabilityError):
+        basis_state(OsspInstance(2, 3, 6), "0" * 36, "full")  # 2^36 amplitudes
+    with pytest.raises(CapabilityError):
+        pure_state(21, "0" * 21)
+
+
 def test_subspace_basis_contents():
     sub224 = subspace_basis(OSSP224, Z0_224)
     assert sub224.dim == 256  # 4 choices per position block
@@ -165,6 +176,14 @@ def test_mixer_inverse_and_identity():
     assert np.allclose(back.amps, st.amps, atol=1e-12)
 
 
+def test_swap_across_blocks_leaves_restricted_basis():
+    st = basis_state(OSSP133, Z0_133, "subspace")
+    with pytest.raises(DomainError):
+        apply_swap_rotation(st, (3, 4), 0.5)  # bit 3 in block 1, bit 4 in block 2
+    with pytest.raises(DomainError):
+        apply_swap_rotation(st, (1, 1), 0.5)
+
+
 def test_mixer_pair_order_commutes():
     rng = np.random.default_rng(4)
     m1 = mixer_hamiltonian(OSSP224, 1)
@@ -222,14 +241,21 @@ def test_simultaneous_mixer():
         apply_simultaneous_mixer(basis_state(OSSP133, Z0_133, "full"), m, beta)
 
 
-def test_simultaneous_mixer_dimension_cap():
+def test_simultaneous_mixer_factors_over_blocks():
+    # 46,656 states: one small exponential per block, no dense matrix
     inst = OsspInstance(1, 6, 6)
     # job t at position t, i.e. the diagonal solution
     z = "".join("1" if (k % 7 == 0) else "0" for k in range(36))
-    st = basis_state(inst, z, "subspace")
-    assert st.basis.dim == 6**6
-    with pytest.raises(CapabilityError):
-        apply_simultaneous_mixer(st, mixers(inst), 0.3)
+    sub = subspace_basis(inst, z)
+    assert sub.dim == 6**6
+    rng = np.random.default_rng(41)
+    amps = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
+    state = QuantumState(sub, amps / np.linalg.norm(amps))
+    m = mixers(inst)
+    assert abs(apply_simultaneous_mixer(state, m, 0.3).norm() - 1.0) < 1e-12
+    joint = apply_simultaneous_mixer(state, [m[2]], 0.3)
+    seq = apply_mixer(state, m[2], -0.3)
+    assert np.max(np.abs(joint.amps - seq.amps)) < 1e-10
 
 
 def test_expectation():
@@ -370,7 +396,7 @@ def test_engine_equivalence_sampled():
             )
             full = apply_circuit(circuit, params, basis_state(inst, z0, "full"))
             restricted = apply_circuit(circuit, params, basis_state(inst, z0, sub))
-            aligned = full.amps[sub.states]
+            aligned = full.amps[sub.values()]
             assert np.allclose(aligned, restricted.amps, atol=1e-10)
             # nothing escapes the conserved-weight subspace
             assert np.linalg.norm(aligned) == pytest.approx(1.0, abs=1e-10)
