@@ -72,7 +72,7 @@ class Basis:
     def engine(self) -> str:
         return "full" if self.sectors is None else "subspace"
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
         if self.sectors is None:
             return (1 << self.n_bits,)
@@ -89,13 +89,17 @@ class Basis:
         return functools.reduce(np.add.outer, self.sectors).ravel()
 
     def index_of(self, value: int) -> int:
-        if self.sectors is None and 0 <= value < (1 << self.n_bits):
-            return int(value)
-        vals = self.values()
-        pos = int(np.searchsorted(vals, value))
-        if pos == len(vals) or vals[pos] != value:
-            raise DomainError(f"string {int_to_bits(value, self.n_bits)} is not in the basis")
-        return pos
+        if self.sectors is None:
+            if 0 <= value < (1 << self.n_bits):
+                return int(value)
+        else:
+            patterns = [value & m for m in self.masks]
+            pos = [int(np.searchsorted(s, p)) for s, p in zip(self.sectors, patterns)]
+            if sum(patterns) == value and all(
+                i < len(s) and s[i] == p for s, i, p in zip(self.sectors, pos, patterns)
+            ):
+                return int(np.ravel_multi_index(pos, self.shape))
+        raise DomainError(f"string {int_to_bits(value, self.n_bits)} is not in the basis")
 
 
 @dataclass(eq=False)
@@ -183,8 +187,11 @@ def amplitude(state: QuantumState, z: str) -> complex:
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
     """|<a|b>| for states over the identical basis."""
-    if a.basis.n_bits != b.basis.n_bits or a.basis.engine != b.basis.engine or (
-        a.basis.sectors is not None and not np.array_equal(a.basis.values(), b.basis.values())
+    if a.basis is not b.basis and (
+        a.basis.n_bits != b.basis.n_bits or a.basis.engine != b.basis.engine or (
+            a.basis.sectors is not None
+            and not np.array_equal(a.basis.values(), b.basis.values())
+        )
     ):
         raise DomainError("fidelity requires states over the same basis")
     return float(abs(np.vdot(a.amps, b.amps)))
@@ -198,11 +205,21 @@ def basis_strings(basis: Basis) -> list[str]:
 # gates
 
 
-def _swap_partners(basis: Basis, pair) -> tuple[int, np.ndarray, np.ndarray]:
-    """The axis whose block holds both bits of the 1-based pair, the indices
-    along it of patterns with bits (1, 0) on the pair, and those of their
-    swapped partners (present, as a sector holds every pattern of its
-    weight). Memoised on the basis."""
+def _run(idx: np.ndarray):
+    """idx as a slice when it is an ascending arithmetic run, so that
+    indexing with it gives a view instead of a copy."""
+    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+    if len(idx) and step > 0 and np.all(np.diff(idx) == step):
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
+
+
+def _swap_partners(basis: Basis, pair) -> tuple:
+    """(axis, d10, p01, i10, i01): the axis whose block holds both bits of
+    the 1-based pair, the indices along it of patterns with bits (1, 0) on
+    the pair, those of their swapped partners (present, as a sector holds
+    every pattern of its weight), and both as index tuples into the
+    reshaped amplitudes. Memoised on the basis."""
     pair = tuple(pair)
     if pair not in basis._partners:
         a, b = pair
@@ -220,22 +237,31 @@ def _swap_partners(basis: Basis, pair) -> tuple[int, np.ndarray, np.ndarray]:
         d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
         partners = patterns[d10] ^ (ma | mb)
         p01 = partners if basis.sectors is None else np.searchsorted(patterns, partners)
-        basis._partners[pair] = (axis, d10, p01)
+        lead = (slice(None),) * axis
+        basis._partners[pair] = (axis, d10, p01, lead + (_run(d10),), lead + (_run(p01),))
     return basis._partners[pair]
+
+
+def _rotate(amps: np.ndarray, basis: Basis, pairs, beta: float) -> np.ndarray:
+    """The swap rotations on the given pairs, one after another, on a flat
+    amplitude array; returns a new array."""
+    ph = np.exp(1j * beta)
+    c, js = math.cos(beta), 1j * math.sin(beta)
+    amps = amps.reshape(basis.shape)
+    for pair in pairs:
+        _, d10, _, i10, i01 = _swap_partners(basis, pair)
+        out = amps * ph  # equal-bit states pick up the phase
+        if len(d10):
+            a10, a01 = amps[i10], amps[i01]
+            out[i10] = c * a10 + js * a01
+            out[i01] = c * a01 + js * a10
+        amps = out
+    return amps.ravel()
 
 
 def apply_swap_rotation(state: QuantumState, pair, beta: float) -> QuantumState:
     """e^{i beta SWAP} on the two given 1-based bit indices."""
-    axis, d10, p01 = _swap_partners(state.basis, pair)
-    amps = state.amps.reshape(state.basis.shape)
-    out = amps * np.exp(1j * beta)  # equal-bit states pick up the phase
-    if len(d10):
-        lead = (slice(None),) * axis
-        a10, a01 = amps[lead + (d10,)], amps[lead + (p01,)]
-        c, s = math.cos(beta), math.sin(beta)
-        out[lead + (d10,)] = c * a10 + 1j * s * a01
-        out[lead + (p01,)] = c * a01 + 1j * s * a10
-    return QuantumState(state.basis, out.ravel())
+    return QuantumState(state.basis, _rotate(state.amps, state.basis, (pair,), beta))
 
 
 @dataclass(frozen=True)
@@ -264,9 +290,7 @@ def mixers(instance: OsspInstance) -> list[MixerHamiltonian]:
 
 def apply_mixer(state: QuantumState, mixer: MixerHamiltonian, beta: float) -> QuantumState:
     """Product of the P commuting swap rotations at the same angle."""
-    for pair in mixer.pairs:
-        state = apply_swap_rotation(state, pair, beta)
-    return state
+    return QuantumState(state.basis, _rotate(state.amps, state.basis, mixer.pairs, beta))
 
 
 @dataclass(eq=False)
@@ -302,13 +326,17 @@ def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> Qu
     h = [np.zeros((len(s), len(s))) for s in basis.sectors]
     for mixer in mixer_list:
         for pair in mixer.pairs:
-            axis, d10, p01 = _swap_partners(basis, pair)
+            axis, d10, p01, _, _ = _swap_partners(basis, pair)
             perm = np.arange(len(h[axis]))
             perm[d10], perm[p01] = p01, d10
             h[axis] += np.eye(len(perm))[perm]
+    gates = {}  # busy blocks share one generator: exponentiate it once
     amps = state.amps.reshape(basis.shape)
     for axis, hk in enumerate(h):
-        amps = np.moveaxis(np.tensordot(expm(-1j * beta * hk), amps, axes=(1, axis)), 0, axis)
+        key = (hk.shape, hk.tobytes())
+        if key not in gates:
+            gates[key] = expm(-1j * beta * hk)
+        amps = np.moveaxis(np.tensordot(gates[key], amps, axes=(1, axis)), 0, axis)
     return QuantumState(basis, amps.ravel())
 
 
@@ -323,29 +351,41 @@ def expectation(state: QuantumState, sep: PhaseSeparator) -> float:
     return float(probs @ sep.values)
 
 
+def ranked(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The basis indices in keep by descending weight. Ties keep ascending
+    string value, because amplitude order is ascending string value and the
+    sort is stable."""
+    return keep[np.argsort(-weights[keep], kind="stable")]
+
+
 def probabilities(state: QuantumState, threshold: float = 1e-14) -> dict[str, float]:
     """Nonnegligible Born probabilities keyed by bit string."""
     probs = (state.amps.conj() * state.amps).real
     n = state.basis.n_bits
     vals = state.basis.values()
-    keep = np.nonzero(probs > threshold)[0]
-    order = sorted(keep, key=lambda k: (-probs[k], int(vals[k])))
+    order = ranked(probs, np.flatnonzero(probs > threshold))
     return {int_to_bits(int(vals[k]), n): float(probs[k]) for k in order}
 
 
-def sample(state: QuantumState, shots: int, seed) -> dict[str, int]:
-    """Multinomial measurement histogram; identical seed gives identical counts."""
+def sample_counts(state: QuantumState, shots: int, seed) -> np.ndarray:
+    """Multinomial measurement counts per basis index, in amplitude order;
+    identical seed gives identical counts."""
     if shots < 1:
         raise DomainError("shots must be >= 1")
     probs = (state.amps.conj() * state.amps).real
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
+    return np.random.default_rng(seed).multinomial(shots, probs)
+
+
+def sample(state: QuantumState, shots: int, seed) -> dict[str, int]:
+    """sample_counts as a histogram keyed by bit string, most frequent first
+    (ties by ascending string). Code that only scores a sample ranks the
+    counts by index instead and builds no strings."""
+    counts = sample_counts(state, shots, seed)
     n = state.basis.n_bits
     vals = state.basis.values()
-    keep = np.nonzero(counts)[0]
-    order = sorted(keep, key=lambda k: (-counts[k], int(vals[k])))
+    order = ranked(counts, np.flatnonzero(counts))
     return {int_to_bits(int(vals[k]), n): int(counts[k]) for k in order}
 
 
@@ -383,6 +423,7 @@ class Circuit:
     layers: tuple[Layer, ...]
     n_beta: int
     n_gamma: int
+    mixers: dict[int, MixerHamiltonian] = field(repr=False)  # by generator index
     _sep_cache: dict = field(default_factory=dict, repr=False)
 
     def phase_for(self, basis: Basis) -> PhaseSeparator:
@@ -421,6 +462,7 @@ def build_circuit(instance: OsspInstance, objective: Objective, depth: int) -> C
         layers=tuple(layers),
         n_beta=depth * (instance.jobs - 1),
         n_gamma=depth,
+        mixers={m.generator: m for m in mixers(instance)},
     )
 
 
@@ -441,11 +483,10 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
             f"does not match circuit slots ({circuit.n_beta}, {circuit.n_gamma})"
         )
     beta = clamp_beta(params.beta)
-    mix = {m.generator: m for m in mixers(circuit.instance)}
     sep = circuit.phase_for(state.basis)
     for layer in circuit.layers:
         if layer.kind == "mixer":
-            state = apply_mixer(state, mix[layer.generator], beta[layer.slot])
+            state = apply_mixer(state, circuit.mixers[layer.generator], beta[layer.slot])
         else:
             state = apply_phase_separator(state, sep, params.gamma[layer.slot])
     return state

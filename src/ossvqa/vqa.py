@@ -45,7 +45,9 @@ from .simulator import (
     expectation,
     fidelity,
     probabilities,
+    ranked,
     sample,
+    sample_counts,
 )
 
 # named substreams hanging off the run seed
@@ -175,16 +177,19 @@ def _params_dict(circuit: Circuit, x: np.ndarray) -> dict:
 
 def objective_value(circuit, params, state, shots=0, seed=None) -> float:
     """Expectation of the objective after the circuit; exact when shots = 0,
-    otherwise the empirical mean over a seeded measurement sample."""
+    otherwise the empirical mean over a seeded measurement sample.
+
+    A sample is scored on basis indices: each sampled index's count times
+    its entry in the circuit's phase diagonal, so no bit string is built.
+    The terms are summed in the order sample() lists the histogram, which
+    fixes the rounding of the sum."""
     final = apply_circuit(circuit, params, state)
+    sep = circuit.phase_for(final.basis)
     if shots == 0:
-        return expectation(final, circuit.phase_for(final.basis))
-    hist = sample(final, shots, seed)
-    total = sum(
-        count * evaluate_objective(circuit.objective, circuit.instance, z)
-        for z, count in hist.items()
-    )
-    return total / shots
+        return expectation(final, sep)
+    counts = sample_counts(final, shots, seed)
+    order = ranked(counts, np.flatnonzero(counts))
+    return sum((counts[order] * sep.values[order]).tolist()) / shots
 
 
 def trust_region_minimize(fun, x0, lower, upper, max_iters, rhobeg, tol):

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from ossvqa import simulator
 from ossvqa.errors import CapabilityError, DomainError
 from ossvqa.instances import (
     OsspInstance,
     bits_to_int,
     enumerate_solutions,
+    int_to_bits,
     linear_from_rows,
 )
 from ossvqa.simulator import (
@@ -80,6 +82,28 @@ def test_full_engine_cap_refuses_before_allocating(monkeypatch):
         basis_state(OsspInstance(2, 3, 6), "0" * 36, "full")  # 2^36 amplitudes
     with pytest.raises(CapabilityError):
         pure_state(21, "0" * 21)
+
+
+def test_index_of_reads_the_sectors_only(monkeypatch):
+    cases = [
+        subspace_basis(OSSP224, Z0_224),
+        subspace_basis(OSSP133, Z0_133),
+        subspace_basis(OSSP224, "1100011000001001"),  # block weights 2, 2, 0, 2
+    ]
+    for sub in cases:
+        values = sub.values()
+        with monkeypatch.context() as m:
+            m.setattr(Basis, "values", lambda self: pytest.fail("basis materialised"))
+            assert [sub.index_of(int(v)) for v in values] == list(range(sub.dim))
+            outside = np.setdiff1d(np.arange(1 << sub.n_bits), values)
+            for v in outside[:: max(1, len(outside) // 500)]:
+                with pytest.raises(DomainError):
+                    sub.index_of(int(v))
+            with pytest.raises(DomainError):
+                sub.index_of(1 << sub.n_bits)
+            z = int_to_bits(int(values[-1]), sub.n_bits)
+            inst = OSSP224 if sub.n_bits == 16 else OSSP133
+            assert amplitude(basis_state(inst, z, sub), z) == 1.0
 
 
 def test_subspace_basis_contents():
@@ -184,6 +208,57 @@ def test_swap_across_blocks_leaves_restricted_basis():
         apply_swap_rotation(st, (1, 1), 0.5)
 
 
+def per_pair_rotation(state, pair, beta):
+    """One swap rotation as its own full step, the way apply_mixer applied
+    its pairs before they shared one kernel: the reference formula."""
+    basis, (a, b) = state.basis, pair
+    ma, mb = 1 << (basis.n_bits - a), 1 << (basis.n_bits - b)
+    if basis.sectors is None:
+        axis, patterns = 0, basis.values()
+    else:
+        axis = next(k for k, m in enumerate(basis.masks) if m & ma and m & mb)
+        patterns = basis.sectors[axis]
+    d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
+    partners = patterns[d10] ^ (ma | mb)
+    p01 = partners if basis.sectors is None else np.searchsorted(patterns, partners)
+    amps = state.amps.reshape(basis.shape)
+    out = amps * np.exp(1j * beta)
+    if len(d10):
+        lead = (slice(None),) * axis
+        a10, a01 = amps[lead + (d10,)], amps[lead + (p01,)]
+        c, s = math.cos(beta), math.sin(beta)
+        out[lead + (d10,)] = c * a10 + 1j * s * a01
+        out[lead + (p01,)] = c * a01 + 1j * s * a10
+    return QuantumState(basis, out.ravel())
+
+
+def test_mixer_kernel_matches_per_pair_formula_bit_for_bit():
+    rng = np.random.default_rng(17)
+    cases = [
+        (OSSP224, subspace_basis(OSSP224, Z0_224)),
+        (OSSP133, subspace_basis(OSSP133, Z0_133)),
+        # weight-2 blocks put several patterns on each side of a pair
+        (OSSP224, subspace_basis(OSSP224, "1100011000001001")),
+        (OSSP133, full_basis(OSSP133.n_bits)),
+    ]
+    assert len(simulator._swap_partners(cases[2][1], (1, 2))[1]) == 2
+    for inst, basis in cases:
+        for _ in range(10):
+            amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+            state = QuantumState(basis, amps / np.linalg.norm(amps))
+            beta = np.float64(rng.uniform(0, math.pi / 2))
+            for m in mixers(inst):
+                want = state
+                for pair in m.pairs:
+                    want = per_pair_rotation(want, pair, beta)
+                got = apply_mixer(state, m, beta)
+                # bit patterns, so that even the sign of a zero must agree
+                assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
+                one = apply_swap_rotation(state, m.pairs[-1], beta)
+                ref = per_pair_rotation(state, m.pairs[-1], beta)
+                assert np.array_equal(one.amps.view(np.uint64), ref.amps.view(np.uint64))
+
+
 def test_mixer_pair_order_commutes():
     rng = np.random.default_rng(4)
     m1 = mixer_hamiltonian(OSSP224, 1)
@@ -258,6 +333,21 @@ def test_simultaneous_mixer_factors_over_blocks():
     assert np.max(np.abs(joint.amps - seq.amps)) < 1e-10
 
 
+def test_simultaneous_mixer_exponentiates_each_generator_once(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    st = basis_state(OSSP133, Z0_133, "subspace")
+    apply_simultaneous_mixer(st, mixers(OSSP133), 0.4)
+    assert len(calls) == 1  # three blocks, one generator
+    calls.clear()
+    apply_simultaneous_mixer(basis_state(OSSP224, "1100011000001001", "subspace"),
+                             mixers(OSSP224), 0.4)
+    assert len(calls) == 2  # weight-2 blocks share one, the empty block another
+
+
 def test_expectation():
     sub = subspace_basis(OSSP133, Z0_133)
     sep = phase_separator(OBJ133, OSSP133, sub)
@@ -286,6 +376,29 @@ def test_sample():
     assert sample(two, 10_000, seed=124) != hist
     with pytest.raises(DomainError):
         sample(st, 0, seed=1)
+
+
+def string_sorted_sample(state, shots, seed):
+    """The histogram as sample built it before counts were ranked by index."""
+    probs = np.clip((state.amps.conj() * state.amps).real, 0.0, None)
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    vals = state.basis.values()
+    order = sorted(np.nonzero(counts)[0], key=lambda k: (-counts[k], int(vals[k])))
+    return {int_to_bits(int(vals[k]), state.basis.n_bits): int(counts[k]) for k in order}
+
+
+def test_sample_matches_string_sorted_histogram():
+    rng = np.random.default_rng(5)
+    for inst, z0 in ((OSSP224, Z0_224), (OSSP133, Z0_133)):
+        for engine in ("subspace", "full"):
+            start = basis_state(inst, z0, engine)
+            for seed in range(4):
+                amps = rng.normal(size=start.basis.dim) ** 3 + 0j
+                state = QuantumState(start.basis, amps / np.linalg.norm(amps))
+                for shots in (1, 64, 1024):
+                    got = sample(state, shots, seed)
+                    want = string_sorted_sample(state, shots, seed)
+                    assert list(got.items()) == list(want.items())
 
 
 def test_feasible_mass():
@@ -411,6 +524,23 @@ def test_block_weight_conservation_full_engine():
     out = apply_circuit(circuit, params, basis_state(OSSP133, Z0_133, "full"))
     for z, p in probabilities(out, threshold=1e-12).items():
         assert [z[k : k + 3].count("1") for k in (0, 3, 6)] == [1, 1, 1]
+
+
+def test_apply_circuit_uses_the_circuit_mixer_table(monkeypatch):
+    circuit = build_circuit(OSSP133, OBJ133, 2)
+    assert circuit.mixers == {m.generator: m for m in mixers(OSSP133)}
+    monkeypatch.setattr(simulator, "mixers", lambda inst: pytest.fail("mixers rebuilt"))
+    params = ParameterVector([0.3, 0.2, 0.1, 0.5], [0.7, 1.1])
+    out = apply_circuit(circuit, params, basis_state(OSSP133, Z0_133, "subspace"))
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fidelity_accepts_the_same_basis_without_comparing_values(monkeypatch):
+    a = basis_state(OSSP224, Z0_224, "subspace")
+    b = apply_mixer(a, mixer_hamiltonian(OSSP224, 1), math.pi / 2)
+    monkeypatch.setattr(Basis, "values", lambda self: pytest.fail("basis materialised"))
+    assert fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity(b, b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_circuit_validation_and_clamp():

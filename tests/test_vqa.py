@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from ossvqa import instances, simulator, vqa
 from ossvqa.errors import CapabilityError, DomainError
 from ossvqa.instances import (
     OsspInstance,
     enumerate_solutions,
     evaluate_objective,
+    int_to_bits,
     linear_from_rows,
 )
 from ossvqa.presets import list_presets, resolve_preset
@@ -77,6 +79,47 @@ def test_objective_value_sampled_agrees_with_exact():
     shots = 1_000_000
     sampled = objective_value(circuit, params, st, shots=shots, seed=7)
     assert abs(sampled - exact) <= 3 * math.sqrt(var / shots)
+
+
+def string_scored_value(circuit, params, state, shots, seed):
+    """The sampled objective as it was computed before sampling returned basis
+    indices: a histogram keyed by string, each string scored on its own."""
+    final = apply_circuit(circuit, params, state)
+    probs = np.clip((final.amps.conj() * final.amps).real, 0.0, None)
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    vals = final.basis.values()
+    order = sorted(np.nonzero(counts)[0], key=lambda k: (-counts[k], int(vals[k])))
+    hist = {int_to_bits(int(vals[k]), final.basis.n_bits): int(counts[k]) for k in order}
+    total = sum(
+        count * evaluate_objective(circuit.objective, circuit.instance, z)
+        for z, count in hist.items()
+    )
+    return total / shots
+
+
+def test_objective_value_shots_score_indices_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(23)
+    cases = []
+    for name in ("ossp224", "ossp133"):
+        instance, objective, preset = resolve_preset(name)
+        circuit = build_circuit(instance, objective, preset["depth"])
+        state = basis_state(instance, preset["initial_state"], "subspace")
+        for seed in range(6):
+            params = ParameterVector(rng.uniform(0, math.pi / 2, size=circuit.n_beta),
+                                     rng.uniform(0, 2 * math.pi, size=circuit.n_gamma))
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=(1, 0, 40))
+            want = string_scored_value(circuit, params, state, 1024, stream)
+            cases.append((circuit, params, state, stream, want))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled evaluation built or scored a string")
+
+    for module in (instances, simulator, vqa):
+        for name in ("evaluate_objective", "int_to_bits"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for circuit, params, state, stream, want in cases:
+        assert objective_value(circuit, params, state, shots=1024, seed=stream) == want
 
 
 def test_trust_region_quadratic_bowl():
