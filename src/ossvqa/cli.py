@@ -34,12 +34,13 @@ from .groups import (
     vertex_permutation,
 )
 from .instances import (
+    bits_to_int,
     enumerate_solutions,
-    evaluate_objective,
     index_to_coordinate,
     instance_to_dict,
     job_blocks,
     load_instance,
+    objective_values,
     position_blocks,
     solution_count,
 )
@@ -51,8 +52,6 @@ from .simulator import (
     build_circuit,
     expectation,
     feasible_mass,
-    probabilities,
-    sample,
 )
 from .vqa import OptimizerConfig, annotate_rows, compile_reach, run_experiment
 
@@ -135,10 +134,8 @@ def _parse_floats(text: str | None, what: str) -> list[float]:
 def cmd_enumerate(args) -> int:
     instance, objective, _ = _resolve_inputs(args)
     solutions = enumerate_solutions(instance)
-    scored = [
-        {"bitstring": z, "value": float(evaluate_objective(objective, instance, z))}
-        for z in solutions
-    ]
+    values = objective_values(objective, instance, np.array([bits_to_int(z) for z in solutions]))
+    scored = [{"bitstring": z, "value": v} for z, v in zip(solutions, values.tolist())]
     scored.sort(key=lambda row: (row["value"], row["bitstring"]))
     optimum = scored[0]["value"] if scored else None
     for row in scored:
@@ -287,13 +284,20 @@ def cmd_reach(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def _resolve_circuit_inputs(args):
+    """(instance, objective, run settings, depth, initial state, engine),
+    each flag falling back to the preset's setting."""
     instance, objective, run = _resolve_inputs(args)
     depth = args.depth if args.depth is not None else run.get("depth", 1)
     initial = args.initial or run.get("initial_state")
     if initial is None:
         raise DomainError("provide --initial BITSTRING (or use a preset)")
     engine = args.engine or run.get("engine", "subspace")
+    return instance, objective, run, depth, initial, engine
+
+
+def cmd_simulate(args) -> int:
+    instance, objective, _, depth, initial, engine = _resolve_circuit_inputs(args)
     shots = args.shots if args.shots is not None else 0
     seed = _resolve_seed(args)
 
@@ -306,12 +310,8 @@ def cmd_simulate(args) -> int:
         gamma = [0.0] * circuit.n_gamma
     params = ParameterVector(beta, gamma)
     state = apply_circuit(circuit, params, basis_state(instance, initial, engine))
-    if shots:
-        raw, key = sample(state, shots, np.random.SeedSequence(seed)), "count"
-    else:
-        raw, key = probabilities(state), "probability"
-    mode = sorted(raw, key=lambda z: (-raw[z], z))[0]
-    rows = annotate_rows(instance, objective, raw, key, mode)
+    sep = circuit.phase_for(state.basis)
+    rows = annotate_rows(instance, state, sep, shots, np.random.SeedSequence(seed))
     record = {
         "instance": instance_to_dict(instance, objective),
         "depth": depth,
@@ -320,9 +320,9 @@ def cmd_simulate(args) -> int:
         "shots": shots,
         "seed": seed,
         "params": {"beta": beta, "gamma": gamma},
-        "expectation": expectation(state, circuit.phase_for(state.basis)),
+        "expectation": expectation(state, sep),
         "feasible_mass": feasible_mass(instance, state),
-        "mode": mode,
+        "mode": rows[0]["bitstring"],
         "histogram": rows,
     }
     _emit(record, args, csv_rows=rows)
@@ -330,12 +330,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    instance, objective, run = _resolve_inputs(args)
-    depth = args.depth if args.depth is not None else run.get("depth", 1)
-    initial = args.initial or run.get("initial_state")
-    if initial is None:
-        raise DomainError("provide --initial BITSTRING (or use a preset)")
-    engine = args.engine or run.get("engine", "subspace")
+    instance, objective, run, depth, initial, engine = _resolve_circuit_inputs(args)
     shots = args.shots if args.shots is not None else run.get("shots", 1024)
     seed = _resolve_seed(args)
 
@@ -360,8 +355,7 @@ def cmd_optimize(args) -> int:
     if record.best_feasible is not None:
         gap = record.best_feasible["value"] - record.classical_optimum["value"]
     _say(
-        f"mode {record.mode} value "
-        f"{evaluate_objective(objective, instance, record.mode):g} "
+        f"mode {record.mode} value {record.histogram[0]['value']:g} "
         f"(classical optimum {record.classical_optimum['value']:g}, "
         f"best feasible gap {gap if gap is not None else 'n/a'}) "
         f"dominant fraction {record.dominant_fraction:.3f}"
@@ -418,6 +412,14 @@ def _add_common(sub, *, out=True):
         sub.add_argument("--out", help="write JSON (or CSV for .csv paths) here")
 
 
+def _add_circuit_args(sub):
+    sub.add_argument("--depth", type=int, default=None)
+    sub.add_argument("--initial", help="initial basis bit string")
+    sub.add_argument("--engine", choices=["full", "subspace"], default=None)
+    sub.add_argument("--shots", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ossvqa",
@@ -446,22 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="apply a parametrized circuit and measure")
     _add_common(p)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--initial", help="initial basis bit string")
-    p.add_argument("--engine", choices=["full", "subspace"], default=None)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_circuit_args(p)
     p.add_argument("--beta", help="comma-separated mixer angles")
     p.add_argument("--gamma", help="comma-separated phase angles")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("optimize", help="run the variational experiment")
     _add_common(p)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--initial", help="initial basis bit string")
-    p.add_argument("--engine", choices=["full", "subspace"], default=None)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_circuit_args(p)
     p.add_argument("--optimizer", choices=["tr", "sgd"], default=None)
     p.add_argument("--sgd-samples", type=int, default=None)
     p.add_argument("--sgd-radius", type=float, default=None)

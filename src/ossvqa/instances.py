@@ -290,11 +290,18 @@ def bit_columns(ints: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def objective_values(obj: Objective, instance: OsspInstance, ints: np.ndarray) -> np.ndarray:
-    """Vectorized objective over basis states given as integers (bit 1 = MSB)."""
+    """Vectorized objective over basis states given as integers (bit 1 = MSB).
+    Rows are scored independently, so a value does not depend on the batch; a
+    linear value adds the set bits' weights in index order, like Python's sum."""
     _check_objective(obj, instance)
-    cols = bit_columns(ints, instance.n_bits)
+    n = instance.n_bits
     if isinstance(obj, LinearObjective):
-        return cols @ np.asarray(obj.weights)
+        ints = np.asarray(ints, dtype=np.int64)
+        total = np.zeros(len(ints))
+        for k, w in enumerate(obj.weights):
+            total += w * ((ints >> (n - 1 - k)) & 1)
+        return total
+    cols = bit_columns(ints, n)
     jobs = instance.jobs
     col = lambda t, j: cols[:, jobs * (t - 1) + (j - 1)]  # noqa: E731
     total = np.zeros(len(cols))

@@ -50,6 +50,7 @@ from .instances import (
 )
 
 DIM_CAP = 1 << 20
+PROB_FLOOR = 1e-14  # Born probabilities at or below it are not read out
 BETA_LO, BETA_HI = 0.0, math.pi / 2
 
 
@@ -59,23 +60,23 @@ BETA_LO, BETA_HI = 0.0, math.pi / 2
 
 @dataclass(eq=False)
 class Basis:
-    """All 2^N strings (sectors is None), or a tensor product of per-block
-    sectors: sectors[k] holds block k's allowed bit patterns in ascending
-    order and masks[k] holds its bits."""
+    """A tensor product of per-block sectors: sectors[k] holds block k's
+    allowed bit patterns in ascending order and masks[k] holds its bits.
+    The full 2^N basis is the single sector of all N-bit values."""
 
     n_bits: int
-    sectors: tuple[np.ndarray, ...] | None = None
-    masks: tuple[int, ...] = ()
+    sectors: tuple[np.ndarray, ...]
+    masks: tuple[int, ...]
     _partners: dict = field(default_factory=dict, repr=False)
 
     @property
     def engine(self) -> str:
-        return "full" if self.sectors is None else "subspace"
+        # a sector basis fixes the weight of every block of J >= 1 bits, and
+        # C(J, w) < 2^J, so only the full basis holds all 2^N strings
+        return "full" if self.dim == 1 << self.n_bits else "subspace"
 
     @functools.cached_property
     def shape(self) -> tuple[int, ...]:
-        if self.sectors is None:
-            return (1 << self.n_bits,)
         return tuple(len(s) for s in self.sectors)
 
     @property
@@ -84,21 +85,15 @@ class Basis:
 
     def values(self) -> np.ndarray:
         """Integer value of every basis string in amplitude order (ascending)."""
-        if self.sectors is None:
-            return np.arange(1 << self.n_bits, dtype=np.int64)
         return functools.reduce(np.add.outer, self.sectors).ravel()
 
     def index_of(self, value: int) -> int:
-        if self.sectors is None:
-            if 0 <= value < (1 << self.n_bits):
-                return int(value)
-        else:
-            patterns = [value & m for m in self.masks]
-            pos = [int(np.searchsorted(s, p)) for s, p in zip(self.sectors, patterns)]
-            if sum(patterns) == value and all(
-                i < len(s) and s[i] == p for s, i, p in zip(self.sectors, pos, patterns)
-            ):
-                return int(np.ravel_multi_index(pos, self.shape))
+        patterns = [value & m for m in self.masks]
+        pos = [int(np.searchsorted(s, p)) for s, p in zip(self.sectors, patterns)]
+        if sum(patterns) == value and all(
+            i < len(s) and s[i] == p for s, i, p in zip(self.sectors, pos, patterns)
+        ):
+            return int(np.ravel_multi_index(pos, self.shape))
         raise DomainError(f"string {int_to_bits(value, self.n_bits)} is not in the basis")
 
 
@@ -121,7 +116,9 @@ class QuantumState:
 def full_basis(n_bits: int) -> Basis:
     if (1 << n_bits) > DIM_CAP:
         raise CapabilityError(f"full basis of 2^{n_bits} states would exceed {DIM_CAP} states")
-    return Basis(n_bits)
+    values = np.arange(1 << n_bits, dtype=np.int64)
+    values.setflags(write=False)  # values() hands it out
+    return Basis(n_bits, (values,), ((1 << n_bits) - 1,))
 
 
 def subspace_basis(instance: OsspInstance, z: str) -> Basis:
@@ -188,10 +185,8 @@ def amplitude(state: QuantumState, z: str) -> complex:
 def fidelity(a: QuantumState, b: QuantumState) -> float:
     """|<a|b>| for states over the identical basis."""
     if a.basis is not b.basis and (
-        a.basis.n_bits != b.basis.n_bits or a.basis.engine != b.basis.engine or (
-            a.basis.sectors is not None
-            and not np.array_equal(a.basis.values(), b.basis.values())
-        )
+        a.basis.n_bits != b.basis.n_bits
+        or not np.array_equal(a.basis.values(), b.basis.values())
     ):
         raise DomainError("fidelity requires states over the same basis")
     return float(abs(np.vdot(a.amps, b.amps)))
@@ -227,16 +222,12 @@ def _swap_partners(basis: Basis, pair) -> tuple:
         if not (1 <= a <= n and 1 <= b <= n) or a == b:
             raise DomainError(f"invalid bit pair {pair!r} for {n} bits")
         ma, mb = 1 << (n - a), 1 << (n - b)
-        if basis.sectors is None:
-            axis, patterns = 0, basis.values()
-        else:
-            axis = next((k for k, m in enumerate(basis.masks) if m & ma and m & mb), None)
-            if axis is None:
-                raise DomainError(f"swap on pair {pair} leaves the restricted basis")
-            patterns = basis.sectors[axis]
+        axis = next((k for k, m in enumerate(basis.masks) if m & ma and m & mb), None)
+        if axis is None:
+            raise DomainError(f"swap on pair {pair} leaves the restricted basis")
+        patterns = basis.sectors[axis]
         d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
-        partners = patterns[d10] ^ (ma | mb)
-        p01 = partners if basis.sectors is None else np.searchsorted(patterns, partners)
+        p01 = np.searchsorted(patterns, patterns[d10] ^ (ma | mb))
         lead = (slice(None),) * axis
         basis._partners[pair] = (axis, d10, p01, lead + (_run(d10),), lead + (_run(p01),))
     return basis._partners[pair]
@@ -319,7 +310,7 @@ def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> Qu
     beta -> -beta.
     """
     basis = state.basis
-    if basis.sectors is None:
+    if basis.engine == "full":
         raise CapabilityError("the simultaneous mixer needs the restricted engine")
     from scipy.linalg import expm
 
@@ -343,28 +334,16 @@ def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> Qu
 # ---------------------------------------------------------------------------
 # measurement
 
+def _born(state: QuantumState) -> np.ndarray:
+    """|amplitude|^2 per basis index."""
+    return (state.amps.conj() * state.amps).real
+
+
 def expectation(state: QuantumState, sep: PhaseSeparator) -> float:
     """<state| f |state> = sum_z f(z) |amp(z)|^2."""
     if len(sep.values) != len(state.amps):
         raise DomainError("diagonal was built for a different basis")
-    probs = (state.amps.conj() * state.amps).real
-    return float(probs @ sep.values)
-
-
-def ranked(weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The basis indices in keep by descending weight. Ties keep ascending
-    string value, because amplitude order is ascending string value and the
-    sort is stable."""
-    return keep[np.argsort(-weights[keep], kind="stable")]
-
-
-def probabilities(state: QuantumState, threshold: float = 1e-14) -> dict[str, float]:
-    """Nonnegligible Born probabilities keyed by bit string."""
-    probs = (state.amps.conj() * state.amps).real
-    n = state.basis.n_bits
-    vals = state.basis.values()
-    order = ranked(probs, np.flatnonzero(probs > threshold))
-    return {int_to_bits(int(vals[k]), n): float(probs[k]) for k in order}
+    return float(_born(state) @ sep.values)
 
 
 def sample_counts(state: QuantumState, shots: int, seed) -> np.ndarray:
@@ -372,28 +351,53 @@ def sample_counts(state: QuantumState, shots: int, seed) -> np.ndarray:
     identical seed gives identical counts."""
     if shots < 1:
         raise DomainError("shots must be >= 1")
-    probs = (state.amps.conj() * state.amps).real
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip(_born(state), 0.0, None)
     probs = probs / probs.sum()
     return np.random.default_rng(seed).multinomial(shots, probs)
 
 
+def readout(state: QuantumState, shots: int = 0, seed=None,
+            threshold: float = PROB_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, order): the measured histogram of state on basis indices.
+
+    With shots = 0 the weights are the Born probabilities and order keeps
+    those above threshold; otherwise they are the seeded sample_counts and
+    order keeps the sampled indices. order runs by descending weight, ties
+    by ascending string value: amplitude order is ascending string value
+    and the sort is stable."""
+    if shots == 0:
+        weights = _born(state)
+        keep = np.flatnonzero(weights > threshold)
+    else:
+        weights = sample_counts(state, shots, seed)
+        keep = np.flatnonzero(weights)
+    return weights, keep[np.argsort(-weights[keep], kind="stable")]
+
+
+def _by_string(state: QuantumState, weights: np.ndarray, order: np.ndarray) -> dict:
+    """weights[order] keyed by bit string, in order."""
+    strings = (int_to_bits(v, state.basis.n_bits) for v in state.basis.values()[order].tolist())
+    return dict(zip(strings, weights[order].tolist()))
+
+
+def probabilities(state: QuantumState, threshold: float = PROB_FLOOR) -> dict[str, float]:
+    """The readout's Born probabilities keyed by bit string, in its order."""
+    return _by_string(state, *readout(state, threshold=threshold))
+
+
 def sample(state: QuantumState, shots: int, seed) -> dict[str, int]:
-    """sample_counts as a histogram keyed by bit string, most frequent first
-    (ties by ascending string). Code that only scores a sample ranks the
-    counts by index instead and builds no strings."""
-    counts = sample_counts(state, shots, seed)
-    n = state.basis.n_bits
-    vals = state.basis.values()
-    order = ranked(counts, np.flatnonzero(counts))
-    return {int_to_bits(int(vals[k]), n): int(counts[k]) for k in order}
+    """The readout's counts keyed by bit string, most frequent first (ties
+    by ascending string). Records and sampled evaluations use readout
+    directly and key nothing by string."""
+    if shots < 1:
+        raise DomainError("shots must be >= 1")
+    return _by_string(state, *readout(state, shots, seed))
 
 
 def feasible_mass(instance: OsspInstance, state: QuantumState) -> float:
     """Total Born probability carried by feasible strings."""
-    probs = (state.amps.conj() * state.amps).real
     mask = feasibility_mask(instance, state.basis.values())
-    return float(probs[mask].sum())
+    return float(_born(state)[mask].sum())
 
 
 # ---------------------------------------------------------------------------

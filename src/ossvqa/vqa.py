@@ -27,27 +27,25 @@ from .errors import CapabilityError, DomainError, VerificationError
 from .groups import decompose_job_permutation
 from .instances import (
     OsspInstance,
-    evaluate_objective,
+    feasibility_mask,
     indices_of_ones,
     instance_to_dict,
+    int_to_bits,
     is_feasible,
-    hamming_distance,
     linear_from_rows,
     optimal_solutions,
 )
 from .simulator import (
     Circuit,
     ParameterVector,
+    PhaseSeparator,
     QuantumState,
     apply_circuit,
     basis_state,
     build_circuit,
     expectation,
     fidelity,
-    probabilities,
-    ranked,
-    sample,
-    sample_counts,
+    readout,
 )
 
 # named substreams hanging off the run seed
@@ -181,14 +179,13 @@ def objective_value(circuit, params, state, shots=0, seed=None) -> float:
 
     A sample is scored on basis indices: each sampled index's count times
     its entry in the circuit's phase diagonal, so no bit string is built.
-    The terms are summed in the order sample() lists the histogram, which
-    fixes the rounding of the sum."""
+    The terms are summed in readout order, the order of the record's
+    histogram, which fixes the rounding of the sum."""
     final = apply_circuit(circuit, params, state)
     sep = circuit.phase_for(final.basis)
     if shots == 0:
         return expectation(final, sep)
-    counts = sample_counts(final, shots, seed)
-    order = ranked(counts, np.flatnonzero(counts))
+    counts, order = readout(final, shots, seed)
     return sum((counts[order] * sep.values[order]).tolist()) / shots
 
 
@@ -423,23 +420,29 @@ def compile_reach(instance: OsspInstance, source: str, target: str,
 # Experiment orchestration
 
 
-def annotate_rows(instance, objective, raw: dict, key: str, mode: str) -> list:
-    rows = []
-    for z in sorted(raw, key=lambda z: (-raw[z], z)):
-        rows.append({
-            "bitstring": z,
-            key: raw[z],
-            "value": float(evaluate_objective(objective, instance, z)),
-            "feasible": is_feasible(instance, z),
-            "hamming_to_mode": hamming_distance(z, mode),
-        })
-    return rows
-
-
-def _distribution(state, shots, seed_seq):
-    if shots == 0:
-        return probabilities(state), "probability", 1.0
-    return sample(state, shots, seed_seq), "count", float(shots)
+def annotate_rows(instance: OsspInstance, state: QuantumState, sep: PhaseSeparator,
+                  shots: int = 0, seed=None) -> list[dict]:
+    """The readout of state as record rows: bit string, probability (shots =
+    0) or count, value from the phase diagonal sep, feasibility and Hamming
+    distance to the first row, the mode. Rows are built from basis indices;
+    a record's bit strings are made here and nowhere else."""
+    weights, order = readout(state, shots, seed)
+    values = state.basis.values()[order]
+    key = "count" if shots else "probability"
+    mode = int(values[0])
+    return [
+        {
+            "bitstring": int_to_bits(v, state.basis.n_bits),
+            key: w,
+            "value": f,
+            "feasible": ok,
+            "hamming_to_mode": (v ^ mode).bit_count(),
+        }
+        for v, w, f, ok in zip(
+            values.tolist(), weights[order].tolist(), sep.values[order].tolist(),
+            feasibility_mask(instance, values).tolist(),
+        )
+    ]
 
 
 def run_experiment(instance: OsspInstance, objective, *, depth: int,
@@ -461,17 +464,19 @@ def run_experiment(instance: OsspInstance, objective, *, depth: int,
     record.initial_state = initial_state
     record.shots = shots
 
-    best = ParameterVector(record.best_params["beta"], record.best_params["gamma"])
-    final = apply_circuit(circuit, best, state)
-    raw, key, total = _distribution(final, shots, _stream(config.seed, _STREAM_FINAL_HIST))
-    mode = sorted(raw, key=lambda z: (-raw[z], z))[0]
-    record.histogram = annotate_rows(instance, objective, raw, key, mode)
-    record.mode = mode
-    record.dominant_fraction = raw[mode] / total
-    record.feasible_fraction = (
-        sum(c for z, c in raw.items() if is_feasible(instance, z)) / total
-    )
-    feas = [(row["value"], row["bitstring"]) for row in record.histogram if row["feasible"]]
+    key, total = ("count", float(shots)) if shots else ("probability", 1.0)
+
+    def histogram(params: dict, stream) -> list[dict]:
+        pv = ParameterVector(params["beta"], params["gamma"])
+        final = apply_circuit(circuit, pv, state)
+        return annotate_rows(instance, final, circuit.phase_for(final.basis), shots, stream)
+
+    rows = record.histogram = histogram(record.best_params,
+                                        _stream(config.seed, _STREAM_FINAL_HIST))
+    record.mode = rows[0]["bitstring"]
+    record.dominant_fraction = rows[0][key] / total
+    record.feasible_fraction = sum(row[key] for row in rows if row["feasible"]) / total
+    feas = [(row["value"], row["bitstring"]) for row in rows if row["feasible"]]
     record.best_feasible = (
         {"bitstring": min(feas)[1], "value": min(feas)[0]} if feas else None
     )
@@ -482,11 +487,9 @@ def run_experiment(instance: OsspInstance, objective, *, depth: int,
     }
     if config.kind == "sgd":
         for i, entry in enumerate(record.iterations):
-            pv = ParameterVector(entry["accepted_params"]["beta"],
-                                 entry["accepted_params"]["gamma"])
-            st = apply_circuit(circuit, pv, state)
-            raw_i, key_i, _ = _distribution(st, shots, _stream(config.seed, _STREAM_ITER_HIST, i))
-            entry["histogram"] = {z: raw_i[z] for z in sorted(raw_i, key=lambda z: (-raw_i[z], z))}
+            rows_i = histogram(entry["accepted_params"],
+                               _stream(config.seed, _STREAM_ITER_HIST, i))
+            entry["histogram"] = {row["bitstring"]: row[key] for row in rows_i}
     record.sidecar = {
         "started_at": started,
         "wall_clock_seconds": time.perf_counter() - t0,

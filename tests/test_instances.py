@@ -236,6 +236,22 @@ def test_objective_values_vectorized_matches_scalar():
         assert v == pytest.approx(evaluate_objective(obj, OSSP224, z))
 
 
+def test_linear_values_agree_in_any_batch_for_real_weights():
+    # a BLAS product rounds by batch size; each string must keep one value
+    from ossvqa.simulator import phase_separator, subspace_basis
+
+    rng = np.random.default_rng(31)
+    for inst, z0 in ((OSSP224, "1000010000100001"), (OSSP133, "100010001")):
+        basis = subspace_basis(inst, z0)
+        strings = [format(int(v), f"0{inst.n_bits}b") for v in basis.values()]
+        for _ in range(5):
+            obj = LinearObjective(tuple(rng.uniform(-10, 10, size=inst.n_bits)))
+            diagonal = phase_separator(obj, inst, basis).values
+            for z, d in zip(strings, diagonal.tolist()):
+                python_sum = sum(w for w, c in zip(obj.weights, z) if c == "1")
+                assert d == evaluate_objective(obj, inst, z) == python_sum
+
+
 def test_optimal_solutions():
     best224, argmin224 = optimal_solutions(OSSP224, objective_224())
     assert best224 == pytest.approx(5)

@@ -84,6 +84,21 @@ def test_full_engine_cap_refuses_before_allocating(monkeypatch):
         pure_state(21, "0" * 21)
 
 
+def test_full_basis_is_one_read_only_sector():
+    basis = full_basis(9)
+    assert basis.engine == "full" and basis.shape == (512,)
+    assert basis.masks == (511,)
+    assert np.array_equal(basis.values(), np.arange(512))
+    assert not basis.values().flags.writeable
+    assert [basis.index_of(v) for v in (0, 5, 511)] == [0, 5, 511]
+    for v in (-1, 512):
+        with pytest.raises(DomainError):
+            basis.index_of(v)
+    assert subspace_basis(OSSP133, Z0_133).engine == "subspace"
+    with pytest.raises(CapabilityError):
+        apply_simultaneous_mixer(basis_state(OSSP133, Z0_133), mixers(OSSP133), 0.3)
+
+
 def test_index_of_reads_the_sectors_only(monkeypatch):
     cases = [
         subspace_basis(OSSP224, Z0_224),

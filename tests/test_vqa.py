@@ -1,5 +1,6 @@
 """Optimizer, reach-compilation, and run-record tests."""
 
+import json
 import math
 
 import numpy as np
@@ -325,3 +326,109 @@ def test_preset_runs_reach_published_behavior():
                           shots=run4["shots"], engine=run4["engine"])
     assert rec4.mode in {"0010000110000100", "0010000101001000"}
     assert rec4.best_feasible["value"] >= 5.0 - 1e-12
+
+
+def string_keyed_readout(instance, objective, state, shots, seed):
+    """The measured histogram and its annotation as records built them
+    before rows came from basis indices: weights keyed by bit string, sorted
+    by (-weight, string), every string scored and checked on its own."""
+    probs = (state.amps.conj() * state.amps).real
+    vals, n = state.basis.values(), state.basis.n_bits
+    if shots:
+        p = np.clip(probs, 0.0, None)
+        counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
+        raw = {int_to_bits(int(vals[k]), n): int(counts[k]) for k in np.nonzero(counts)[0]}
+        key, total = "count", float(shots)
+    else:
+        raw = {int_to_bits(int(vals[k]), n): float(probs[k])
+               for k in np.nonzero(probs > 1e-14)[0]}
+        key, total = "probability", 1.0
+    order = sorted(raw, key=lambda z: (-raw[z], z))
+    mode = order[0]
+    rows = [{
+        "bitstring": z,
+        key: raw[z],
+        "value": float(evaluate_objective(objective, instance, z)),
+        "feasible": instances.is_feasible(instance, z),
+        "hamming_to_mode": instances.hamming_distance(z, mode),
+    } for z in order]
+    feas = [(row["value"], row["bitstring"]) for row in rows if row["feasible"]]
+    return {
+        "histogram": rows,
+        "mode": mode,
+        "dominant_fraction": raw[mode] / total,
+        "feasible_fraction": sum(raw[z] for z in order if instances.is_feasible(instance, z)) / total,
+        "best_feasible": {"bitstring": min(feas)[1], "value": min(feas)[0]} if feas else None,
+        "by_string": {z: raw[z] for z in order},
+    }
+
+
+def refuse_string_scoring(patcher):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the record path scored or checked a string")
+
+    from ossvqa import cli
+
+    for module in (instances, simulator, vqa, cli):
+        for name in ("evaluate_objective", "is_feasible", "hamming_distance"):
+            if hasattr(module, name):
+                patcher.setattr(module, name, refuse)
+
+
+def same(got, want):
+    """Equal, and equal as JSON text, so that int/float/bool types agree."""
+    return got == want and json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("shots", [0, 1024])
+@pytest.mark.parametrize("name, engine", [
+    ("ossp224", "subspace"), ("ossp133", "subspace"),
+    ("ossp133-restricted", "subspace"), ("ossp133", "full"),
+])
+def test_run_record_readout_matches_string_keyed_annotation(name, engine, shots, monkeypatch):
+    instance, objective, preset = resolve_preset(name)
+    settings = dict(preset["optimizer"], seed=3)
+    settings["max_iters"] = 3 if settings["kind"] == "sgd" else 30
+    config = OptimizerConfig(**settings)
+    with monkeypatch.context() as m:
+        refuse_string_scoring(m)
+        rec = run_experiment(instance, objective, depth=preset["depth"],
+                             initial_state=preset["initial_state"], config=config,
+                             shots=shots, engine=engine)
+    circuit = build_circuit(instance, objective, preset["depth"])
+    state = basis_state(instance, preset["initial_state"], engine)
+
+    def reference(params, stream):
+        final = apply_circuit(circuit, ParameterVector(params["beta"], params["gamma"]), state)
+        return string_keyed_readout(instance, objective, final, shots, stream)
+
+    want = reference(rec.best_params, vqa._stream(config.seed, vqa._STREAM_FINAL_HIST))
+    for field in ("histogram", "mode", "dominant_fraction", "feasible_fraction", "best_feasible"):
+        assert same(getattr(rec, field), want[field]), field
+    if config.kind == "sgd":
+        assert len(rec.iterations) == 4
+        for i, entry in enumerate(rec.iterations):
+            want_i = reference(entry["accepted_params"],
+                               vqa._stream(config.seed, vqa._STREAM_ITER_HIST, i))
+            assert same(entry["histogram"], want_i["by_string"])
+            assert list(entry["histogram"]) == list(want_i["by_string"])
+
+
+@pytest.mark.parametrize("shots", [0, 1024])
+def test_simulate_readout_matches_string_keyed_annotation(shots, tmp_path, monkeypatch):
+    from ossvqa.cli import main
+
+    instance, objective, preset = resolve_preset("ossp224")
+    beta, gamma = [0.3, 0.7, 1.1, 0.2, 0.5, 0.9], [0.4, 1.3]
+    out = tmp_path / "sim.json"
+    with monkeypatch.context() as m:
+        refuse_string_scoring(m)
+        assert main(["simulate", "--preset", "ossp224", "--depth", "2",
+                     "--beta", ",".join(map(str, beta)), "--gamma", ",".join(map(str, gamma)),
+                     "--shots", str(shots), "--seed", "6", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    final = apply_circuit(build_circuit(instance, objective, 2), ParameterVector(beta, gamma),
+                          basis_state(instance, preset["initial_state"], "subspace"))
+    want = string_keyed_readout(instance, objective, final, shots, np.random.SeedSequence(6))
+    assert same(doc["histogram"], want["histogram"])
+    assert doc["mode"] == want["mode"]
