@@ -253,32 +253,55 @@ def group_order(instance: OsspInstance) -> int:
     return math.factorial(instance.positions) * math.factorial(instance.jobs)
 
 
-def _closure(start, perms, act, max_size: int = GROUP_CLOSURE_CAP) -> set:
-    """Breadth-first closure of {start} under x -> act(p, x) for p in perms."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in perms:
-                y = act(p, x)
+def _closure(start: np.ndarray, perms, max_size: int = GROUP_CLOSURE_CAP) -> set[bytes]:
+    """Breadth-first closure of the row {start} under x -> x[p] for p in perms.
+
+    Rows are compact integer arrays (start's dtype: uint8 when the labels
+    fit), so one step is one column gather frontier[:, p] per p over the
+    whole frontier, and new rows are found through the set of row bytes,
+    which is returned. Raises CapabilityError as soon as the closure would
+    hold more than max_size rows.
+    """
+    gathers = [np.asarray(p, dtype=np.intp) for p in perms]
+    row = np.dtype((np.void, start.nbytes))
+    seen = {start.tobytes()}
+    frontier = start[None, :]
+    while len(frontier):
+        fresh = []
+        for p in gathers:
+            # the gather comes out column-major; a row view needs C order
+            for y in np.ascontiguousarray(frontier[:, p]).view(row).ravel().tolist():
                 if y not in seen:
                     if len(seen) >= max_size:
                         raise CapabilityError(
                             f"closure exceeded the cap of {max_size} elements"
                         )
                     seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+                    fresh.append(y)
+        frontier = np.frombuffer(b"".join(fresh), dtype=start.dtype)
+        frontier = frontier.reshape(len(fresh), len(start))
     return seen
 
 
 def generate_group(perms, max_size: int = GROUP_CLOSURE_CAP) -> set[tuple[int, ...]]:
-    """Closure of the given 0-based permutations under composition."""
+    """Closure of the given 0-based permutations under composition: the
+    closure of the identity under x -> x o p, which is the same group."""
     perms = [tuple(p) for p in perms]
     if not perms:
         return {()}
-    return _closure(identity_perm(len(perms[0])), perms, compose_perms, max_size)
+    n = len(perms[0])
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    rows = _closure(np.arange(n, dtype=dtype), perms, max_size)
+    elements = np.frombuffer(b"".join(rows), dtype=dtype).reshape(len(rows), n)
+    return set(map(tuple, elements.tolist()))
+
+
+def _string_closure(instance: OsspInstance, z: str, generators) -> set[bytes]:
+    """Closure of {z} under the generators' vertex permutations, on rows of
+    the string's ASCII bytes. Moving the bit at vertex n to perm[n] gathers
+    with the inverse permutation."""
+    inverses = [invert_perm(vertex_permutation(instance, g)) for g in generators]
+    return _closure(np.frombuffer(z.encode("ascii"), dtype=np.uint8), inverses)
 
 
 def generated_group_order(instance: OsspInstance) -> int:
@@ -292,8 +315,7 @@ def orbit(instance: OsspInstance, z: str, generators) -> set[str]:
     """Breadth-first closure of {z} under the given group elements."""
     if not is_feasible(instance, z):
         raise DomainError(f"orbit seed {z!r} is not a feasible string")
-    perms = [vertex_permutation(instance, g) for g in generators]
-    return _closure(z, perms, apply_vertex_permutation)
+    return {row.decode("ascii") for row in _string_closure(instance, z, generators)}
 
 
 def verify_block_system(instance: OsspInstance, blocks, generators) -> bool:
@@ -372,11 +394,8 @@ def check_mixing_family(instance: OsspInstance, family) -> bool:
     solutions = enumerate_solutions(instance)
     if len(solutions) <= 1:
         return True
-    perms = [
-        vertex_permutation(instance, job_transposition_element(instance, i))
-        for i in family
-    ]
-    return len(_closure(solutions[0], perms, apply_vertex_permutation)) == len(solutions)
+    family = [job_transposition_element(instance, i) for i in family]
+    return len(_string_closure(instance, solutions[0], family)) == len(solutions)
 
 
 def bruteforce_feasibility_preservers(graph: ConstraintGraph, solutions) -> set[tuple[int, ...]]:

@@ -283,28 +283,26 @@ def _check_objective(obj: Objective, instance: OsspInstance) -> None:
         raise DomainError(f"unknown objective type {type(obj).__name__}")
 
 
-def bit_columns(ints: np.ndarray, n_bits: int) -> np.ndarray:
-    """(len(ints), n_bits) 0/1 matrix; column k is bit index k+1 (MSB first)."""
-    shifts = np.arange(n_bits - 1, -1, -1, dtype=np.int64)
-    return ((np.asarray(ints, dtype=np.int64)[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+def _bit(ints: np.ndarray, n_bits: int, i: int) -> np.ndarray:
+    """0/1 int64 array: bit index i (1-based, MSB first) of each integer."""
+    return (ints >> (n_bits - i)) & 1
 
 
 def objective_values(obj: Objective, instance: OsspInstance, ints: np.ndarray) -> np.ndarray:
     """Vectorized objective over basis states given as integers (bit 1 = MSB).
     Rows are scored independently, so a value does not depend on the batch; a
-    linear value adds the set bits' weights in index order, like Python's sum."""
+    linear value adds the set bits' weights in index order, like Python's sum.
+    Bits are read one index at a time, so no (rows x bits) matrix is built."""
     _check_objective(obj, instance)
     n = instance.n_bits
+    ints = np.asarray(ints, dtype=np.int64)
+    total = np.zeros(len(ints))
     if isinstance(obj, LinearObjective):
-        ints = np.asarray(ints, dtype=np.int64)
-        total = np.zeros(len(ints))
         for k, w in enumerate(obj.weights):
-            total += w * ((ints >> (n - 1 - k)) & 1)
+            total += w * _bit(ints, n, k + 1)
         return total
-    cols = bit_columns(ints, n)
     jobs = instance.jobs
-    col = lambda t, j: cols[:, jobs * (t - 1) + (j - 1)]  # noqa: E731
-    total = np.zeros(len(cols))
+    bit = lambda t, j: _bit(ints, n, jobs * (t - 1) + j)  # noqa: E731
     for u in range(1, jobs + 1):
         for v in range(u + 1, jobs + 1):
             d = obj.distances[u - 1][v - 1]
@@ -312,18 +310,21 @@ def objective_values(obj: Objective, instance: OsspInstance, ints: np.ndarray) -
                 continue
             for j in range(1, jobs + 1):
                 jn = j % jobs + 1
-                total += d * (col(u, j) * col(v, jn) + col(v, j) * col(u, jn))
+                total += d * ((bit(u, j) & bit(v, jn)) + (bit(v, j) & bit(u, jn)))
     return total
 
 
 def feasibility_mask(instance: OsspInstance, ints: np.ndarray) -> np.ndarray:
-    """Vectorized feasibility over basis states given as integers (bit 1 = MSB)."""
-    cols = bit_columns(ints, instance.n_bits)
-    ok = np.ones(len(cols), dtype=bool)
+    """Vectorized feasibility over basis states given as integers (bit 1 = MSB):
+    each block's weight is counted bit by bit."""
+    n = instance.n_bits
+    ints = np.asarray(ints, dtype=np.int64)
+    weight = lambda block: sum(_bit(ints, n, i) for i in block)  # noqa: E731
+    ok = np.ones(len(ints), dtype=bool)
     for block in job_blocks(instance):
-        ok &= cols[:, [i - 1 for i in block]].sum(axis=1) == 1
+        ok &= weight(block) == 1
     for block in position_blocks(instance):
-        ok &= cols[:, [i - 1 for i in block]].sum(axis=1) <= 1
+        ok &= weight(block) <= 1
     return ok
 
 

@@ -481,16 +481,25 @@ def clamp_beta(beta: np.ndarray) -> np.ndarray:
 
 
 def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState) -> QuantumState:
+    """The circuit's layers in order, with beta clamped into [0, pi/2].
+
+    A layer whose angle is exactly 0 (beta after clamping, gamma as given)
+    is the identity e^{i 0 H} = I and is skipped; the phase diagonal is
+    built on the first phase layer with nonzero gamma. Running a skipped
+    layer would change at most the sign of zero real or imaginary parts."""
     if len(params.beta) != circuit.n_beta or len(params.gamma) != circuit.n_gamma:
         raise DomainError(
             f"parameter shape ({len(params.beta)} beta, {len(params.gamma)} gamma) "
             f"does not match circuit slots ({circuit.n_beta}, {circuit.n_gamma})"
         )
     beta = clamp_beta(params.beta)
-    sep = circuit.phase_for(state.basis)
+    sep = None
     for layer in circuit.layers:
         if layer.kind == "mixer":
-            state = apply_mixer(state, circuit.mixers[layer.generator], beta[layer.slot])
-        else:
+            if beta[layer.slot] != 0.0:
+                state = apply_mixer(state, circuit.mixers[layer.generator], beta[layer.slot])
+        elif params.gamma[layer.slot] != 0.0:
+            if sep is None:
+                sep = circuit.phase_for(state.basis)
             state = apply_phase_separator(state, sep, params.gamma[layer.slot])
     return state

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import CapabilityError, DomainError, VerificationError
 from .groups import decompose_job_permutation
@@ -207,6 +206,8 @@ def trust_region_minimize(fun, x0, lower, upper, max_iters, rhobeg, tol):
     if max_iters == 0:
         f0 = wrapped(x0)
         return x0, f0, x0, f0, trace, "budget", 1
+    from scipy.optimize import minimize  # costly import, needed by COBYLA only
+
     res = minimize(
         wrapped,
         x0,

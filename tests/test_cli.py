@@ -1,6 +1,11 @@
 """End-to-end command-line tests: outputs, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -265,3 +270,23 @@ def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_scipy_optimize_is_loaded_by_cobyla_only():
+    code = textwrap.dedent("""
+        import sys
+        import ossvqa
+        from ossvqa import cli
+        assert cli.main(["group-check", "--preset", "ossp133"]) == 0
+        assert "scipy.optimize" not in sys.modules, "loaded before any optimiser ran"
+        instance, objective, preset = ossvqa.resolve_preset("ossp133")
+        config = ossvqa.OptimizerConfig(kind="tr", max_iters=5)
+        rec = ossvqa.run_experiment(instance, objective, depth=1,
+                                    initial_state=preset["initial_state"],
+                                    config=config, shots=0)
+        assert rec.n_evaluations == 5 and "scipy.optimize" in sys.modules
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

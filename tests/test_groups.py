@@ -1,6 +1,7 @@
 """Constraint-graph and permutation-group tests against frozen structure."""
 
 import itertools
+import json
 import math
 
 import pytest
@@ -171,6 +172,63 @@ def test_generate_group_basics():
     assert len(s3) == 6
     with pytest.raises(CapabilityError):
         generate_group([(1, 0, 2), (0, 2, 1)], max_size=3)
+
+
+def _tuple_closure(start, perms, act):
+    """Reference: the breadth-first search on tuples and strings that the
+    array closure replaced."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in perms:
+                y = act(p, x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("instance", [
+    OsspInstance(1, 3, 3), OsspInstance(1, 4, 4), OsspInstance(2, 2, 4), OsspInstance(2, 3, 3),
+], ids=lambda inst: f"{inst.machines}x{inst.time_slots}x{inst.jobs}")
+def test_array_closures_match_tuple_bfs(instance):
+    gens = group_generators(instance)
+    jobs = job_generators(instance)
+    sols = enumerate_solutions(instance)
+    for k, subset in enumerate([gens, jobs, gens[len(jobs):], gens[:1], []]):
+        perms = [vertex_permutation(instance, g) for g in subset]
+        want = _tuple_closure(identity_perm(instance.n_bits), perms, compose_perms)
+        assert generate_group(perms) == (want if perms else {()})
+        z = sols[(7 * k) % len(sols)]
+        assert orbit(instance, z, subset) == _tuple_closure(z, perms, apply_vertex_permutation)
+    for r in range(instance.jobs):
+        for family in itertools.combinations(range(1, instance.jobs), r):
+            perms = [
+                vertex_permutation(instance, job_transposition_element(instance, i))
+                for i in family
+            ]
+            reached = _tuple_closure(sols[0], perms, apply_vertex_permutation)
+            assert check_mixing_family(instance, family) == (len(reached) == len(sols))
+
+
+def test_closure_cap_is_exact():
+    s3 = [(1, 0, 2), (0, 2, 1)]
+    with pytest.raises(CapabilityError, match="cap of 5"):
+        generate_group(s3, max_size=5)
+    assert len(generate_group(s3, max_size=6)) == 6
+
+
+def test_closure_returns_python_values():
+    group = generate_group([vertex_permutation(OSSP133, g) for g in group_generators(OSSP133)])
+    assert all(type(e) is tuple and all(type(x) is int for x in e) for e in group)
+    assert json.loads(json.dumps(sorted(group))) == [list(e) for e in sorted(group)]
+    # labels past 255 take a wider row dtype
+    cycle = tuple(range(1, 300)) + (0,)
+    assert generate_group([cycle]) == _tuple_closure(identity_perm(300), [cycle], compose_perms)
+    found = orbit(OSSP133, "100010001", job_generators(OSSP133))
+    assert all(type(z) is str for z in found)
 
 
 def test_orbit_transitivity():

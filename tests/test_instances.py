@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ossvqa.instances import (
     enumerate_solutions,
     evaluate_constraint,
     evaluate_objective,
+    feasibility_mask,
     hamming_distance,
     index_to_coordinate,
     indices_of_ones,
@@ -250,6 +252,68 @@ def test_linear_values_agree_in_any_batch_for_real_weights():
             for z, d in zip(strings, diagonal.tolist()):
                 python_sum = sum(w for w, c in zip(obj.weights, z) if c == "1")
                 assert d == evaluate_objective(obj, inst, z) == python_sum
+
+
+def bit_matrix_tour_values(obj, instance, ints):
+    """Reference: the tour diagonal from a (rows x bits) float matrix."""
+    n, jobs = instance.n_bits, instance.jobs
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    cols = ((np.asarray(ints, dtype=np.int64)[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+    col = lambda t, j: cols[:, jobs * (t - 1) + (j - 1)]  # noqa: E731
+    total = np.zeros(len(cols))
+    for u in range(1, jobs + 1):
+        for v in range(u + 1, jobs + 1):
+            d = obj.distances[u - 1][v - 1]
+            if d == 0:
+                continue
+            for j in range(1, jobs + 1):
+                jn = j % jobs + 1
+                total += d * (col(u, j) * col(v, jn) + col(v, j) * col(u, jn))
+    return total
+
+
+def test_tour_diagonal_matches_bit_matrix_formula():
+    from ossvqa.simulator import subspace_basis
+
+    inst = OsspInstance(1, 6, 6)
+    schedule = "".join("1" if j == t else "0" for t in range(6) for j in range(6))
+    rng = np.random.default_rng(17)
+    # the restricted basis of a schedule, and arbitrary strings, where both
+    # terms of a pair can be set at once
+    for ints in (subspace_basis(inst, schedule).values(),
+                 rng.integers(0, 1 << inst.n_bits, 20_000)):
+        for _ in range(3):
+            d = rng.uniform(0.1, 9.9, (6, 6))
+            d = np.triu(d, 1) + np.triu(d, 1).T
+            obj = TspObjective(tuple(map(tuple, d.tolist())))
+            assert np.array_equal(objective_values(obj, inst, ints),
+                                  bit_matrix_tour_values(obj, inst, ints))
+
+
+def test_feasibility_mask_matches_is_feasible():
+    from ossvqa.simulator import full_basis
+
+    values = full_basis(OSSP133.n_bits).values()
+    mask = feasibility_mask(OSSP133, values)
+    strings = [format(int(v), "09b") for v in values]
+    assert mask.tolist() == [is_feasible(OSSP133, z) for z in strings]
+    assert mask.sum() == len(enumerate_solutions(OSSP133))
+
+
+def test_feasible_mass_reads_bits_without_a_bit_matrix():
+    # a (rows x bits) matrix on 46,656 rows and 36 bits takes over 25 MB
+    from ossvqa.simulator import basis_state, feasible_mass
+
+    inst = OsspInstance(1, 6, 6)
+    schedule = "".join("1" if j == t else "0" for t in range(6) for j in range(6))
+    state = basis_state(inst, schedule, "subspace")
+    tracemalloc.start()
+    try:
+        assert feasible_mass(inst, state) == pytest.approx(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_optimal_solutions():

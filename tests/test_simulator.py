@@ -40,6 +40,7 @@ from ossvqa.simulator import (
     subspace_basis,
     zero_params,
 )
+from ossvqa.presets import resolve_preset
 
 OSSP224 = OsspInstance(2, 2, 4)
 OSSP133 = OsspInstance(1, 3, 3)
@@ -548,6 +549,64 @@ def test_apply_circuit_uses_the_circuit_mixer_table(monkeypatch):
     params = ParameterVector([0.3, 0.2, 0.1, 0.5], [0.7, 1.1])
     out = apply_circuit(circuit, params, basis_state(OSSP133, Z0_133, "subspace"))
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def layer_by_layer(circuit, params, state):
+    """Reference: every layer applied, zero angles included."""
+    beta = simulator.clamp_beta(params.beta)
+    sep = circuit.phase_for(state.basis)
+    for layer in circuit.layers:
+        if layer.kind == "mixer":
+            state = apply_mixer(state, circuit.mixers[layer.generator], beta[layer.slot])
+        else:
+            state = apply_phase_separator(state, sep, params.gamma[layer.slot])
+    return state
+
+
+@pytest.mark.parametrize("name, engine", [
+    ("ossp224", "subspace"), ("ossp133", "subspace"), ("ossp133", "full"),
+])
+def test_zero_angle_layers_are_skipped_exactly(name, engine, monkeypatch):
+    instance, objective, preset = resolve_preset(name)
+    circuit = build_circuit(instance, objective, preset["depth"])
+    start = basis_state(instance, preset["initial_state"], engine)
+    rng = np.random.default_rng(11)
+    cases = [zero_params(circuit)]
+    for _ in range(6):
+        beta = rng.uniform(0.0, math.pi / 2, circuit.n_beta)
+        gamma = rng.uniform(-1.0, 2.0, circuit.n_gamma)
+        beta[rng.random(circuit.n_beta) < 0.5] = 0.0
+        gamma[rng.random(circuit.n_gamma) < 0.5] = 0.0
+        cases.append(ParameterVector(beta, gamma))
+    calls = []
+
+    def counted(state, mixer, beta):
+        calls.append(beta)
+        return apply_mixer(state, mixer, beta)
+
+    for params in cases:
+        want = layer_by_layer(circuit, params, start)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "apply_mixer", counted)
+            got = apply_circuit(circuit, params, start)
+        assert got.basis is want.basis
+        assert np.array_equal(got.amps, want.amps)
+        assert len(calls) == np.count_nonzero(params.beta)
+
+
+def test_zero_gamma_never_builds_the_phase_diagonal(monkeypatch):
+    def refuse(self, basis):
+        raise AssertionError("phase diagonal built")
+
+    circuit = build_circuit(OSSP224, OBJ224, 3)
+    start = basis_state(OSSP224, Z0_224, "subspace")
+    beta = np.random.default_rng(2).uniform(0.0, math.pi / 2, circuit.n_beta)
+    monkeypatch.setattr(simulator.Circuit, "phase_for", refuse)
+    out = apply_circuit(circuit, ParameterVector(beta, np.zeros(circuit.n_gamma)), start)
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(AssertionError, match="phase diagonal built"):
+        apply_circuit(circuit, ParameterVector(beta, [0.0, 0.4, 0.0]), start)
 
 
 def test_fidelity_accepts_the_same_basis_without_comparing_values(monkeypatch):
