@@ -55,10 +55,6 @@ print("beta slots:", [float(round(b, 4)) for b in plan.params.beta])
 
 # the same construction spans all 24 schedules of the four-job instance
 busy = OsspInstance(machines=2, time_slots=2, jobs=4)
-busy_objective = linear_from_rows(
-    busy, [[3, 2, 2, 3], [2, 2, 3, 0], [2, 2, 4, 2], [1, 1, 4, 2]]
-)
-plan = compile_reach(busy, "1000010000100001", "0010000110000100",
-                     busy_objective)
+plan = compile_reach(busy, "1000010000100001", "0010000110000100")
 print(f"\nfour jobs: word {plan.word}, fidelity {plan.fidelity:.12f}, "
       f"{plan.circuit.n_beta} rotation slots")

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -78,17 +79,19 @@ def _resolve_inputs(args):
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    """--seed, else the OSSVQA_SEED environment variable, else 0."""
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise DomainError(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from None
-    return 0
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -122,9 +125,12 @@ def _parse_floats(text: str | None, what: str) -> list[float]:
     if not text:
         return []
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise DomainError(f"could not parse {what} list {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"{what} angles must be finite, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,8 @@ def cmd_group_check(args) -> int:
     generators = group_generators(instance)
     perms = [vertex_permutation(instance, g) for g in generators]
     claimed = group_order(instance)
-    generated = len(generate_group(perms))
+    group = generate_group(perms)
+    generated = len(group)
     order_match = generated == claimed
 
     small = solution_count(instance) <= ORBIT_SOLUTION_CAP
@@ -222,7 +229,7 @@ def cmd_group_check(args) -> int:
         preservers = bruteforce_feasibility_preservers(
             build_constraint_graph(instance), solutions
         )
-        brute_match = preservers == generate_group(perms)
+        brute_match = preservers == group
     else:
         notice = (
             f"exhaustive permutation scan skipped ({instance.n_bits} bits "
@@ -267,7 +274,7 @@ def cmd_group_check(args) -> int:
 
 def cmd_reach(args) -> int:
     instance, objective, _ = _resolve_inputs(args)
-    plan = compile_reach(instance, args.source, args.target, objective)
+    plan = compile_reach(instance, args.source, args.target)
     record = {
         "instance": instance_to_dict(instance, objective),
         "source": args.source,
@@ -310,8 +317,8 @@ def cmd_simulate(args) -> int:
         gamma = [0.0] * circuit.n_gamma
     params = ParameterVector(beta, gamma)
     state = apply_circuit(circuit, params, basis_state(instance, initial, engine))
-    sep = circuit.phase_for(state.basis)
-    rows = annotate_rows(instance, state, sep, shots, np.random.SeedSequence(seed))
+    diag = circuit.phase_for(state.basis)
+    rows = annotate_rows(instance, state, diag, shots, np.random.SeedSequence(seed))
     record = {
         "instance": instance_to_dict(instance, objective),
         "depth": depth,
@@ -320,7 +327,7 @@ def cmd_simulate(args) -> int:
         "shots": shots,
         "seed": seed,
         "params": {"beta": beta, "gamma": gamma},
-        "expectation": expectation(state, sep),
+        "expectation": expectation(state, diag),
         "feasible_mass": feasible_mass(instance, state),
         "mode": rows[0]["bitstring"],
         "histogram": rows,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 
 Coordinate = tuple[int, int, int]
 
@@ -113,10 +113,6 @@ def check_bitstring(z: str, n_bits: int) -> str:
     return z
 
 
-def hamming_weight(z: str) -> int:
-    return z.count("1")
-
-
 def hamming_distance(a: str, b: str) -> int:
     if len(a) != len(b):
         raise DomainError("bit strings differ in length")
@@ -144,6 +140,17 @@ def bits_to_int(z: str) -> int:
 
 def int_to_bits(v: int, n_bits: int) -> str:
     return format(v, f"0{n_bits}b")
+
+
+INT_BITS = 63  # vectorized code holds strings as int64 values
+
+
+def as_int64(ints, n_bits: int) -> np.ndarray:
+    """n_bits-bit strings given as integers (bit 1 = MSB), as an int64 array;
+    CapabilityError past INT_BITS bits, where the values would not fit."""
+    if n_bits > INT_BITS:
+        raise CapabilityError(f"{n_bits}-bit strings exceed the {INT_BITS}-bit integer range")
+    return np.asarray(ints, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +302,7 @@ def objective_values(obj: Objective, instance: OsspInstance, ints: np.ndarray) -
     Bits are read one index at a time, so no (rows x bits) matrix is built."""
     _check_objective(obj, instance)
     n = instance.n_bits
-    ints = np.asarray(ints, dtype=np.int64)
+    ints = as_int64(ints, n)
     total = np.zeros(len(ints))
     if isinstance(obj, LinearObjective):
         for k, w in enumerate(obj.weights):
@@ -318,7 +325,7 @@ def feasibility_mask(instance: OsspInstance, ints: np.ndarray) -> np.ndarray:
     """Vectorized feasibility over basis states given as integers (bit 1 = MSB):
     each block's weight is counted bit by bit."""
     n = instance.n_bits
-    ints = np.asarray(ints, dtype=np.int64)
+    ints = as_int64(ints, n)
     weight = lambda block: sum(_bit(ints, n, i) for i in block)  # noqa: E731
     ok = np.ones(len(ints), dtype=bool)
     for block in job_blocks(instance):

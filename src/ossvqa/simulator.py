@@ -20,8 +20,8 @@ pair by e^{i beta} and mixes unequal pairs as cos(beta)|z> + i sin(beta)
 mixer applies the rotation to one adjacent job pair inside every position
 block; the rotations commute. Only the angles 0 and pi/2 map schedules onto
 schedules: in between, a mixer puts amplitude on infeasible strings.
-Circuits interleave phase separators e^{i gamma f(z)} with mixers; layers
-are stored in application order.
+A circuit runs rounds of one phase separator e^{i gamma f(z)} followed by
+the mixers B_{J-1}, ..., B_1.
 
 All state comparisons in tests use fidelity |<phi|psi>| since pi/2 rotations
 introduce global phases of i per swapped pair.
@@ -41,6 +41,7 @@ from .errors import CapabilityError, DomainError
 from .instances import (
     Objective,
     OsspInstance,
+    as_int64,
     bits_to_int,
     check_bitstring,
     feasibility_mask,
@@ -138,7 +139,7 @@ def _sector_basis(instance: OsspInstance, weights: tuple[int, ...]) -> Basis:
     for block, weight in zip(position_blocks(instance), weights):
         bit_masks = [1 << (n - i) for i in block]
         patterns = sorted(sum(c) for c in itertools.combinations(bit_masks, weight))
-        sector = np.array(patterns, dtype=np.int64)
+        sector = as_int64(patterns, n)
         sector.setflags(write=False)  # shared between callers
         dim *= len(sector)
         if dim > DIM_CAP:
@@ -284,21 +285,16 @@ def apply_mixer(state: QuantumState, mixer: MixerHamiltonian, beta: float) -> Qu
     return QuantumState(state.basis, _rotate(state.amps, state.basis, mixer.pairs, beta))
 
 
-@dataclass(eq=False)
-class PhaseSeparator:
-    """Objective values f(z) per basis state; acts as z -> e^{i gamma f(z)} z."""
-
-    values: np.ndarray
-
-
-def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) -> PhaseSeparator:
-    return PhaseSeparator(objective_values(objective, instance, basis.values()))
+def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) -> np.ndarray:
+    """The phase separator's diagonal: f(z) per basis state in amplitude
+    order, as float64. The separator acts as z -> e^{i gamma f(z)} z."""
+    return objective_values(objective, instance, basis.values())
 
 
-def apply_phase_separator(state: QuantumState, sep: PhaseSeparator, gamma: float) -> QuantumState:
-    if len(sep.values) != len(state.amps):
+def apply_phase_separator(state: QuantumState, diag: np.ndarray, gamma: float) -> QuantumState:
+    if len(diag) != len(state.amps):
         raise DomainError("phase separator was built for a different basis")
-    return QuantumState(state.basis, state.amps * np.exp(1j * gamma * sep.values))
+    return QuantumState(state.basis, state.amps * np.exp(1j * gamma * diag))
 
 
 def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> QuantumState:
@@ -339,11 +335,11 @@ def _born(state: QuantumState) -> np.ndarray:
     return (state.amps.conj() * state.amps).real
 
 
-def expectation(state: QuantumState, sep: PhaseSeparator) -> float:
-    """<state| f |state> = sum_z f(z) |amp(z)|^2."""
-    if len(sep.values) != len(state.amps):
+def expectation(state: QuantumState, diag: np.ndarray) -> float:
+    """<state| f |state> = sum_z f(z) |amp(z)|^2, f given as the phase diagonal."""
+    if len(diag) != len(state.amps):
         raise DomainError("diagonal was built for a different basis")
-    return float(_born(state) @ sep.values)
+    return float(_born(state) @ diag)
 
 
 def sample_counts(state: QuantumState, shots: int, seed) -> np.ndarray:
@@ -404,33 +400,27 @@ def feasible_mass(instance: OsspInstance, state: QuantumState) -> float:
 # circuits
 
 
-@dataclass(frozen=True)
-class Layer:
-    kind: str  # 'mixer' | 'phase'
-    generator: int  # mixer index; 0 for phase layers
-    slot: int  # index into the beta (mixer) or gamma (phase) vector
-
-
 @dataclass(eq=False)
 class Circuit:
-    """Alternating phase/mixer layers in application order.
+    """depth rounds of the phase separator, then the mixers B_{J-1}, ...,
+    B_1, which mixers holds in this application order.
 
-    Round r (1-based) applies the phase separator with gamma slot r-1, then
-    the mixers B_{J-1}, ..., B_1 with beta slots (r-1)(J-1)+i-1 for B_i. At
-    (beta1, beta2, ...) = (pi/2, ..., pi/2) and gamma = 0 one round realizes
-    the job permutation tau_1 o tau_2 o ... (tau_{J-1} acting first).
+    beta is a (depth, J-1) grid: beta[r(J-1)+i-1] drives B_i in round r
+    (0-based), after e^{i gamma[r] f}. At beta = (pi/2, ..., pi/2) and
+    gamma = 0 one round realizes the job permutation tau_1 o tau_2 o ...
+    (tau_{J-1} acting first).
     """
 
     instance: OsspInstance
     objective: Objective
     depth: int
-    layers: tuple[Layer, ...]
     n_beta: int
     n_gamma: int
-    mixers: dict[int, MixerHamiltonian] = field(repr=False)  # by generator index
+    mixers: tuple[MixerHamiltonian, ...] = field(repr=False)
     _sep_cache: dict = field(default_factory=dict, repr=False)
 
-    def phase_for(self, basis: Basis) -> PhaseSeparator:
+    def phase_for(self, basis: Basis) -> np.ndarray:
+        """The phase diagonal over basis, built once per basis."""
         if basis not in self._sep_cache:  # bases hash by identity
             self._sep_cache[basis] = phase_separator(self.objective, self.instance, basis)
         return self._sep_cache[basis]
@@ -454,19 +444,13 @@ def build_circuit(instance: OsspInstance, objective: Objective, depth: int) -> C
     """depth rounds of [phase, mixers]; (J-1) beta slots and 1 gamma slot per round."""
     if depth < 1:
         raise DomainError("circuit depth must be >= 1")
-    layers: list[Layer] = []
-    for r in range(depth):
-        layers.append(Layer("phase", 0, r))
-        for i in range(instance.jobs - 1, 0, -1):
-            layers.append(Layer("mixer", i, r * (instance.jobs - 1) + (i - 1)))
     return Circuit(
         instance=instance,
         objective=objective,
         depth=depth,
-        layers=tuple(layers),
         n_beta=depth * (instance.jobs - 1),
         n_gamma=depth,
-        mixers={m.generator: m for m in mixers(instance)},
+        mixers=tuple(reversed(mixers(instance))),
     )
 
 
@@ -481,25 +465,26 @@ def clamp_beta(beta: np.ndarray) -> np.ndarray:
 
 
 def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState) -> QuantumState:
-    """The circuit's layers in order, with beta clamped into [0, pi/2].
+    """The circuit round by round, with beta clamped into [0, pi/2] and read
+    as the (depth, J-1) grid of the Circuit docstring.
 
-    A layer whose angle is exactly 0 (beta after clamping, gamma as given)
-    is the identity e^{i 0 H} = I and is skipped; the phase diagonal is
-    built on the first phase layer with nonzero gamma. Running a skipped
-    layer would change at most the sign of zero real or imaginary parts."""
+    A gate whose angle is exactly 0 (beta after clamping, gamma as given) is
+    the identity e^{i 0 H} = I and is skipped; the phase diagonal is built
+    on the first round with nonzero gamma. Running a skipped gate would
+    change at most the sign of zero real or imaginary parts."""
     if len(params.beta) != circuit.n_beta or len(params.gamma) != circuit.n_gamma:
         raise DomainError(
             f"parameter shape ({len(params.beta)} beta, {len(params.gamma)} gamma) "
             f"does not match circuit slots ({circuit.n_beta}, {circuit.n_gamma})"
         )
-    beta = clamp_beta(params.beta)
-    sep = None
-    for layer in circuit.layers:
-        if layer.kind == "mixer":
-            if beta[layer.slot] != 0.0:
-                state = apply_mixer(state, circuit.mixers[layer.generator], beta[layer.slot])
-        elif params.gamma[layer.slot] != 0.0:
-            if sep is None:
-                sep = circuit.phase_for(state.basis)
-            state = apply_phase_separator(state, sep, params.gamma[layer.slot])
+    grid = clamp_beta(params.beta).reshape(circuit.depth, circuit.instance.jobs - 1)
+    diag = None
+    for gamma, row in zip(params.gamma, grid):
+        if gamma != 0.0:
+            if diag is None:
+                diag = circuit.phase_for(state.basis)
+            state = apply_phase_separator(state, diag, gamma)
+        for mixer, beta in zip(circuit.mixers, row[::-1]):
+            if beta != 0.0:
+                state = apply_mixer(state, mixer, beta)
     return state

@@ -15,9 +15,10 @@ of its configuration and results do not depend on evaluation order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -37,7 +38,6 @@ from .instances import (
 from .simulator import (
     Circuit,
     ParameterVector,
-    PhaseSeparator,
     QuantumState,
     apply_circuit,
     basis_state,
@@ -83,6 +83,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("tr", "sgd"):
             raise DomainError(f"unknown optimizer kind {self.kind!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.max_iters < 0 or self.shots < 0:
             raise DomainError("max_iters and shots must be nonnegative")
         if self.sample_size < 1:
@@ -96,19 +98,7 @@ class OptimizerConfig:
             raise DomainError("gamma_box must be a nonempty interval")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "max_iters": self.max_iters,
-            "shots": self.shots,
-            "sample_size": self.sample_size,
-            "radius": self.radius,
-            "kappa": self.kappa,
-            "min_factor": self.min_factor,
-            "gamma_box": list(self.gamma_box),
-            "rhobeg": self.rhobeg,
-            "tol": self.tol,
-        }
+        return {**asdict(self), "gamma_box": list(self.gamma_box)}
 
 
 @dataclass
@@ -161,10 +151,6 @@ def _split(circuit: Circuit, x: np.ndarray) -> ParameterVector:
     return ParameterVector(x[: circuit.n_beta], x[circuit.n_beta :])
 
 
-def _join(params: ParameterVector) -> np.ndarray:
-    return np.concatenate([params.beta, params.gamma])
-
-
 def _params_dict(circuit: Circuit, x: np.ndarray) -> dict:
     return {
         "beta": [float(v) for v in x[: circuit.n_beta]],
@@ -181,11 +167,11 @@ def objective_value(circuit, params, state, shots=0, seed=None) -> float:
     The terms are summed in readout order, the order of the record's
     histogram, which fixes the rounding of the sum."""
     final = apply_circuit(circuit, params, state)
-    sep = circuit.phase_for(final.basis)
+    diag = circuit.phase_for(final.basis)
     if shots == 0:
-        return expectation(final, sep)
+        return expectation(final, diag)
     counts, order = readout(final, shots, seed)
-    return sum((counts[order] * sep.values[order]).tolist()) / shots
+    return sum((counts[order] * diag[order]).tolist()) / shots
 
 
 def trust_region_minimize(fun, x0, lower, upper, max_iters, rhobeg, tol):
@@ -269,8 +255,35 @@ def sgd_minimize(fun, x0, lower, upper, *, seed, max_iters, sample_size,
     return x, f, trace, nfev
 
 
-def _base_record(circuit, config, status, nfev, iterations, best_x, best_f,
-                 final_x, final_f) -> RunRecord:
+def run_optimizer(circuit: Circuit, state: QuantumState,
+                  config: OptimizerConfig) -> RunRecord:
+    """Search from a seeded uniform start in the parameter box and return
+    the run's record. Kind 'tr' runs trust_region_minimize with only beta
+    boxed (gamma enters a periodic phase), tracing each best-so-far value;
+    kind 'sgd' runs sgd_minimize, tracing every accepted step."""
+    lower, upper = parameter_bounds(circuit, config)
+    start = initial_parameters(circuit, config)
+    x0 = np.concatenate([start.beta, start.gamma])
+
+    def fun(x, seed):  # seed: the stream of a sampled evaluation
+        return objective_value(circuit, _split(circuit, x), state, config.shots, seed)
+
+    if config.kind == "tr":
+        lower[circuit.n_beta :] = -math.inf
+        upper[circuit.n_beta :] = math.inf
+        evaluations = itertools.count()
+        best_x, best_f, final_x, final_f, trace, status, nfev = trust_region_minimize(
+            lambda x: fun(x, _stream(config.seed, _STREAM_EVAL, next(evaluations))),
+            x0, lower, upper, config.max_iters, config.rhobeg, config.tol,
+        )
+        trace = [(x, f, None) for x, f in trace]
+    else:
+        best_x, best_f, trace, nfev = sgd_minimize(
+            fun, x0, lower, upper, seed=config.seed, max_iters=config.max_iters,
+            sample_size=config.sample_size, radius=config.radius,
+            kappa=config.kappa, min_factor=config.min_factor,
+        )
+        final_x, final_f, status = best_x, best_f, "budget"
     return RunRecord(
         instance=instance_to_dict(circuit.instance, circuit.objective),
         config=config.to_dict(),
@@ -278,76 +291,16 @@ def _base_record(circuit, config, status, nfev, iterations, best_x, best_f,
         depth=circuit.depth,
         status=status,
         n_evaluations=int(nfev),
-        iterations=iterations,
+        iterations=[
+            {"accepted_params": _params_dict(circuit, x), "expectation": float(f),
+             "radius": None if r is None else float(r)}
+            for x, f, r in trace
+        ],
         best_params=_params_dict(circuit, best_x),
         best_expectation=float(best_f),
         final_params=_params_dict(circuit, final_x),
         final_expectation=float(final_f),
     )
-
-
-def optimize_trust_region(circuit: Circuit, state: QuantumState,
-                          config: OptimizerConfig) -> RunRecord:
-    """Derivative-free trust-region search from a seeded random start."""
-    if config.kind != "tr":
-        raise DomainError("config.kind must be 'tr'")
-    lower, upper = parameter_bounds(circuit, config)
-    # only beta carries a hard box; gamma enters a periodic phase and roams
-    lower[circuit.n_beta :] = -math.inf
-    upper[circuit.n_beta :] = math.inf
-    x0 = _join(initial_parameters(circuit, config))
-    counter = {"n": 0}
-
-    def fun(x):
-        seed = None
-        if config.shots:
-            seed = _stream(config.seed, _STREAM_EVAL, counter["n"])
-            counter["n"] += 1
-        return objective_value(circuit, _split(circuit, x), state, config.shots, seed)
-
-    best_x, best_f, final_x, final_f, trace, status, nfev = trust_region_minimize(
-        fun, x0, lower, upper, config.max_iters, config.rhobeg, config.tol
-    )
-    iterations = [
-        {"accepted_params": _params_dict(circuit, x), "expectation": float(f),
-         "radius": None}
-        for x, f in trace
-    ]
-    return _base_record(circuit, config, status, nfev, iterations,
-                        best_x, best_f, final_x, final_f)
-
-
-def optimize_sgd(circuit: Circuit, state: QuantumState,
-                 config: OptimizerConfig) -> RunRecord:
-    """Sampled descent from a seeded random start; trace is non-increasing."""
-    if config.kind != "sgd":
-        raise DomainError("config.kind must be 'sgd'")
-    lower, upper = parameter_bounds(circuit, config)
-    x0 = _join(initial_parameters(circuit, config))
-
-    def fun(x, rng):
-        return objective_value(circuit, _split(circuit, x), state,
-                               config.shots, rng if config.shots else None)
-
-    x, f, trace, nfev = sgd_minimize(
-        fun, x0, lower, upper, seed=config.seed, max_iters=config.max_iters,
-        sample_size=config.sample_size, radius=config.radius,
-        kappa=config.kappa, min_factor=config.min_factor,
-    )
-    iterations = [
-        {"accepted_params": _params_dict(circuit, xi), "expectation": float(fi),
-         "radius": float(ri)}
-        for xi, fi, ri in trace
-    ]
-    return _base_record(circuit, config, "budget", nfev, iterations,
-                        x, f, x, f)
-
-
-def run_optimizer(circuit: Circuit, state: QuantumState,
-                  config: OptimizerConfig) -> RunRecord:
-    if config.kind == "tr":
-        return optimize_trust_region(circuit, state, config)
-    return optimize_sgd(circuit, state, config)
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +330,14 @@ def job_assignment(instance: OsspInstance, z: str) -> tuple[int, ...]:
     return tuple(assignment)
 
 
-def compile_reach(instance: OsspInstance, source: str, target: str,
-                  objective=None) -> ReachPlan:
+def compile_reach(instance: OsspInstance, source: str, target: str) -> ReachPlan:
     """Build a grid parameter assignment with |<target|U(beta)|source>| = 1.
 
     Busy instances only: the job permutation linking the two solutions is
-    unique, and its adjacent-transposition word maps onto one half-turn
-    mixer per round.  Gamma stays zero throughout.  The plan is verified on
-    the restricted-basis engine before being returned.
+    unique, and entry w_r of its adjacent-transposition word turns B_{w_r}
+    to pi/2 in round r of the Circuit's beta grid. Gamma stays zero
+    throughout, so no objective enters. The plan is verified on the
+    restricted-basis engine before being returned.
     """
     if not instance.is_busy:
         raise CapabilityError(
@@ -399,15 +352,12 @@ def compile_reach(instance: OsspInstance, source: str, target: str,
     word = decompose_job_permutation(tau)
     jobs = instance.jobs
     depth = max(1, jobs * (jobs - 1) // 2)
-    if objective is None:
-        objective = linear_from_rows(
-            instance, [[0] * jobs for _ in range(instance.positions)]
-        )
-    circuit = build_circuit(instance, objective, depth)
-    beta = np.zeros(circuit.n_beta)
-    for k, w in enumerate(word):
-        beta[k * (jobs - 1) + (w - 1)] = math.pi / 2
-    params = ParameterVector(beta, np.zeros(circuit.n_gamma))
+    zero = linear_from_rows(instance, [[0] * jobs] * instance.positions)
+    circuit = build_circuit(instance, zero, depth)
+    grid = np.zeros((depth, jobs - 1))
+    for r, w in enumerate(word):
+        grid[r, w - 1] = math.pi / 2
+    params = ParameterVector(grid.ravel(), np.zeros(depth))
     reached = apply_circuit(circuit, params, basis_state(instance, source, "subspace"))
     fid = fidelity(reached, basis_state(instance, target, reached.basis))
     if fid < 1 - 1e-10:
@@ -421,10 +371,10 @@ def compile_reach(instance: OsspInstance, source: str, target: str,
 # Experiment orchestration
 
 
-def annotate_rows(instance: OsspInstance, state: QuantumState, sep: PhaseSeparator,
+def annotate_rows(instance: OsspInstance, state: QuantumState, diag: np.ndarray,
                   shots: int = 0, seed=None) -> list[dict]:
     """The readout of state as record rows: bit string, probability (shots =
-    0) or count, value from the phase diagonal sep, feasibility and Hamming
+    0) or count, value from the phase diagonal diag, feasibility and Hamming
     distance to the first row, the mode. Rows are built from basis indices;
     a record's bit strings are made here and nowhere else."""
     weights, order = readout(state, shots, seed)
@@ -440,7 +390,7 @@ def annotate_rows(instance: OsspInstance, state: QuantumState, sep: PhaseSeparat
             "hamming_to_mode": (v ^ mode).bit_count(),
         }
         for v, w, f, ok in zip(
-            values.tolist(), weights[order].tolist(), sep.values[order].tolist(),
+            values.tolist(), weights[order].tolist(), diag[order].tolist(),
             feasibility_mask(instance, values).tolist(),
         )
     ]

@@ -193,6 +193,38 @@ def test_simulate_grid_point(tmp_path):
     assert main(["simulate", "--preset", "ossp133", "--beta", "oops"]) == 2
 
 
+def test_negative_seeds_and_non_finite_angles_exit_2(capsys):
+    simulate = ["simulate", "--preset", "ossp133", "--depth", "1"]
+    assert main(simulate + ["--seed", "-1"]) == 2
+    assert main(["optimize", "--preset", "ossp133-restricted", "--seed", "-1",
+                 "--max-iters", "1"]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert main(simulate + ["--beta", "nan,0"]) == 2
+    assert main(simulate + ["--gamma", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_strings_past_63_bits_exit_4(tmp_path, capsys):
+    def shape(slots, jobs):
+        return write_instance(tmp_path, f"i{slots}x{jobs}.json", {
+            "machines": 1, "time_slots": slots, "jobs": jobs,
+            "objective": {"linear": {"weights": [[1] * jobs] * slots}},
+        })
+
+    assert main(["enumerate", "--instance", shape(65, 1)]) == 4
+    assert main(["enumerate", "--instance", shape(64, 1)]) == 4
+    busy = shape(8, 8)  # 64 bits
+    z = "".join("1" if k % 9 == 0 else "0" for k in range(64))
+    assert main(["reach", "--instance", busy, "--source", z, "--target", z]) == 4
+    assert main(["simulate", "--instance", busy, "--initial", z]) == 4
+    assert "63-bit" in capsys.readouterr().err
+    out = tmp_path / "rows.json"
+    assert main(["enumerate", "--instance", shape(63, 1), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["n_solutions"] == 63 and doc["optimum"] == 1.0
+    assert doc["solutions"][0]["bitstring"] == "0" * 62 + "1"
+
+
 def test_simulate_full_engine_over_cap_exits_4(tmp_path):
     # OSSP(2,3,6) has 36 bits: a full statevector would need 2^36 amplitudes
     doc = {"machines": 2, "time_slots": 3, "jobs": 6,
@@ -262,6 +294,9 @@ def test_seed_from_environment(tmp_path, monkeypatch):
                  "--max-iters", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["seed"] == 5
     monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
+    assert main(["optimize", "--preset", "ossp133-restricted",
+                 "--max-iters", "1", "--out", str(out)]) == 2
+    monkeypatch.setenv(SEED_ENV_VAR, "-4")
     assert main(["optimize", "--preset", "ossp133-restricted",
                  "--max-iters", "1", "--out", str(out)]) == 2
 

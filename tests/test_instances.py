@@ -248,7 +248,7 @@ def test_linear_values_agree_in_any_batch_for_real_weights():
         strings = [format(int(v), f"0{inst.n_bits}b") for v in basis.values()]
         for _ in range(5):
             obj = LinearObjective(tuple(rng.uniform(-10, 10, size=inst.n_bits)))
-            diagonal = phase_separator(obj, inst, basis).values
+            diagonal = phase_separator(obj, inst, basis)
             for z, d in zip(strings, diagonal.tolist()):
                 python_sum = sum(w for w, c in zip(obj.weights, z) if c == "1")
                 assert d == evaluate_objective(obj, inst, z) == python_sum

@@ -293,6 +293,7 @@ def test_mixer_pair_order_commutes():
 def test_phase_separator():
     sub = subspace_basis(OSSP133, Z0_133)
     sep = phase_separator(OBJ133, OSSP133, sub)
+    assert sep.dtype == np.float64 and sep.shape == (sub.dim,)
     st = basis_state(OSSP133, "001010100", sub)
     assert fidelity(apply_phase_separator(st, sep, 0.0), st) == pytest.approx(1.0)
     # f = 5 at gamma = pi flips the sign
@@ -378,6 +379,11 @@ def test_expectation():
     amps = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
     state = QuantumState(sub, amps / np.linalg.norm(amps))
     assert expectation(state, zero) == pytest.approx(0.0)
+    full = basis_state(OSSP133, Z0_133, "full")
+    with pytest.raises(DomainError):
+        expectation(full, sep)
+    with pytest.raises(DomainError):
+        apply_phase_separator(full, sep, 0.5)
 
 
 def test_sample():
@@ -438,10 +444,14 @@ def test_build_circuit_slots():
     jobs = OSSP224.jobs
     cfull = build_circuit(OSSP224, OBJ224, jobs * (jobs - 1) // 2)
     assert cfull.n_beta == jobs * (jobs - 1) ** 2 // 2 == 18
-    # slots are dense and unique
-    beta_slots = sorted(l.slot for l in c224.layers if l.kind == "mixer")
-    gamma_slots = sorted(l.slot for l in c224.layers if l.kind == "phase")
-    assert beta_slots == list(range(18)) and gamma_slots == list(range(6))
+    # a lone pi/2 in beta slot k applies B_{k mod 3 + 1}, in whichever round
+    start = basis_state(OSSP224, Z0_224, "subspace")
+    for k in range(c224.n_beta):
+        beta = np.zeros(c224.n_beta)
+        beta[k] = math.pi / 2
+        got = apply_circuit(c224, ParameterVector(beta, np.zeros(6)), start)
+        want = apply_mixer(start, mixer_hamiltonian(OSSP224, k % 3 + 1), math.pi / 2)
+        assert fidelity(got, want) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
         build_circuit(OSSP133, OBJ133, 0)
 
@@ -544,22 +554,26 @@ def test_block_weight_conservation_full_engine():
 
 def test_apply_circuit_uses_the_circuit_mixer_table(monkeypatch):
     circuit = build_circuit(OSSP133, OBJ133, 2)
-    assert circuit.mixers == {m.generator: m for m in mixers(OSSP133)}
+    assert circuit.mixers == tuple(reversed(mixers(OSSP133)))
+    assert [m.generator for m in circuit.mixers] == [2, 1]  # application order
     monkeypatch.setattr(simulator, "mixers", lambda inst: pytest.fail("mixers rebuilt"))
     params = ParameterVector([0.3, 0.2, 0.1, 0.5], [0.7, 1.1])
     out = apply_circuit(circuit, params, basis_state(OSSP133, Z0_133, "subspace"))
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def layer_by_layer(circuit, params, state):
-    """Reference: every layer applied, zero angles included."""
+def round_by_round(circuit, params, state):
+    """Reference from the Circuit docstring, every gate applied, zero angles
+    included: round r runs gamma[r], then B_i at beta[r(J-1)+i-1] for
+    i = J-1, ..., 1."""
+    jobs = circuit.instance.jobs
     beta = simulator.clamp_beta(params.beta)
-    sep = circuit.phase_for(state.basis)
-    for layer in circuit.layers:
-        if layer.kind == "mixer":
-            state = apply_mixer(state, circuit.mixers[layer.generator], beta[layer.slot])
-        else:
-            state = apply_phase_separator(state, sep, params.gamma[layer.slot])
+    diag = circuit.phase_for(state.basis)
+    for r in range(circuit.depth):
+        state = apply_phase_separator(state, diag, params.gamma[r])
+        for i in range(jobs - 1, 0, -1):
+            mixer = mixer_hamiltonian(circuit.instance, i)
+            state = apply_mixer(state, mixer, beta[r * (jobs - 1) + i - 1])
     return state
 
 
@@ -585,7 +599,7 @@ def test_zero_angle_layers_are_skipped_exactly(name, engine, monkeypatch):
         return apply_mixer(state, mixer, beta)
 
     for params in cases:
-        want = layer_by_layer(circuit, params, start)
+        want = round_by_round(circuit, params, start)
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(simulator, "apply_mixer", counted)

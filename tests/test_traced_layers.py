@@ -1,4 +1,5 @@
-"""The benchmark's traced layers must name functions the package defines.
+"""The benchmark's traced layers must name functions the package defines,
+and every name the package exports must exist.
 
 benchmark/tracer.py wraps each name in its LAYERS by attribute lookup, so a
 renamed or deleted function crashes a traced run. The file is read and
@@ -20,3 +21,9 @@ def test_every_traced_layer_resolves_to_a_package_function():
         assert module in tracer.MODULES, name
         target = getattr(importlib.import_module(f"{tracer.PACKAGE}.{module}"), func, None)
         assert callable(target), f"{name} is not a callable of the package"
+
+
+def test_every_exported_name_resolves():
+    package = importlib.import_module("ossvqa")
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing, f"__all__ names missing attributes: {missing}"

@@ -29,9 +29,8 @@ from ossvqa.vqa import (
     compile_reach,
     initial_parameters,
     objective_value,
-    optimize_sgd,
-    optimize_trust_region,
     run_experiment,
+    run_optimizer,
     sgd_minimize,
     trust_region_minimize,
 )
@@ -144,7 +143,7 @@ def test_trust_region_zero_budget():
     circuit = build_circuit(OSSP133, OBJ133, 1)
     st = basis_state(OSSP133, Z0_133, "subspace")
     config = OptimizerConfig(kind="tr", seed=3, max_iters=0)
-    rec = optimize_trust_region(circuit, st, config)
+    rec = run_optimizer(circuit, st, config)
     start = initial_parameters(circuit, config)
     assert rec.status == "budget"
     assert rec.final_params["beta"] == pytest.approx(list(start.beta))
@@ -155,21 +154,19 @@ def test_trust_region_determinism_and_box():
     circuit = build_circuit(OSSP133, OBJ133, 1)
     st = basis_state(OSSP133, Z0_133, "subspace")
     config = OptimizerConfig(kind="tr", seed=11, max_iters=150, rhobeg=1.2, tol=0.15)
-    rec1 = optimize_trust_region(circuit, st, config)
-    rec2 = optimize_trust_region(circuit, st, config)
+    rec1 = run_optimizer(circuit, st, config)
+    rec2 = run_optimizer(circuit, st, config)
     assert rec1.to_dict() == rec2.to_dict()
     assert all(0 <= b <= math.pi / 2 + 1e-12 for b in rec1.best_params["beta"])
     assert rec1.best_expectation <= rec1.iterations[0]["expectation"] + 1e-12
-    with pytest.raises(DomainError):
-        optimize_sgd(circuit, st, config)
 
 
 def test_sgd_monotone_trace_and_determinism():
     circuit = build_circuit(OSSP133, OBJ133, 1)
     st = basis_state(OSSP133, Z0_133, "subspace")
-    rec1 = optimize_sgd(circuit, st, restricted_config(seed=1))
-    rec2 = optimize_sgd(circuit, st, restricted_config(seed=1))
-    other = optimize_sgd(circuit, st, restricted_config(seed=2))
+    rec1 = run_optimizer(circuit, st, restricted_config(seed=1))
+    rec2 = run_optimizer(circuit, st, restricted_config(seed=1))
+    other = run_optimizer(circuit, st, restricted_config(seed=2))
     assert rec1.to_dict() == rec2.to_dict()
     assert rec1.to_dict() != other.to_dict()
     values = [it["expectation"] for it in rec1.iterations]
@@ -178,8 +175,6 @@ def test_sgd_monotone_trace_and_determinism():
     radii = [it["radius"] for it in rec1.iterations]
     assert all(r > 0 for r in radii)
     assert all(a >= b - 1e-15 for a, b in zip(radii, radii[1:]))
-    with pytest.raises(DomainError):
-        optimize_trust_region(circuit, st, restricted_config(seed=1))
 
 
 def test_sgd_degenerate_ball_never_moves():
@@ -207,6 +202,8 @@ def test_config_validation():
         OptimizerConfig(gamma_box=(1.0, 1.0))
     with pytest.raises(DomainError):
         OptimizerConfig(max_iters=-1)
+    with pytest.raises(DomainError):
+        OptimizerConfig(seed=-1)
 
 
 def test_compile_reach_golden():
