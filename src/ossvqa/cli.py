@@ -35,15 +35,16 @@ from .groups import (
     vertex_permutation,
 )
 from .instances import (
-    bits_to_int,
     enumerate_solutions,
     index_to_coordinate,
     instance_to_dict,
+    int_to_bits,
     job_blocks,
     load_instance,
     objective_values,
     position_blocks,
     solution_count,
+    solution_values,
 )
 from .presets import list_presets, resolve_preset
 from .simulator import (
@@ -139,10 +140,13 @@ def _parse_floats(text: str | None, what: str) -> list[float]:
 
 def cmd_enumerate(args) -> int:
     instance, objective, _ = _resolve_inputs(args)
-    solutions = enumerate_solutions(instance)
-    values = objective_values(objective, instance, np.array([bits_to_int(z) for z in solutions]))
-    scored = [{"bitstring": z, "value": v} for z, v in zip(solutions, values.tolist())]
-    scored.sort(key=lambda row: (row["value"], row["bitstring"]))
+    solutions = solution_values(instance)
+    values = objective_values(objective, instance, solutions)
+    order = np.lexsort((solutions, values))  # by value, ties by string
+    scored = [
+        {"bitstring": int_to_bits(z, instance.n_bits), "value": v}
+        for z, v in zip(solutions[order].tolist(), values[order].tolist())
+    ]
     optimum = scored[0]["value"] if scored else None
     for row in scored:
         row["optimal"] = row["value"] == optimum

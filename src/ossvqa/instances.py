@@ -340,12 +340,40 @@ def evaluate_objective(obj: Objective, instance: OsspInstance, z: str) -> float:
     return float(objective_values(obj, instance, np.array([bits_to_int(z)]))[0])
 
 
+def solution_values(instance: OsspInstance) -> np.ndarray:
+    """Every feasible string as an int64 value (bit 1 = MSB), one per
+    injective job-to-position assignment, in itertools.permutations order.
+
+    The 63-bit bound is applied first, so a larger instance raises
+    CapabilityError before anything is enumerated; within it an instance
+    has at most 9!/2! = 181,440 solutions. Assignments stream through
+    np.fromiter into one (count, J) array of positions, and each job's
+    column selects its bit values, so no tuple or string is kept per
+    solution."""
+    n, jobs, positions = instance.n_bits, instance.jobs, instance.positions
+    bits = as_int64([[1 << (n - jobs * p - j0 - 1) for p in range(positions)]
+                     for j0 in range(jobs)], n)
+    count = solution_count(instance)
+    assigned = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(positions), jobs)),
+        dtype=np.uint8,  # positions <= n_bits <= 63
+        count=count * jobs,
+    ).reshape(count, jobs)
+    values = np.zeros(count, dtype=np.int64)
+    for j0 in range(jobs):
+        values |= bits[j0][assigned[:, j0]]
+    return values
+
+
 def optimal_solutions(instance: OsspInstance, obj: Objective) -> tuple[float, set[str]]:
-    """Brute-force minimum objective over all feasible strings (the classical oracle)."""
-    sols = enumerate_solutions(instance)
-    values = objective_values(obj, instance, np.array([bits_to_int(z) for z in sols]))
-    best = float(values.min())
-    return best, {z for z, v in zip(sols, values) if abs(v - best) < 1e-12}
+    """Brute-force minimum objective over all feasible strings (the classical
+    oracle), with every string within 1e-12 of it. The solutions are scored
+    as solution_values; only the tied optima become strings."""
+    values = solution_values(instance)
+    scores = objective_values(obj, instance, values)
+    best = float(scores.min())
+    tied = values[np.abs(scores - best) < 1e-12]
+    return best, {int_to_bits(v, instance.n_bits) for v in tied.tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,19 +237,35 @@ def _swap_partners(basis: Basis, pair) -> tuple:
 
 def _rotate(amps: np.ndarray, basis: Basis, pairs, beta: float) -> np.ndarray:
     """The swap rotations on the given pairs, one after another, on a flat
-    amplitude array; returns a new array."""
+    amplitude array; returns a new array and never writes to amps.
+
+    One output array serves every pair. Per pair, the rotated values
+    c*a10 + i s*a01 and c*a01 + i s*a10 are read off the current array
+    first; then every amplitude is multiplied by e^{i beta} (the first pair
+    copies amps into the output this way, later pairs multiply in place);
+    then the rotated values are scattered over their phased entries. Each
+    amplitude sees the same operations in the same order as with a new
+    array per pair, so the result is the same to the bit."""
     ph = np.exp(1j * beta)
     c, js = math.cos(beta), 1j * math.sin(beta)
-    amps = amps.reshape(basis.shape)
-    for pair in pairs:
+    out = amps.reshape(basis.shape)
+    for k, pair in enumerate(pairs):
         _, d10, _, i10, i01 = _swap_partners(basis, pair)
-        out = amps * ph  # equal-bit states pick up the phase
         if len(d10):
-            a10, a01 = amps[i10], amps[i01]
-            out[i10] = c * a10 + js * a01
-            out[i01] = c * a01 + js * a10
-        amps = out
-    return amps.ravel()
+            a10, a01 = out[i10], out[i01]  # views when the index is a run
+            r10 = c * a10
+            r10 += js * a01
+            r01 = c * a01
+            r01 += js * a10
+        # equal-bit states pick up the phase
+        if k == 0:
+            out = out * ph  # the one full-size new array: amps is never written
+        else:
+            out *= ph
+        if len(d10):
+            out[i10] = r10
+            out[i01] = r01
+    return out.ravel()
 
 
 def apply_swap_rotation(state: QuantumState, pair, beta: float) -> QuantumState:
@@ -291,10 +308,37 @@ def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) 
     return objective_values(objective, instance, basis.values())
 
 
-def apply_phase_separator(state: QuantumState, diag: np.ndarray, gamma: float) -> QuantumState:
-    if len(diag) != len(state.amps):
+class PhaseTable(NamedTuple):
+    """A phase diagonal as its distinct values: levels ascending, and
+    diag == levels[inverse]. Integer weights leave few levels (tens on
+    46,656 amplitudes), so the phase layer exponentiates only those."""
+
+    levels: np.ndarray
+    inverse: np.ndarray
+
+
+def phase_table(diag: np.ndarray) -> PhaseTable:
+    return PhaseTable(*np.unique(diag, return_inverse=True))
+
+
+def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float) -> QuantumState:
+    """e^{i gamma f} from the diagonal's table: one exponential per level,
+    gathered onto the amplitudes. An amplitude gets the factor
+    exp(1j * gamma * f(z)) of its own value, so the result equals
+    amps * exp(1j * gamma * diag) to the bit. DomainError when some
+    gamma * f(z) is not finite, as its phase would be NaN."""
+    if len(table.inverse) != len(state.amps):
         raise DomainError("phase separator was built for a different basis")
-    return QuantumState(state.basis, state.amps * np.exp(1j * gamma * diag))
+    # levels ascend, so the extremes bound every |gamma * f(z)|; Python
+    # floats overflow to inf without a warning
+    g, lo, hi = float(gamma), float(table.levels[0]), float(table.levels[-1])
+    if not (math.isfinite(g * lo) and math.isfinite(g * hi)):
+        raise DomainError(f"phase angle gamma = {g} times the objective is not finite")
+    # keep the form amps * <temporary> of amps * exp(1j * gamma * diag):
+    # numpy writes a product into a large temporary right operand with the
+    # operands swapped, and a swapped complex product can round differently
+    phases = np.exp(1j * gamma * table.levels)
+    return QuantumState(state.basis, state.amps * phases[table.inverse])
 
 
 def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> QuantumState:
@@ -420,10 +464,18 @@ class Circuit:
     _sep_cache: dict = field(default_factory=dict, repr=False)
 
     def phase_for(self, basis: Basis) -> np.ndarray:
-        """The phase diagonal over basis, built once per basis."""
+        """The phase diagonal over basis, built once per basis together
+        with its PhaseTable."""
         if basis not in self._sep_cache:  # bases hash by identity
-            self._sep_cache[basis] = phase_separator(self.objective, self.instance, basis)
-        return self._sep_cache[basis]
+            diag = phase_separator(self.objective, self.instance, basis)
+            self._sep_cache[basis] = diag, phase_table(diag)
+        return self._sep_cache[basis][0]
+
+    def phase_table_for(self, basis: Basis) -> PhaseTable:
+        """The PhaseTable of phase_for(basis), which the phase layer reads;
+        phase_for builds and caches both."""
+        self.phase_for(basis)
+        return self._sep_cache[basis][1]
 
 
 @dataclass(eq=False)
@@ -469,21 +521,22 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     as the (depth, J-1) grid of the Circuit docstring.
 
     A gate whose angle is exactly 0 (beta after clamping, gamma as given) is
-    the identity e^{i 0 H} = I and is skipped; the phase diagonal is built
-    on the first round with nonzero gamma. Running a skipped gate would
-    change at most the sign of zero real or imaginary parts."""
+    the identity e^{i 0 H} = I and is skipped; the phase diagonal and its
+    PhaseTable are built on the first round with nonzero gamma. Running a
+    skipped gate would change at most the sign of zero real or imaginary
+    parts."""
     if len(params.beta) != circuit.n_beta or len(params.gamma) != circuit.n_gamma:
         raise DomainError(
             f"parameter shape ({len(params.beta)} beta, {len(params.gamma)} gamma) "
             f"does not match circuit slots ({circuit.n_beta}, {circuit.n_gamma})"
         )
     grid = clamp_beta(params.beta).reshape(circuit.depth, circuit.instance.jobs - 1)
-    diag = None
+    table = None
     for gamma, row in zip(params.gamma, grid):
         if gamma != 0.0:
-            if diag is None:
-                diag = circuit.phase_for(state.basis)
-            state = apply_phase_separator(state, diag, gamma)
+            if table is None:
+                table = circuit.phase_table_for(state.basis)
+            state = apply_phase_separator(state, table, gamma)
         for mixer, beta in zip(circuit.mixers, row[::-1]):
             if beta != 0.0:
                 state = apply_mixer(state, mixer, beta)

@@ -50,6 +50,7 @@ from ossvqa.simulator import (
     mixer_hamiltonian,
     mixers,
     phase_separator,
+    phase_table,
     probabilities,
     pure_state,
     subspace_basis,
@@ -193,7 +194,7 @@ def test_criterion_05_gate_identities_and_unitarity():
 
     inst133, obj133, _ = resolve_preset("ossp133")
     sub = subspace_basis(inst133, "100010001")
-    sep = phase_separator(obj133, inst133, sub)
+    sep = phase_table(phase_separator(obj133, inst133, sub))
     fam = mixers(inst133)
     trials = 0
     for k in range(1000):

@@ -9,6 +9,7 @@ import textwrap
 
 import pytest
 
+from ossvqa import cli, instances
 from ossvqa.cli import SEED_ENV_VAR, main
 
 SCORES_224 = {
@@ -223,6 +224,32 @@ def test_strings_past_63_bits_exit_4(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["n_solutions"] == 63 and doc["optimum"] == 1.0
     assert doc["solutions"][0]["bitstring"] == "0" * 62 + "1"
+
+
+def test_enumerate_refuses_past_63_bits_before_building_solutions(tmp_path, monkeypatch, capsys):
+    def refuse(instance):
+        raise AssertionError("solution strings built")
+
+    monkeypatch.setattr(instances, "enumerate_solutions", refuse)
+    monkeypatch.setattr(cli, "enumerate_solutions", refuse)
+    # OSSP(1,12,12): 144 bits and 12! = 479,001,600 solutions
+    path = write_instance(tmp_path, "i12x12.json", {
+        "machines": 1, "time_slots": 12, "jobs": 12,
+        "objective": {"linear": {"weights": [[1] * 12] * 12}},
+    })
+    assert main(["enumerate", "--instance", path]) == 4
+    assert "63-bit" in capsys.readouterr().err
+    out = tmp_path / "rows.json"
+    assert main(["enumerate", "--preset", "ossp224", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["solutions"]
+    assert {r["bitstring"]: r["value"] for r in rows} == SCORES_224
+
+
+def test_overflowing_phase_angle_exits_2(capsys):
+    # 1e308 * f(z) overflows for every f(z) >= 2, and its phase would be NaN
+    gamma = ["--gamma", "1e308,1e308,1e308"]
+    assert main(["simulate", "--preset", "ossp133"] + gamma) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_simulate_full_engine_over_cap_exits_4(tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ossvqa.errors import DomainError
+from ossvqa.errors import CapabilityError, DomainError
 from ossvqa.instances import (
     Constraint,
     LinearObjective,
@@ -25,6 +25,7 @@ from ossvqa.instances import (
     index_to_coordinate,
     indices_of_ones,
     instance_to_dict,
+    int_to_bits,
     is_feasible,
     job_block,
     linear_from_rows,
@@ -34,6 +35,7 @@ from ossvqa.instances import (
     optimal_solutions,
     position_block,
     solution_count,
+    solution_values,
 )
 
 OSSP224 = OsspInstance(2, 2, 4)
@@ -329,6 +331,66 @@ def test_optimal_solutions():
     best, argmin = optimal_solutions(inst, obj)
     assert best == pytest.approx(2 * 2.5)
     assert argmin == set(enumerate_solutions(inst))
+
+
+def string_oracle(instance, obj):
+    """The classical oracle on strings: every solution string scored, the
+    strings within 1e-12 of the minimum kept."""
+    sols = enumerate_solutions(instance)
+    values = objective_values(obj, instance, np.array([bits_to_int(z) for z in sols]))
+    best = float(values.min())
+    return best, {z for z, v in zip(sols, values) if abs(v - best) < 1e-12}
+
+
+def test_solution_values_are_the_solutions():
+    for shape in ((1, 1, 1), (1, 3, 2), (2, 2, 4), (2, 3, 3), (3, 3, 2), (1, 5, 5)):
+        inst = OsspInstance(*shape)
+        values = solution_values(inst)
+        assert values.dtype == np.int64 and len(values) == solution_count(inst)
+        strings = [int_to_bits(v, inst.n_bits) for v in np.sort(values).tolist()]
+        assert strings == enumerate_solutions(inst)
+    assert solution_values(OsspInstance(1, 63, 1)).tolist() == [1 << k for k in range(62, -1, -1)]
+    with pytest.raises(CapabilityError, match="63-bit"):
+        solution_values(OsspInstance(1, 64, 1))
+
+
+def test_optimal_solutions_match_the_string_oracle():
+    rng = np.random.default_rng(37)
+    cases = []
+    for shape in ((1, 3, 2), (2, 2, 4), (1, 4, 4), (2, 3, 3), (3, 3, 2), (3, 3, 6)):
+        inst = OsspInstance(*shape)
+        rows = (inst.positions, inst.jobs)
+        spread = [rng.permutation(np.linspace(0.1, 0.7, inst.jobs)) for _ in range(rows[0])]
+        for weights in (rng.integers(0, 3, rows), rng.uniform(-1, 1, rows), spread):
+            cases.append((inst, linear_from_rows(inst, np.asarray(weights).tolist())))
+    for cities in (4, 5, 6):
+        d = np.triu(rng.uniform(1, 3, (cities, cities)).round(1), 1)
+        tour = TspObjective(tuple(map(tuple, (d + d.T).tolist())))
+        cases.append((OsspInstance(1, cities, cities), tour))
+    n_tied = []
+    for inst, obj in cases:
+        got = optimal_solutions(inst, obj)
+        assert got == string_oracle(inst, obj)
+        n_tied.append(len(got[1]))
+    # integer weights tie; real weights tie within 1e-12 where rows permute
+    # the same values; a tour ties with its rotations and its reversal
+    linear, tours = n_tied[:-3], n_tied[-3:]
+    assert max(linear[0::3]) > 1 and max(linear[2::3]) > 1
+    assert [n % (2 * cities) for cities, n in zip((4, 5, 6), tours)] == [0, 0, 0]
+
+
+def test_oracle_keeps_no_string_per_schedule():
+    # the 60,480 schedules of OSSP(3,3,6) as 54-character strings alone take
+    # over 6 MB
+    inst = OsspInstance(3, 3, 6)
+    obj = linear_from_rows(inst, np.random.default_rng(41).integers(0, 10, (9, 6)).tolist())
+    tracemalloc.start()
+    try:
+        optimal_solutions(inst, obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_tsp_objective():

@@ -9,6 +9,7 @@ from ossvqa import simulator
 from ossvqa.errors import CapabilityError, DomainError
 from ossvqa.instances import (
     OsspInstance,
+    TspObjective,
     bits_to_int,
     enumerate_solutions,
     int_to_bits,
@@ -34,6 +35,7 @@ from ossvqa.simulator import (
     mixer_hamiltonian,
     mixers,
     phase_separator,
+    phase_table,
     probabilities,
     pure_state,
     sample,
@@ -181,7 +183,7 @@ def test_gate_unitarity_random_trials():
     rng = np.random.default_rng(9)
     sub = subspace_basis(OSSP133, Z0_133)
     mix133 = mixers(OSSP133)
-    sep = phase_separator(OBJ133, OSSP133, sub)
+    sep = phase_table(phase_separator(OBJ133, OSSP133, sub))
     for _ in range(200):
         amps = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
         state = QuantumState(sub, amps / np.linalg.norm(amps))
@@ -292,8 +294,9 @@ def test_mixer_pair_order_commutes():
 
 def test_phase_separator():
     sub = subspace_basis(OSSP133, Z0_133)
-    sep = phase_separator(OBJ133, OSSP133, sub)
-    assert sep.dtype == np.float64 and sep.shape == (sub.dim,)
+    diag = phase_separator(OBJ133, OSSP133, sub)
+    assert diag.dtype == np.float64 and diag.shape == (sub.dim,)
+    sep = phase_table(diag)
     st = basis_state(OSSP133, "001010100", sub)
     assert fidelity(apply_phase_separator(st, sep, 0.0), st) == pytest.approx(1.0)
     # f = 5 at gamma = pi flips the sign
@@ -308,6 +311,85 @@ def test_phase_separator():
     for k, p in probabilities(state).items():
         assert probabilities(shifted)[k] == pytest.approx(p, abs=1e-14)
     assert sample(state, 512, seed=42) == sample(shifted, 512, seed=42)
+
+
+def schedule_basis(inst):
+    """The restricted basis of the schedule that puts job j at position j."""
+    z = "".join("1" if p == j else "0" for p in range(inst.positions) for j in range(inst.jobs))
+    return subspace_basis(inst, z)
+
+
+def ladder_cases(rng):
+    """The benchmark's ladder shapes as (instance, objective, basis): OSSP(1,5,5)
+    and OSSP(3,3,6) with integer weights and with real weights (every level
+    distinct), and OSSP(1,6,6) with a tour."""
+    cases = []
+    for inst in (OsspInstance(1, 5, 5), OsspInstance(3, 3, 6)):
+        rows = (inst.positions, inst.jobs)
+        for weights in (rng.integers(0, 10, rows), rng.uniform(-5, 5, rows)):
+            cases.append((inst, linear_from_rows(inst, weights.tolist()), schedule_basis(inst)))
+    d = np.triu(rng.integers(1, 10, (6, 6)), 1)
+    tour = TspObjective(tuple(map(tuple, (d + d.T).tolist())))
+    inst = OsspInstance(1, 6, 6)
+    cases.append((inst, tour, schedule_basis(inst)))
+    return cases
+
+
+def test_phase_table_kernel_matches_the_direct_exponential_bit_for_bit():
+    rng = np.random.default_rng(29)
+    n_levels = []
+    for inst, obj, basis in ladder_cases(rng):
+        diag = phase_separator(obj, inst, basis)
+        table = phase_table(diag)
+        assert table.levels.tobytes() == np.unique(diag).tobytes()
+        assert table.levels[table.inverse].tobytes() == diag.tobytes()
+        n_levels.append(len(table.levels))
+        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        before = amps.tobytes()
+        state = QuantumState(basis, amps)
+        for gamma in (rng.uniform(-2 * math.pi, 2 * math.pi), 1e-7, -3.25, 40.0):
+            got = apply_phase_separator(state, table, gamma)
+            # a statement of its own, like the kernel's product: numpy writes
+            # the product into a large unnamed right operand with the operands
+            # swapped, which can round a complex product differently, and
+            # inside an assert pytest keeps that operand named
+            want = amps * np.exp(1j * gamma * diag)
+            assert got.amps.tobytes() == want.tobytes()
+        assert amps.tobytes() == before
+    # integer weights leave tens of levels; real weights one per basis state
+    assert [n < 100 for n in n_levels] == [True, False, True, False, True]
+    assert n_levels[1] == 5 ** 5 and n_levels[3] == 6 ** 6
+
+
+def test_phase_angle_overflow_is_a_domain_error():
+    sub = subspace_basis(OSSP133, Z0_133)
+    state = basis_state(OSSP133, Z0_133, sub)
+    negative = linear_from_rows(OSSP133, (-np.array(WEIGHTS_133)).tolist())
+    for obj in (OBJ133, negative):  # f(z) in [5, 9] and in [-9, -5]
+        table = phase_table(phase_separator(obj, OSSP133, sub))
+        # 3e307 overflows at |f(z)| = 9 only, at one end of the table
+        for gamma in (3e307, -3e307, np.float64(1e308), math.nan, math.inf):
+            with pytest.raises(DomainError, match="not finite"):
+                apply_phase_separator(state, table, gamma)
+        # 1e307 * f(z) is finite for every f(z) of ossp133, however large
+        assert apply_phase_separator(state, table, 1e307).norm() == pytest.approx(1.0)
+
+
+def test_mixer_never_writes_its_input():
+    rng = np.random.default_rng(31)
+    cases = [(inst, basis) for inst, _, basis in ladder_cases(rng)[::2]]
+    cases += [(OSSP224, subspace_basis(OSSP224, "1100011000001001")),
+              (OSSP133, full_basis(OSSP133.n_bits))]
+    for inst, basis in cases:
+        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        before = amps.tobytes()
+        state = QuantumState(basis, amps)
+        for m in mixers(inst):
+            for beta in (rng.uniform(0, math.pi / 2), math.pi / 2):
+                out = apply_mixer(state, m, beta)
+                assert not np.shares_memory(out.amps, amps)
+                apply_swap_rotation(state, m.pairs[0], beta)
+                assert amps.tobytes() == before
 
 
 def test_simultaneous_mixer():
@@ -383,7 +465,7 @@ def test_expectation():
     with pytest.raises(DomainError):
         expectation(full, sep)
     with pytest.raises(DomainError):
-        apply_phase_separator(full, sep, 0.5)
+        apply_phase_separator(full, phase_table(sep), 0.5)
 
 
 def test_sample():
@@ -568,9 +650,9 @@ def round_by_round(circuit, params, state):
     i = J-1, ..., 1."""
     jobs = circuit.instance.jobs
     beta = simulator.clamp_beta(params.beta)
-    diag = circuit.phase_for(state.basis)
+    table = circuit.phase_table_for(state.basis)
     for r in range(circuit.depth):
-        state = apply_phase_separator(state, diag, params.gamma[r])
+        state = apply_phase_separator(state, table, params.gamma[r])
         for i in range(jobs - 1, 0, -1):
             mixer = mixer_hamiltonian(circuit.instance, i)
             state = apply_mixer(state, mixer, beta[r * (jobs - 1) + i - 1])
