@@ -26,6 +26,7 @@ from .groups import (
     BRUTE_FORCE_VERTEX_CAP,
     bruteforce_feasibility_preservers,
     build_constraint_graph,
+    check_group_order,
     cycle_notation,
     generate_group,
     group_generators,
@@ -43,7 +44,7 @@ from .instances import (
     load_instance,
     objective_values,
     position_blocks,
-    solution_count,
+    read_json,
     solution_values,
 )
 from .presets import list_presets, resolve_preset
@@ -58,7 +59,6 @@ from .simulator import (
 from .vqa import OptimizerConfig, annotate_rows, compile_reach, run_experiment
 
 SEED_ENV_VAR = "OSSVQA_SEED"
-ORBIT_SOLUTION_CAP = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +205,7 @@ def _describe_element(instance, g) -> str:
 
 def cmd_group_check(args) -> int:
     instance, objective, _ = _resolve_inputs(args)
+    check_group_order(instance)  # refuse before any closure is built
     generators = group_generators(instance)
     perms = [vertex_permutation(instance, g) for g in generators]
     claimed = group_order(instance)
@@ -212,12 +213,8 @@ def cmd_group_check(args) -> int:
     generated = len(group)
     order_match = generated == claimed
 
-    small = solution_count(instance) <= ORBIT_SOLUTION_CAP
-    solutions = enumerate_solutions(instance) if small else []
-    if solutions:
-        transitive = orbit(instance, solutions[0], generators) == set(solutions)
-    else:
-        transitive = None
+    solutions = enumerate_solutions(instance)
+    transitive = orbit(instance, solutions[0], generators) == set(solutions)
 
     pair_gens = [g for g in generators if not g.swap_roles]
     blocks_ok = {
@@ -374,35 +371,37 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    with open(args.record, encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(
-                f"parse error in {args.record} at line {exc.lineno} "
-                f"column {exc.colno}: {exc.msg}"
-            ) from None
+def _render_record(record, args) -> str:
+    """The record's histogram as CSV, or as a table with a summary."""
     rows = record.get("histogram") or []
     if args.format == "csv" or (args.out and str(args.out).endswith(".csv")):
-        text = _rows_to_csv(rows)
-    else:
-        lines = []
-        key = "count" if rows and "count" in rows[0] else "probability"
-        width = max((len(r["bitstring"]) for r in rows), default=9)
-        lines.append(f"{'bitstring':<{width}}  {key:>11}  {'value':>7}  feasible")
-        for r in rows:
-            lines.append(
-                f"{r['bitstring']:<{width}}  {r[key]:>11.6g}  "
-                f"{r['value']:>7g}  {str(r['feasible']).lower()}"
-            )
-        summary = [
-            f"mode {record.get('mode')} "
-            f"dominant fraction {record.get('dominant_fraction', 0):.3f}",
-            f"best expectation {record.get('best_expectation')}",
-            f"classical optimum {record.get('classical_optimum', {}).get('value')}",
-        ]
-        text = "\n".join(lines + summary) + "\n"
+        return _rows_to_csv(rows)
+    lines = []
+    key = "count" if rows and "count" in rows[0] else "probability"
+    width = max((len(r["bitstring"]) for r in rows), default=9)
+    lines.append(f"{'bitstring':<{width}}  {key:>11}  {'value':>7}  feasible")
+    for r in rows:
+        lines.append(
+            f"{r['bitstring']:<{width}}  {r[key]:>11.6g}  "
+            f"{r['value']:>7g}  {str(r['feasible']).lower()}"
+        )
+    summary = [
+        f"mode {record.get('mode')} "
+        f"dominant fraction {record.get('dominant_fraction', 0):.3f}",
+        f"best expectation {record.get('best_expectation')}",
+        f"classical optimum {record.get('classical_optimum', {}).get('value')}",
+    ]
+    return "\n".join(lines + summary) + "\n"
+
+
+def cmd_report(args) -> int:
+    record = read_json(args.record)
+    try:
+        text = _render_record(record, args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(
+            f"{args.record} is not a run record: {type(exc).__name__}: {exc}"
+        ) from None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,9 +1,9 @@
 """Constraint graphs and the feasibility-preserving permutation group.
 
-The constraint graph has one vertex per bit; two vertices are adjacent iff
-their coordinates share a position (same machine and time) or share a job.
-Each job block and each position block is therefore a clique, and the feasible
-strings are exactly the independent sets of size J.
+The constraint graph has one vertex per bit and is the union of the job-block
+and position-block cliques: two bits are adjacent iff they share a job or a
+position (same machine and time), so the feasible strings are exactly the
+independent sets of size J.
 
 The group that maps solutions to solutions is generated by job permutations,
 position permutations, and (in the busy case P = J) a transposer exchanging
@@ -20,6 +20,8 @@ meets a 1-based label, the bridge is label - 1. cycle_notation renders
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +31,9 @@ from .instances import (
     OsspInstance,
     check_bitstring,
     enumerate_solutions,
-    index_to_coordinate,
     is_feasible,
+    job_blocks,
+    position_blocks,
 )
 
 BRUTE_FORCE_VERTEX_CAP = 10
@@ -186,16 +189,13 @@ class ConstraintGraph:
 
 
 def build_constraint_graph(instance: OsspInstance) -> ConstraintGraph:
-    """Vertices are bits; edges join coordinates sharing a position or a job."""
+    """Vertices are bits; edges are the union of the job- and position-block cliques."""
     n = instance.n_bits
-    coords = [index_to_coordinate(instance, i) for i in range(1, n + 1)]
     adj = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        mu, tu, ju = coords[u]
-        for v in range(u + 1, n):
-            mv, tv, jv = coords[v]
-            if (mu == mv and tu == tv) or ju == jv:
-                adj[u, v] = adj[v, u] = True
+    for block in job_blocks(instance) + position_blocks(instance):
+        vertices = np.asarray(block) - 1
+        adj[np.ix_(vertices, vertices)] = True
+    np.fill_diagonal(adj, False)
     return ConstraintGraph(n, adj)
 
 
@@ -242,15 +242,28 @@ def group_generators(instance: OsspInstance) -> list[GroupElement]:
     return gens
 
 
+def _order_factors(instance: OsspInstance):
+    """The factors whose product is group_order(instance)."""
+    jobs = range(2, instance.jobs + 1)
+    if not instance.is_busy:
+        return itertools.chain(range(2, instance.positions + 1), jobs)
+    return itertools.chain([2] if instance.jobs > 1 else [], jobs, jobs)
+
+
 def group_order(instance: OsspInstance) -> int:
     """2*(J!)^2 when busy, P!*J! otherwise (1 for the single-bit instance)."""
-    import math
+    return math.prod(_order_factors(instance))
 
-    if instance.is_busy:
-        if instance.jobs == 1:
-            return 1
-        return 2 * math.factorial(instance.jobs) ** 2
-    return math.factorial(instance.positions) * math.factorial(instance.jobs)
+
+def check_group_order(instance: OsspInstance) -> None:
+    """CapabilityError when the group order exceeds GROUP_CLOSURE_CAP, found
+    from partial products of its factors, so no factorial past the cap is
+    evaluated."""
+    products = itertools.accumulate(_order_factors(instance), operator.mul)
+    if any(p > GROUP_CLOSURE_CAP for p in products):
+        raise CapabilityError(
+            f"group order exceeds the closure cap of {GROUP_CLOSURE_CAP} elements"
+        )
 
 
 def _closure(start: np.ndarray, perms, max_size: int = GROUP_CLOSURE_CAP) -> set[bytes]:

@@ -1,4 +1,4 @@
-"""Open-shop scheduling instances, bit-string encodings, constraints, objectives.
+"""Open-shop scheduling instances, bit-string encodings, feasibility, objectives.
 
 An OSSP(M, T, J) instance distributes J jobs over P = M*T machine/time
 positions. Each assignment is encoded in N = M*T*J bits, where bit (m, t, j)
@@ -92,10 +92,12 @@ def position_block(instance: OsspInstance, m: int, t: int) -> tuple[int, ...]:
 
 
 def job_blocks(instance: OsspInstance) -> list[tuple[int, ...]]:
+    """The job blocks: a feasible string is one-hot on each."""
     return [job_block(instance, j) for j in range(1, instance.jobs + 1)]
 
 
 def position_blocks(instance: OsspInstance) -> list[tuple[int, ...]]:
+    """The position blocks by (m, t): a feasible string has at most one set bit in each."""
     return [
         position_block(instance, m, t)
         for m in range(1, instance.machines + 1)
@@ -154,44 +156,17 @@ def as_int64(ints, n_bits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# constraints
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """Hamming-weight constraint over an index set: '= 1' or '<= 1'."""
-
-    kind: str  # 'one-hot' | 'at-most-one'
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("one-hot", "at-most-one"):
-            raise DomainError(f"unknown constraint kind {self.kind!r}")
-        if not self.indices:
-            raise DomainError("constraint index set must be nonempty")
-
-
-def constraints(instance: OsspInstance) -> list[Constraint]:
-    """One one-hot constraint per job block, one at-most-one per position block."""
-    out = [Constraint("one-hot", b) for b in job_blocks(instance)]
-    out += [Constraint("at-most-one", b) for b in position_blocks(instance)]
-    return out
-
-
-def evaluate_constraint(constraint: Constraint, z: str) -> int:
-    """1 if satisfied, 0 otherwise."""
-    if max(constraint.indices) > len(z):
-        raise DomainError(
-            f"constraint touches index {max(constraint.indices)} but string has length {len(z)}"
-        )
-    w = sum(z[i - 1] == "1" for i in constraint.indices)
-    return int(w == 1 if constraint.kind == "one-hot" else w <= 1)
+# feasible strings
 
 
 def is_feasible(instance: OsspInstance, z: str) -> bool:
-    """True iff z satisfies every job and position constraint."""
+    """True iff every job block of z is one-hot and every position block holds
+    at most one set bit; the string-level reference for feasibility_mask."""
     check_bitstring(z, instance.n_bits)
-    return all(evaluate_constraint(c, z) for c in constraints(instance))
+    weight = lambda block: sum(z[i - 1] == "1" for i in block)  # noqa: E731
+    return all(weight(b) == 1 for b in job_blocks(instance)) and all(
+        weight(b) <= 1 for b in position_blocks(instance)
+    )
 
 
 def enumerate_solutions(instance: OsspInstance) -> list[str]:
@@ -227,7 +202,10 @@ class LinearObjective:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
+        try:
+            weights = tuple(float(w) for w in self.weights)
+        except (TypeError, ValueError):
+            raise DomainError("linear weights must be a list of numbers") from None
         if not all(math.isfinite(w) for w in weights):
             raise DomainError("linear weights must be finite")
         object.__setattr__(self, "weights", weights)
@@ -245,7 +223,10 @@ class TspObjective:
     distances: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        d = tuple(tuple(float(x) for x in row) for row in self.distances)
+        try:
+            d = tuple(tuple(float(x) for x in row) for row in self.distances)
+        except (TypeError, ValueError):
+            raise DomainError("distance matrix must be a list of rows of numbers") from None
         n = len(d)
         if any(len(row) != n for row in d):
             raise DomainError("distance matrix must be square")
@@ -263,7 +244,10 @@ Objective = LinearObjective | TspObjective
 
 def linear_from_rows(instance: OsspInstance, rows) -> LinearObjective:
     """Build a LinearObjective from P rows of J weights, rows ordered by (m, t)."""
-    rows = [list(r) for r in rows]
+    try:
+        rows = [list(r) for r in rows]
+    except TypeError:
+        raise DomainError("linear weights must be a list of rows") from None
     if len(rows) != instance.positions or any(len(r) != instance.jobs for r in rows):
         raise DomainError(
             f"expected {instance.positions} weight rows of {instance.jobs} entries, "
@@ -402,20 +386,27 @@ def load_instance_dict(data: dict) -> tuple[OsspInstance, Objective]:
             distances = spec["tsp"]["distances"]
         except (TypeError, KeyError) as exc:
             raise DomainError("objective.tsp must contain 'distances'") from exc
-        obj = TspObjective(tuple(tuple(row) for row in distances))
+        obj = TspObjective(distances)
     _check_objective(obj, instance)
     return instance, obj
 
 
+def read_json(path):
+    """The JSON document at path; DomainError when the file cannot be read
+    (missing, a directory, not UTF-8) or does not parse."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DomainError(
+            f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
+
+
 def load_instance(path) -> tuple[OsspInstance, Objective]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(
-                f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-    return load_instance_dict(data)
+    return load_instance_dict(read_json(path))
 
 
 def instance_to_dict(instance: OsspInstance, obj: Objective) -> dict:

@@ -94,6 +94,62 @@ def test_non_finite_weight_exits_2(tmp_path):
     assert main(["enumerate", "--instance", path]) == 2
 
 
+@pytest.mark.parametrize("objective", [
+    {"linear": {"weights": [[1, "heavy", 3], [4, 5, 6], [7, 8, 9]]}},
+    {"linear": {"weights": [[1, 2, 3], None, [7, 8, 9]]}},
+    {"linear": {"weights": 5}},
+    {"tsp": {"distances": [[0, 1, 2], [1, 0, "far"], [2, "far", 0]]}},
+    {"tsp": {"distances": 5}},
+], ids=["string-weight", "null-row", "scalar-weights", "string-distance", "scalar-distances"])
+def test_malformed_objective_exits_2(tmp_path, capsys, objective):
+    path = write_instance(tmp_path, "bad.json", {
+        "machines": 1, "time_slots": 3, "jobs": 3, "objective": objective,
+    })
+    assert main(["enumerate", "--instance", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unreadable_documents_exit_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"machines": "\xe9"}')
+    for path in (tmp_path, latin1, tmp_path / "missing.json"):
+        assert main(["enumerate", "--instance", str(path)]) == 2
+        assert main(["report", "--record", str(path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_report_refuses_documents_that_are_not_records(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert main(["optimize", "--preset", "ossp133-restricted", "--seed", "0",
+                 "--max-iters", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    rowless = dict(record, histogram=[
+        {k: v for k, v in row.items() if k not in ("count", "probability")}
+        for row in record["histogram"]
+    ])
+    for name, doc in [("array", [record]), ("rowless", rowless),
+                      ("null-fraction", dict(record, dominant_fraction=None))]:
+        path = write_instance(tmp_path, f"{name}.json", doc)
+        assert main(["report", "--record", path]) == 2, name
+        assert "not a run record" in capsys.readouterr().err
+
+
+def test_group_check_refuses_oversize_groups_before_building(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("group built")
+
+    monkeypatch.setattr(cli, "generate_group", refuse)
+    monkeypatch.setattr(cli, "group_generators", refuse)
+    # OSSP(1,20,20): order 2*(20!)^2; OSSP(1,2000,1): order 2000!
+    for slots, jobs in ((20, 20), (2000, 1)):
+        path = write_instance(tmp_path, f"i{slots}x{jobs}.json", {
+            "machines": 1, "time_slots": slots, "jobs": jobs,
+            "objective": {"linear": {"weights": [[1] * jobs] * slots}},
+        })
+        assert main(["group-check", "--instance", path]) == 4
+        assert "closure cap" in capsys.readouterr().err
+
+
 def test_missing_inputs_and_unknown_preset(capsys):
     assert main(["enumerate"]) == 2
     assert main(["enumerate", "--preset", "nope"]) == 2

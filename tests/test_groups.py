@@ -13,6 +13,7 @@ from ossvqa.groups import (
     apply_vertex_permutation,
     build_constraint_graph,
     bruteforce_feasibility_preservers,
+    check_group_order,
     check_mixing_family,
     compose_perms,
     cycle_notation,
@@ -38,6 +39,7 @@ from ossvqa.groups import (
 from ossvqa.instances import (
     OsspInstance,
     enumerate_solutions,
+    index_to_coordinate,
     indices_of_ones,
     is_feasible,
     job_blocks,
@@ -70,6 +72,21 @@ def test_graph_counts():
     assert g133.n_vertices == 9 and g133.edge_count() == 18
     g111 = build_constraint_graph(OSSP111)
     assert g111.n_vertices == 1 and g111.edge_count() == 0
+
+
+def test_graph_matches_coordinate_rule():
+    # reference: bits are adjacent iff they share a position or a job
+    import numpy as np
+
+    for shape in ((1, 1, 1), (1, 3, 2), (1, 3, 3), (2, 2, 4), (2, 3, 4), (3, 2, 2)):
+        inst = OsspInstance(*shape)
+        n = inst.n_bits
+        coords = [index_to_coordinate(inst, i) for i in range(1, n + 1)]
+        want = np.array([
+            [u != v and (cu[:2] == cv[:2] or cu[2] == cv[2]) for v, cv in enumerate(coords)]
+            for u, cu in enumerate(coords)
+        ])
+        assert np.array_equal(build_constraint_graph(inst).adjacency, want)
 
 
 def test_edge_count_formula():
@@ -164,6 +181,19 @@ def test_group_orders():
     assert group_order(OSSP111) == 1
     for inst in (OSSP133, OSSP132, OSSP122, OSSP111, OSSP224):
         assert generated_group_order(inst) == group_order(inst)
+
+
+def test_check_group_order_compares_the_formula_with_the_cap():
+    # orders 7!*5! = 604,800 and 9!*2! = 725,760 are within the 10^6 cap;
+    # 9!*3! = 2,177,280 and 2*(6!)^2 = 1,036,800 are not
+    for shape in ((1, 7, 5), (1, 9, 2), (2, 2, 4), (1, 1, 1)):
+        check_group_order(OsspInstance(*shape))
+    for shape in ((1, 9, 3), (2, 3, 6)):
+        with pytest.raises(CapabilityError):
+            check_group_order(OsspInstance(*shape))
+    # P = 10^6 would take seconds to evaluate as a factorial
+    with pytest.raises(CapabilityError):
+        check_group_order(OsspInstance(1, 10**6, 1))
 
 
 def test_generate_group_basics():

@@ -9,16 +9,13 @@ import pytest
 
 from ossvqa.errors import CapabilityError, DomainError
 from ossvqa.instances import (
-    Constraint,
     LinearObjective,
     OsspInstance,
     TspObjective,
     bits_to_int,
     bitstring_from_indices,
-    constraints,
     coordinate_to_index,
     enumerate_solutions,
-    evaluate_constraint,
     evaluate_objective,
     feasibility_mask,
     hamming_distance,
@@ -28,12 +25,14 @@ from ossvqa.instances import (
     int_to_bits,
     is_feasible,
     job_block,
+    job_blocks,
     linear_from_rows,
     load_instance,
     load_instance_dict,
     objective_values,
     optimal_solutions,
     position_block,
+    position_blocks,
     solution_count,
     solution_values,
 )
@@ -147,24 +146,42 @@ def test_blocks():
         assert set().union(*pb) == all_idx and sum(len(b) for b in pb) == inst.n_bits
 
 
-def test_evaluate_constraint():
-    one_hot = Constraint("one-hot", (1, 2))
-    at_most = Constraint("at-most-one", (1, 2))
-    assert evaluate_constraint(one_hot, "10") == 1
-    assert evaluate_constraint(one_hot, "11") == 0
-    assert evaluate_constraint(one_hot, "00") == 0
-    assert evaluate_constraint(at_most, "00") == 1
-    assert evaluate_constraint(at_most, "11") == 0
-    with pytest.raises(DomainError):
-        evaluate_constraint(Constraint("one-hot", (3,)), "10")
-    with pytest.raises(DomainError):
-        Constraint("exactly-two", (1,))
+def test_block_lists():
+    for inst in (OSSP224, OSSP133, OsspInstance(2, 3, 2), OsspInstance(1, 1, 1)):
+        assert job_blocks(inst) == [job_block(inst, j) for j in range(1, inst.jobs + 1)]
+        assert position_blocks(inst) == [
+            position_block(inst, m, t)
+            for m in range(1, inst.machines + 1)
+            for t in range(1, inst.time_slots + 1)
+        ]
 
 
-def test_constraint_sets():
-    cs = constraints(OSSP224)
-    assert sum(c.kind == "one-hot" for c in cs) == 4
-    assert sum(c.kind == "at-most-one" for c in cs) == 4
+def _feasible_by_coordinates(inst, z):
+    """One-hot per job, at most one per position, from the coordinate formula."""
+    def weight(indices):
+        return sum(z[i - 1] == "1" for i in indices)
+
+    for j in range(1, inst.jobs + 1):
+        job = [coordinate_to_index(inst, (m, t, j))
+               for m in range(1, inst.machines + 1)
+               for t in range(1, inst.time_slots + 1)]
+        if weight(job) != 1:
+            return False
+    for m in range(1, inst.machines + 1):
+        for t in range(1, inst.time_slots + 1):
+            position = [coordinate_to_index(inst, (m, t, j)) for j in range(1, inst.jobs + 1)]
+            if weight(position) > 1:
+                return False
+    return True
+
+
+def test_is_feasible_matches_constraint_evaluation_on_full_basis():
+    for inst in (OsspInstance(1, 3, 2), OSSP133, OsspInstance(2, 2, 2)):
+        n = inst.n_bits
+        verdicts = [is_feasible(inst, int_to_bits(v, n)) for v in range(2**n)]
+        assert verdicts == [_feasible_by_coordinates(inst, int_to_bits(v, n))
+                            for v in range(2**n)]
+        assert sum(verdicts) == solution_count(inst)
 
 
 def test_is_feasible():
@@ -204,8 +221,7 @@ def test_solution_structure():
     for inst in (OSSP224, OSSP133, OsspInstance(2, 3, 2)):
         for z in enumerate_solutions(inst):
             assert z.count("1") == inst.jobs
-            for c in constraints(inst):
-                assert evaluate_constraint(c, z) == 1
+            assert is_feasible(inst, z)
 
 
 def test_table_scores_224():
