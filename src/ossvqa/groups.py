@@ -29,11 +29,12 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .instances import (
     OsspInstance,
+    bitstring_from_indices,
     check_bitstring,
-    enumerate_solutions,
     is_feasible,
     job_blocks,
     position_blocks,
+    solution_count,
 )
 
 BRUTE_FORCE_VERTEX_CAP = 10
@@ -266,14 +267,14 @@ def check_group_order(instance: OsspInstance) -> None:
         )
 
 
-def _closure(start: np.ndarray, perms, max_size: int = GROUP_CLOSURE_CAP) -> set[bytes]:
+def _closure(start: np.ndarray, perms) -> set[bytes]:
     """Breadth-first closure of the row {start} under x -> x[p] for p in perms.
 
     Rows are compact integer arrays (start's dtype: uint8 when the labels
     fit), so one step is one column gather frontier[:, p] per p over the
     whole frontier, and new rows are found through the set of row bytes,
     which is returned. Raises CapabilityError as soon as the closure would
-    hold more than max_size rows.
+    hold more than GROUP_CLOSURE_CAP rows.
     """
     gathers = [np.asarray(p, dtype=np.intp) for p in perms]
     row = np.dtype((np.void, start.nbytes))
@@ -285,9 +286,9 @@ def _closure(start: np.ndarray, perms, max_size: int = GROUP_CLOSURE_CAP) -> set
             # the gather comes out column-major; a row view needs C order
             for y in np.ascontiguousarray(frontier[:, p]).view(row).ravel().tolist():
                 if y not in seen:
-                    if len(seen) >= max_size:
+                    if len(seen) >= GROUP_CLOSURE_CAP:
                         raise CapabilityError(
-                            f"closure exceeded the cap of {max_size} elements"
+                            f"closure exceeded the cap of {GROUP_CLOSURE_CAP} elements"
                         )
                     seen.add(y)
                     fresh.append(y)
@@ -296,7 +297,7 @@ def _closure(start: np.ndarray, perms, max_size: int = GROUP_CLOSURE_CAP) -> set
     return seen
 
 
-def generate_group(perms, max_size: int = GROUP_CLOSURE_CAP) -> set[tuple[int, ...]]:
+def generate_group(perms) -> set[tuple[int, ...]]:
     """Closure of the given 0-based permutations under composition: the
     closure of the identity under x -> x o p, which is the same group."""
     perms = [tuple(p) for p in perms]
@@ -304,7 +305,7 @@ def generate_group(perms, max_size: int = GROUP_CLOSURE_CAP) -> set[tuple[int, .
         return {()}
     n = len(perms[0])
     dtype = np.min_scalar_type(max(n - 1, 0))
-    rows = _closure(np.arange(n, dtype=dtype), perms, max_size)
+    rows = _closure(np.arange(n, dtype=dtype), perms)
     elements = np.frombuffer(b"".join(rows), dtype=dtype).reshape(len(rows), n)
     return set(map(tuple, elements.tolist()))
 
@@ -394,21 +395,18 @@ def recompose_word(word, n: int) -> tuple[int, ...]:
 
 
 def check_mixing_family(instance: OsspInstance, family) -> bool:
-    """True iff the job transpositions {tau_i : i in family} connect all solutions.
-
-    Connectivity of the move graph on the solution set is equivalent to the
-    family leaving no nontrivial coordinate subspace of the solution span
-    invariant.
-    """
+    """True iff the job transpositions {tau_i : i in family} connect all
+    solutions: iff the closure of one schedule (job j at position j; any
+    start gives the same verdict) holds all solution_count(instance) of them.
+    Past GROUP_CLOSURE_CAP solutions a connected family raises CapabilityError."""
     family = list(family)
     for i in family:
         if not (1 <= i <= instance.jobs - 1):
             raise DomainError(f"generator index {i} out of range 1..{instance.jobs - 1}")
-    solutions = enumerate_solutions(instance)
-    if len(solutions) <= 1:
-        return True
+    jobs = instance.jobs
+    start = bitstring_from_indices(instance.n_bits, [jobs * j + j + 1 for j in range(jobs)])
     family = [job_transposition_element(instance, i) for i in family]
-    return len(_string_closure(instance, solutions[0], family)) == len(solutions)
+    return len(_string_closure(instance, start, family)) == solution_count(instance)
 
 
 def bruteforce_feasibility_preservers(graph: ConstraintGraph, solutions) -> set[tuple[int, ...]]:

@@ -170,20 +170,11 @@ def is_feasible(instance: OsspInstance, z: str) -> bool:
 
 
 def enumerate_solutions(instance: OsspInstance) -> list[str]:
-    """All feasible strings, sorted lexicographically.
-
-    Each solution assigns every job an injective position choice, so there are
-    exactly P!/(P-J)! of them.
-    """
-    n, jobs = instance.n_bits, instance.jobs
-    out = []
-    for assignment in itertools.permutations(range(instance.positions), jobs):
-        chars = ["0"] * n
-        for j0, p in enumerate(assignment):
-            chars[jobs * p + j0] = "1"
-        out.append("".join(chars))
-    out.sort()
-    return out
+    """All P!/(P-J)! feasible strings, sorted lexicographically: the
+    strings of the sorted solution_values, so past 63 bits it raises
+    CapabilityError before anything is enumerated."""
+    values = np.sort(solution_values(instance)).tolist()
+    return [int_to_bits(v, instance.n_bits) for v in values]
 
 
 def solution_count(instance: OsspInstance) -> int:

@@ -133,18 +133,19 @@ def subspace_basis(instance: OsspInstance, z: str) -> Basis:
 @functools.lru_cache(maxsize=64)
 def _sector_basis(instance: OsspInstance, weights: tuple[int, ...]) -> Basis:
     """Shared by all starts with these block weights, so they share its swap
-    partner memo; it holds no basis-sized array, so keeping it is cheap."""
+    partner memo; it holds no basis-sized array, so keeping it is cheap.
+    Past 63 bits, or past DIM_CAP strings (prod_k C(J, w_k)), it raises
+    CapabilityError before any pattern is listed."""
     n = instance.n_bits
+    as_int64((), n)
+    if math.prod(math.comb(instance.jobs, w) for w in weights) > DIM_CAP:
+        raise CapabilityError(f"restricted basis would exceed {DIM_CAP} states")
     sectors, masks = [], []
-    dim = 1
     for block, weight in zip(position_blocks(instance), weights):
         bit_masks = [1 << (n - i) for i in block]
         patterns = sorted(sum(c) for c in itertools.combinations(bit_masks, weight))
         sector = as_int64(patterns, n)
         sector.setflags(write=False)  # shared between callers
-        dim *= len(sector)
-        if dim > DIM_CAP:
-            raise CapabilityError(f"restricted basis would exceed {DIM_CAP} states")
         sectors.append(sector)
         masks.append(sum(bit_masks))
     return Basis(n, tuple(sectors), tuple(masks))
@@ -396,18 +397,17 @@ def sample_counts(state: QuantumState, shots: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, probs)
 
 
-def readout(state: QuantumState, shots: int = 0, seed=None,
-            threshold: float = PROB_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+def readout(state: QuantumState, shots: int = 0, seed=None) -> tuple[np.ndarray, np.ndarray]:
     """(weights, order): the measured histogram of state on basis indices.
 
     With shots = 0 the weights are the Born probabilities and order keeps
-    those above threshold; otherwise they are the seeded sample_counts and
+    those above PROB_FLOOR; otherwise they are the seeded sample_counts and
     order keeps the sampled indices. order runs by descending weight, ties
     by ascending string value: amplitude order is ascending string value
     and the sort is stable."""
     if shots == 0:
         weights = _born(state)
-        keep = np.flatnonzero(weights > threshold)
+        keep = np.flatnonzero(weights > PROB_FLOOR)
     else:
         weights = sample_counts(state, shots, seed)
         keep = np.flatnonzero(weights)
@@ -420,9 +420,9 @@ def _by_string(state: QuantumState, weights: np.ndarray, order: np.ndarray) -> d
     return dict(zip(strings, weights[order].tolist()))
 
 
-def probabilities(state: QuantumState, threshold: float = PROB_FLOOR) -> dict[str, float]:
+def probabilities(state: QuantumState) -> dict[str, float]:
     """The readout's Born probabilities keyed by bit string, in its order."""
-    return _by_string(state, *readout(state, threshold=threshold))
+    return _by_string(state, *readout(state))
 
 
 def sample(state: QuantumState, shots: int, seed) -> dict[str, int]:

@@ -65,7 +65,11 @@ class OptimizerConfig:
     """Knobs for both optimizers.
 
     max_iters counts objective evaluations for kind 'tr' and accept/update
-    steps for kind 'sgd'.  shots = 0 evaluates the exact expectation.
+    steps for kind 'sgd'.  For kind 'tr' it is 0 (one evaluation, at the
+    start) or at least n + 2 for n circuit parameters, COBYLA's smallest
+    budget; trust_region_minimize refuses anything in between.  shots = 0
+    evaluates the exact expectation.  Every float setting must be finite,
+    radius and rhobeg positive, tol nonnegative.
     """
 
     kind: str = "tr"
@@ -89,11 +93,18 @@ class OptimizerConfig:
             raise DomainError("max_iters and shots must be nonnegative")
         if self.sample_size < 1:
             raise DomainError("sample_size must be at least 1")
+        lo, hi = self.gamma_box
+        settings = (self.radius, self.kappa, self.min_factor, self.rhobeg, self.tol, lo, hi)
+        if not all(math.isfinite(v) for v in settings):
+            raise DomainError("optimizer settings must be finite")
         if not self.radius > 0:
             raise DomainError("radius must be positive")
+        if not self.rhobeg > 0:
+            raise DomainError("rhobeg must be positive")
+        if not self.tol >= 0:
+            raise DomainError("tol must be nonnegative")
         if not 0 < self.min_factor <= 1:
             raise DomainError("min_factor must lie in (0, 1]")
-        lo, hi = self.gamma_box
         if not lo < hi:
             raise DomainError("gamma_box must be a nonempty interval")
 
@@ -176,7 +187,15 @@ def objective_value(circuit, params, state, shots=0, seed=None) -> float:
 
 def trust_region_minimize(fun, x0, lower, upper, max_iters, rhobeg, tol):
     """COBYLA with box clamping; returns (best_x, best_f, final_x, final_f,
-    trace, status, nfev).  The trace records each best-so-far improvement."""
+    trace, status, nfev).  The trace records each best-so-far improvement.
+    max_iters = 0 evaluates x0 once; COBYLA needs n + 2 evaluations for n
+    parameters (scipy silently raises a smaller budget), so
+    0 < max_iters < n + 2 raises DomainError."""
+    if 0 < max_iters < len(x0) + 2:
+        raise DomainError(
+            f"max_iters {max_iters} is below COBYLA's minimum of n + 2 = "
+            f"{len(x0) + 2} evaluations for {len(x0)} parameters"
+        )
     x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
     trace: list[tuple[np.ndarray, float]] = []
     best = {"x": x0.copy(), "f": math.inf}

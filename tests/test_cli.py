@@ -7,10 +7,18 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from ossvqa import cli, instances
 from ossvqa.cli import SEED_ENV_VAR, main
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SCORES_224 = {
     "0010000110000100": 5, "0010000101001000": 5,
@@ -36,6 +44,31 @@ def write_instance(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def zero_instance(tmp_path, machines, slots, jobs):
+    """An instance file of the given shape with all-zero linear weights."""
+    return write_instance(tmp_path, f"i{machines}x{slots}x{jobs}.json", {
+        "machines": machines, "time_slots": slots, "jobs": jobs,
+        "objective": {"linear": {"weights": [[0] * jobs] * (machines * slots)}},
+    })
+
+
+def run_capped(argv, limit_mb, timeout=120):
+    """(exit code, stderr) of `python -m ossvqa.cli argv` in a subprocess
+    whose address space is capped at limit_mb, so a run that would allocate
+    more fails instead of taking the machine's memory."""
+    if resource is None:
+        pytest.skip("the resource module is needed to cap the address space")
+    limit = limit_mb << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "ossvqa.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stderr
 
 
 def test_enumerate_published_tables(tmp_path):
@@ -169,6 +202,45 @@ def test_graph_record(tmp_path):
     assert doc["vertices"][0] == {"index": 1, "coordinate": [1, 1, 1]}
 
 
+@pytest.mark.parametrize("shape", [
+    (1, 1, 1), (1, 2, 1), (1, 3, 2), (1, 3, 3), (2, 2, 4), (2, 3, 4), (3, 2, 2),
+], ids=lambda s: "x".join(map(str, s)))
+def test_graph_edges_match_dense_reference(tmp_path, shape):
+    # reference: an adjacency matrix of bits sharing a position or a job
+    inst = instances.OsspInstance(*shape)
+    coords = [instances.index_to_coordinate(inst, i) for i in range(1, inst.n_bits + 1)]
+    adjacency = np.array([
+        [u != v and (cu[:2] == cv[:2] or cu[2] == cv[2]) for v, cv in enumerate(coords)]
+        for u, cu in enumerate(coords)
+    ])
+    rows, cols = np.nonzero(np.triu(adjacency))
+    out = tmp_path / "graph.json"
+    assert main(["graph", "--instance", zero_instance(tmp_path, *shape), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["edges"] == [[a + 1, b + 1] for a, b in zip(rows.tolist(), cols.tolist())]
+    assert doc["edge_count"] == doc["expected_edge_count"] == int(adjacency.sum()) // 2
+
+
+def test_graph_of_a_large_instance_builds_no_matrix(tmp_path):
+    # OSSP(1,200,200): 40,000 bits, so a dense adjacency would take 1.5 GiB
+    out = tmp_path / "graph.json"
+    code, err = run_capped(["graph", "--instance", zero_instance(tmp_path, 1, 200, 200),
+                            "--out", str(out)], limit_mb=1024)
+    assert code == 0, err
+    doc = json.loads(out.read_text())
+    assert doc["n_vertices"] == 40_000 and "edges" not in doc
+    assert doc["edge_count"] == 2 * 200 * (200 * 199 // 2)
+
+
+def test_oversize_sector_exits_4_before_listing_patterns(tmp_path):
+    # OSSP(1,40,40) with weight 20 in block 1: C(40,20) ~ 1.4e11 patterns
+    z = "1" * 20 + "0" * 20 + ("1" + "0" * 39) * 39
+    code, err = run_capped(["simulate", "--instance", zero_instance(tmp_path, 1, 40, 40),
+                            "--initial", z], limit_mb=1024)
+    assert code == 4, err
+    assert "capability exceeded" in err
+
+
 def test_group_check_instances(tmp_path):
     out = tmp_path / "gc.json"
     assert main(["group-check", "--preset", "ossp133", "--out", str(out)]) == 0
@@ -256,6 +328,8 @@ def test_negative_seeds_and_non_finite_angles_exit_2(capsys):
     assert main(["optimize", "--preset", "ossp133-restricted", "--seed", "-1",
                  "--max-iters", "1"]) == 2
     assert "nonnegative" in capsys.readouterr().err
+    assert main(["optimize", "--preset", "ossp133-restricted", "--sgd-radius", "inf",
+                 "--max-iters", "1"]) == 2
     assert main(simulate + ["--beta", "nan,0"]) == 2
     assert main(simulate + ["--gamma", "inf"]) == 2
     assert "finite" in capsys.readouterr().err
@@ -357,6 +431,18 @@ def test_optimize_flag_overrides(tmp_path):
     assert len(doc["iterations"]) == 3
 
 
+def test_trust_region_budget_below_cobyla_minimum_exits_2(tmp_path, capsys):
+    # ossp224 at depth 6 has 24 parameters, so COBYLA needs 26 evaluations
+    out = tmp_path / "run.json"
+    args = ["optimize", "--preset", "ossp224", "--seed", "0", "--out", str(out)]
+    for budget in ("1", "25"):
+        assert main(args + ["--max-iters", budget]) == 2
+        assert "n + 2 = 26" in capsys.readouterr().err
+    assert main(args + ["--max-iters", "26"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["max_iters"] == doc["n_evaluations"] == 26
+
+
 def test_optimize_byte_identical_modulo_sidecar(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["optimize", "--preset", "ossp133-restricted", "--seed", "7"]
@@ -404,7 +490,6 @@ def test_scipy_optimize_is_loaded_by_cobyla_only():
                                     config=config, shots=0)
         assert rec.n_evaluations == 5 and "scipy.optimize" in sys.modules
     """)
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

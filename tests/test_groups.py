@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from ossvqa import groups, instances
 from ossvqa.errors import CapabilityError, DomainError
 from ossvqa.groups import (
     GroupElement,
@@ -196,12 +197,13 @@ def test_check_group_order_compares_the_formula_with_the_cap():
         check_group_order(OsspInstance(1, 10**6, 1))
 
 
-def test_generate_group_basics():
+def test_generate_group_basics(monkeypatch):
     assert generate_group([]) == {()}
     s3 = generate_group([(1, 0, 2), (0, 2, 1)])
     assert len(s3) == 6
+    monkeypatch.setattr(groups, "GROUP_CLOSURE_CAP", 3)
     with pytest.raises(CapabilityError):
-        generate_group([(1, 0, 2), (0, 2, 1)], max_size=3)
+        generate_group([(1, 0, 2), (0, 2, 1)])
 
 
 def _tuple_closure(start, perms, act):
@@ -243,11 +245,13 @@ def test_array_closures_match_tuple_bfs(instance):
             assert check_mixing_family(instance, family) == (len(reached) == len(sols))
 
 
-def test_closure_cap_is_exact():
+def test_closure_cap_is_exact(monkeypatch):
     s3 = [(1, 0, 2), (0, 2, 1)]
+    monkeypatch.setattr(groups, "GROUP_CLOSURE_CAP", 5)
     with pytest.raises(CapabilityError, match="cap of 5"):
-        generate_group(s3, max_size=5)
-    assert len(generate_group(s3, max_size=6)) == 6
+        generate_group(s3)
+    monkeypatch.setattr(groups, "GROUP_CLOSURE_CAP", 6)
+    assert len(generate_group(s3)) == 6
 
 
 def test_closure_returns_python_values():
@@ -376,6 +380,23 @@ def test_mixing_family(instance, family, connected):
 def test_mixing_family_validation():
     with pytest.raises(DomainError):
         check_mixing_family(OSSP133, [3])
+
+
+def test_mixing_verdict_lists_no_solutions(monkeypatch):
+    def refuse(instance):
+        raise AssertionError("solution list built")
+
+    for module in (instances, groups):
+        for name in ("enumerate_solutions", "solution_values"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert check_mixing_family(OSSP224, [1, 2, 3]) is True
+    assert check_mixing_family(OSSP132, [1]) is False
+    # OSSP(1,11,11): 11! = 39,916,800 schedules; one transposition reaches two
+    assert check_mixing_family(OsspInstance(1, 11, 11), [1]) is False
+    # a connected family whose closure passes the cap is refused
+    monkeypatch.setattr(groups, "GROUP_CLOSURE_CAP", 100)
+    with pytest.raises(CapabilityError, match="cap of 100"):
+        check_mixing_family(OsspInstance(1, 5, 5), [1, 2, 3, 4])
 
 
 def test_bruteforce_preservers_small():

@@ -359,15 +359,25 @@ def string_oracle(instance, obj):
 
 
 def test_solution_values_are_the_solutions():
-    for shape in ((1, 1, 1), (1, 3, 2), (2, 2, 4), (2, 3, 3), (3, 3, 2), (1, 5, 5)):
+    # reference: every string of the full basis that is_feasible accepts
+    for shape in ((1, 1, 1), (1, 2, 1), (1, 3, 2), (1, 3, 3), (2, 2, 2), (2, 3, 2), (2, 2, 4)):
         inst = OsspInstance(*shape)
+        n = inst.n_bits
+        want = [v for v in range(1 << n) if is_feasible(inst, int_to_bits(v, n))]
         values = solution_values(inst)
         assert values.dtype == np.int64 and len(values) == solution_count(inst)
-        strings = [int_to_bits(v, inst.n_bits) for v in np.sort(values).tolist()]
-        assert strings == enumerate_solutions(inst)
+        assert np.sort(values).tolist() == want
+        assert enumerate_solutions(inst) == [int_to_bits(v, n) for v in want]
     assert solution_values(OsspInstance(1, 63, 1)).tolist() == [1 << k for k in range(62, -1, -1)]
     with pytest.raises(CapabilityError, match="63-bit"):
         solution_values(OsspInstance(1, 64, 1))
+
+
+def test_enumerate_solutions_stops_at_63_bits():
+    # OSSP(1,8,8): 64 bits, though only 8! = 40,320 schedules
+    with pytest.raises(CapabilityError, match="63-bit"):
+        enumerate_solutions(OsspInstance(1, 8, 8))
+    assert len(enumerate_solutions(OsspInstance(1, 7, 7))) == math.factorial(7)
 
 
 def test_optimal_solutions_match_the_string_oracle():

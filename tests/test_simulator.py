@@ -87,6 +87,21 @@ def test_full_engine_cap_refuses_before_allocating(monkeypatch):
         pure_state(21, "0" * 21)
 
 
+def test_sector_cap_refuses_before_listing_patterns(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sector patterns listed before the size check")
+
+    monkeypatch.setattr(simulator.itertools, "combinations", refuse)
+    # OSSP(1,7,7): C(7,3) * 7^6 = 4,117,715 strings on 49 bits
+    z = "1110000" + "1000000" * 6
+    with pytest.raises(CapabilityError, match="restricted basis"):
+        subspace_basis(OsspInstance(1, 7, 7), z)
+    # OSSP(1,40,40) with weight 20 in block 1: C(40,20) ~ 1.4e11 patterns
+    z = "1" * 20 + "0" * 20 + ("1" + "0" * 39) * 39
+    with pytest.raises(CapabilityError):
+        subspace_basis(OsspInstance(1, 40, 40), z)
+
+
 def test_full_basis_is_one_read_only_sector():
     basis = full_basis(9)
     assert basis.engine == "full" and basis.shape == (512,)
@@ -630,7 +645,7 @@ def test_block_weight_conservation_full_engine():
         rng.uniform(0, math.pi / 2, size=4), rng.uniform(0, 2 * math.pi, size=2)
     )
     out = apply_circuit(circuit, params, basis_state(OSSP133, Z0_133, "full"))
-    for z, p in probabilities(out, threshold=1e-12).items():
+    for z, p in probabilities(out).items():
         assert [z[k : k + 3].count("1") for k in (0, 3, 6)] == [1, 1, 1]
 
 

@@ -204,6 +204,12 @@ def test_config_validation():
         OptimizerConfig(max_iters=-1)
     with pytest.raises(DomainError):
         OptimizerConfig(seed=-1)
+    for bad in (dict(radius=math.inf), dict(rhobeg=math.inf), dict(tol=math.nan),
+                dict(kappa=math.nan), dict(rhobeg=-1.0), dict(rhobeg=0.0), dict(tol=-1e-6),
+                dict(gamma_box=(0.0, math.inf))):
+        with pytest.raises(DomainError):
+            OptimizerConfig(**bad)
+    OptimizerConfig(tol=0.0)  # a zero tolerance is allowed
 
 
 def test_compile_reach_golden():
