@@ -388,6 +388,14 @@ def _render_record(record, args) -> str:
         f"best expectation {record.get('best_expectation')}",
         f"classical optimum {record.get('classical_optimum', {}).get('value')}",
     ]
+    side = record.get("sidecar") or {}
+    if "optimizer_seconds" in side:  # records written before stage timings lack them
+        summary.append(
+            f"timing {side['n_evaluations']} evaluations, optimizer "
+            f"{side['optimizer_seconds']:.3f} s ({side['ms_per_evaluation']:.3f} ms per "
+            f"evaluation), readout {side['readout_seconds']:.3f} s, oracle "
+            f"{side['oracle_seconds']:.3f} s"
+        )
     return "\n".join(lines + summary) + "\n"
 
 

@@ -38,7 +38,7 @@ from .instances import (
 )
 
 BRUTE_FORCE_VERTEX_CAP = 10
-GROUP_CLOSURE_CAP = 1_000_000
+GROUP_CLOSURE_CAP = 1_000_000  # closure elements; also dense adjacency entries
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,16 @@ class ConstraintGraph:
 
 
 def build_constraint_graph(instance: OsspInstance) -> ConstraintGraph:
-    """Vertices are bits; edges are the union of the job- and position-block cliques."""
+    """Vertices are bits; edges are the union of the job- and position-block
+    cliques. The adjacency is a dense N x N matrix, so past
+    GROUP_CLOSURE_CAP entries it raises CapabilityError before allocating;
+    `ossvqa graph` lists block cliques instead and has no such bound."""
     n = instance.n_bits
+    if n * n > GROUP_CLOSURE_CAP:
+        raise CapabilityError(
+            f"constraint graph of {n} vertices would need {n * n} adjacency entries, "
+            f"past the cap of {GROUP_CLOSURE_CAP}"
+        )
     adj = np.zeros((n, n), dtype=bool)
     for block in job_blocks(instance) + position_blocks(instance):
         vertices = np.asarray(block) - 1

@@ -52,6 +52,7 @@ from .instances import (
 )
 
 DIM_CAP = 1 << 20
+GATHER_DIM = 4096  # largest basis whose mixers run the flat-gather kernel (see _rotate)
 PROB_FLOOR = 1e-14  # Born probabilities at or below it are not read out
 BETA_LO, BETA_HI = 0.0, math.pi / 2
 
@@ -133,7 +134,10 @@ def subspace_basis(instance: OsspInstance, z: str) -> Basis:
 @functools.lru_cache(maxsize=64)
 def _sector_basis(instance: OsspInstance, weights: tuple[int, ...]) -> Basis:
     """Shared by all starts with these block weights, so they share its swap
-    partner memo; it holds no basis-sized array, so keeping it is cheap.
+    partner memo. The memo holds flat index arrays (two per pair, each
+    of at most GATHER_DIM entries) only on bases the gather kernel runs,
+    and strided views' per-axis indices on larger ones, so keeping it is
+    cheap.
     Past 63 bits, or past DIM_CAP strings (prod_k C(J, w_k)), it raises
     CapabilityError before any pattern is listed."""
     n = instance.n_bits
@@ -203,6 +207,24 @@ def basis_strings(basis: Basis) -> list[str]:
 # gates
 
 
+def _pair_axis(basis: Basis, pair) -> tuple:
+    """(axis, d10, p01) for the 1-based bit pair: the axis whose block holds
+    both bits, the indices along it of patterns with bits (1, 0) on the
+    pair, and those of their swapped partners (present, as a sector holds
+    every pattern of its weight)."""
+    a, b = pair
+    n = basis.n_bits
+    if not (1 <= a <= n and 1 <= b <= n) or a == b:
+        raise DomainError(f"invalid bit pair {tuple(pair)!r} for {n} bits")
+    ma, mb = 1 << (n - a), 1 << (n - b)
+    axis = next((k for k, m in enumerate(basis.masks) if m & ma and m & mb), None)
+    if axis is None:
+        raise DomainError(f"swap on pair {tuple(pair)} leaves the restricted basis")
+    patterns = basis.sectors[axis]
+    d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
+    return axis, d10, np.searchsorted(patterns, patterns[d10] ^ (ma | mb))
+
+
 def _run(idx: np.ndarray):
     """idx as a slice when it is an ascending arithmetic run, so that
     indexing with it gives a view instead of a copy."""
@@ -213,26 +235,29 @@ def _run(idx: np.ndarray):
 
 
 def _swap_partners(basis: Basis, pair) -> tuple:
-    """(axis, d10, p01, i10, i01): the axis whose block holds both bits of
-    the 1-based pair, the indices along it of patterns with bits (1, 0) on
-    the pair, those of their swapped partners (present, as a sector holds
-    every pattern of its weight), and both as index tuples into the
-    reshaped amplitudes. Memoised on the basis."""
+    """The plan _rotate's kernel for this basis reads for the pair,
+    memoised on the basis: () when no pattern of the pair's block has
+    unequal bits on it; on a basis of at most GATHER_DIM amplitudes,
+    (sel, partner), the flat indices of the (1, 0) entries followed by
+    those of their (0, 1) partners, and the same two halves swapped; on a
+    larger basis, (i10, i01), index tuples into the reshaped amplitudes
+    that pick the two halves (views where the indices along the axis form
+    a run)."""
     pair = tuple(pair)
     if pair not in basis._partners:
-        a, b = pair
-        n = basis.n_bits
-        if not (1 <= a <= n and 1 <= b <= n) or a == b:
-            raise DomainError(f"invalid bit pair {pair!r} for {n} bits")
-        ma, mb = 1 << (n - a), 1 << (n - b)
-        axis = next((k for k, m in enumerate(basis.masks) if m & ma and m & mb), None)
-        if axis is None:
-            raise DomainError(f"swap on pair {pair} leaves the restricted basis")
-        patterns = basis.sectors[axis]
-        d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
-        p01 = np.searchsorted(patterns, patterns[d10] ^ (ma | mb))
+        axis, d10, p01 = _pair_axis(basis, pair)
         lead = (slice(None),) * axis
-        basis._partners[pair] = (axis, d10, p01, lead + (_run(d10),), lead + (_run(p01),))
+        if not len(d10):
+            plan = ()
+        elif basis.dim <= GATHER_DIM:
+            flat = np.arange(basis.dim).reshape(basis.shape)
+            i10, i01 = flat[lead + (d10,)].ravel(), flat[lead + (p01,)].ravel()
+            plan = np.concatenate([i10, i01]), np.concatenate([i01, i10])
+            for index in plan:
+                index.setflags(write=False)  # shared between callers
+        else:
+            plan = lead + (_run(d10),), lead + (_run(p01),)
+        basis._partners[pair] = plan
     return basis._partners[pair]
 
 
@@ -244,15 +269,38 @@ def _rotate(amps: np.ndarray, basis: Basis, pairs, beta: float) -> np.ndarray:
     c*a10 + i s*a01 and c*a01 + i s*a10 are read off the current array
     first; then every amplitude is multiplied by e^{i beta} (the first pair
     copies amps into the output this way, later pairs multiply in place);
-    then the rotated values are scattered over their phased entries. Each
-    amplitude sees the same operations in the same order as with a new
-    array per pair, so the result is the same to the bit."""
+    then the rotated values are scattered over their phased entries.
+
+    Two kernels do this, chosen once per basis by its size. Up to
+    GATHER_DIM amplitudes a pair is one stacked flat gather: r = c *
+    x[sel]; r += js * x[partner]; then the phase; then x[sel] = r, seven
+    numpy calls where the two halves take eleven, and on small states the
+    calls, not the data, are the cost. Past GATHER_DIM the per-element cost
+    of a flat gather dominates and the halves are read as strided views
+    along the pair's axis (index arrays where the axis indices form no
+    run). The switch sits where best-of-5 timings of both kernels on one
+    CPU crossed: the gather took about half the views' time on 27 and 256
+    amplitudes and two thirds on 3,125, tied with them from 4,096 to
+    7,776, and took 1.1 to 1.6 times their time from 16,384 up (46,656
+    and 65,536 included).
+
+    Each amplitude sees the same operations in the same order under both
+    kernels and as with a new array per pair, so the result is the same
+    to the bit. The scalars stay where they were: c and js on the left of
+    their products and ph on the right, since numpy can round a product
+    differently when its operands are swapped."""
     ph = np.exp(1j * beta)
     c, js = math.cos(beta), 1j * math.sin(beta)
-    out = amps.reshape(basis.shape)
+    gather = basis.dim <= GATHER_DIM
+    out = amps if gather else amps.reshape(basis.shape)
     for k, pair in enumerate(pairs):
-        _, d10, _, i10, i01 = _swap_partners(basis, pair)
-        if len(d10):
+        plan = _swap_partners(basis, pair)
+        if plan and gather:
+            sel, partner = plan
+            r = c * out[sel]
+            r += js * out[partner]
+        elif plan:
+            i10, i01 = plan
             a10, a01 = out[i10], out[i01]  # views when the index is a run
             r10 = c * a10
             r10 += js * a01
@@ -263,7 +311,9 @@ def _rotate(amps: np.ndarray, basis: Basis, pairs, beta: float) -> np.ndarray:
             out = out * ph  # the one full-size new array: amps is never written
         else:
             out *= ph
-        if len(d10):
+        if plan and gather:
+            out[sel] = r
+        elif plan:
             out[i10] = r10
             out[i01] = r01
     return out.ravel()
@@ -358,7 +408,7 @@ def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> Qu
     h = [np.zeros((len(s), len(s))) for s in basis.sectors]
     for mixer in mixer_list:
         for pair in mixer.pairs:
-            axis, d10, p01, _, _ = _swap_partners(basis, pair)
+            axis, d10, p01 = _pair_axis(basis, pair)
             perm = np.arange(len(h[axis]))
             perm[d10], perm[p01] = p01, d10
             h[axis] += np.eye(len(perm))[perm]

@@ -421,7 +421,10 @@ def run_experiment(instance: OsspInstance, objective, *, depth: int,
     """Optimize, then measure at the best parameters and annotate the result.
 
     The returned record is a pure function of the arguments; wall-clock data
-    lives in the sidecar field only.
+    lives in the sidecar field only: the start time, the total seconds, and
+    per stage the evaluation count, the optimizer's seconds and milliseconds
+    per evaluation, the final readout's seconds and the classical oracle's
+    seconds.
     """
     if shots < 0:
         raise DomainError("shots must be nonnegative")
@@ -429,7 +432,9 @@ def run_experiment(instance: OsspInstance, objective, *, depth: int,
     t0 = time.perf_counter()
     circuit = build_circuit(instance, objective, depth)
     state = basis_state(instance, initial_state, engine)
+    t_optimizer = time.perf_counter()
     record = run_optimizer(circuit, state, config)
+    t_readout = time.perf_counter()
     record.engine = engine
     record.initial_state = initial_state
     record.shots = shots
@@ -450,7 +455,9 @@ def run_experiment(instance: OsspInstance, objective, *, depth: int,
     record.best_feasible = (
         {"bitstring": min(feas)[1], "value": min(feas)[0]} if feas else None
     )
+    t_oracle = time.perf_counter()
     opt_value, opt_solutions = optimal_solutions(instance, objective)
+    t_oracle_done = time.perf_counter()
     record.classical_optimum = {
         "value": opt_value,
         "solutions": sorted(opt_solutions),
@@ -460,8 +467,14 @@ def run_experiment(instance: OsspInstance, objective, *, depth: int,
             rows_i = histogram(entry["accepted_params"],
                                _stream(config.seed, _STREAM_ITER_HIST, i))
             entry["histogram"] = {row["bitstring"]: row[key] for row in rows_i}
+    optimizer_seconds = t_readout - t_optimizer
     record.sidecar = {
         "started_at": started,
         "wall_clock_seconds": time.perf_counter() - t0,
+        "n_evaluations": record.n_evaluations,
+        "optimizer_seconds": optimizer_seconds,
+        "ms_per_evaluation": 1e3 * optimizer_seconds / record.n_evaluations,
+        "readout_seconds": t_oracle - t_readout,
+        "oracle_seconds": t_oracle_done - t_oracle,
     }
     return record

@@ -408,6 +408,16 @@ def test_optimize_and_report(tmp_path, capsys):
     assert main(["report", "--record", str(out)]) == 0
     table = capsys.readouterr().out
     assert "bitstring" in table and "010001100" in table
+    timing = table.splitlines()[-1]
+    assert timing.startswith(f"timing {doc['n_evaluations']} evaluations, optimizer ")
+    assert all(f"{doc['sidecar'][k]:.3f} s" in timing
+               for k in ("optimizer_seconds", "readout_seconds", "oracle_seconds"))
+    # records without stage timings still render, without the line
+    doc["sidecar"] = {"started_at": "then", "wall_clock_seconds": 1.0}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    assert main(["report", "--record", str(old)]) == 0
+    assert "timing" not in capsys.readouterr().out
 
     csv_out = tmp_path / "run.csv"
     assert main(["report", "--record", str(out), "--format", "csv",

@@ -75,6 +75,24 @@ def test_graph_counts():
     assert g111.n_vertices == 1 and g111.edge_count() == 0
 
 
+def test_constraint_graph_cap_refuses_before_allocating(monkeypatch):
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("adjacency allocated before the size check")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    # OSSP(1,300,300): 90,000 bits, a 7.5 GiB dense adjacency
+    with pytest.raises(CapabilityError, match="adjacency"):
+        build_constraint_graph(OsspInstance(1, 300, 300))
+    # the largest square under the cap still passes the check
+    side = math.isqrt(groups.GROUP_CLOSURE_CAP)
+    with pytest.raises(AssertionError, match="before the size check"):
+        build_constraint_graph(OsspInstance(1, side // 10, 10))
+    with pytest.raises(CapabilityError):
+        build_constraint_graph(OsspInstance(1, side // 10 + 1, 10))
+
+
 def test_graph_matches_coordinate_rule():
     # reference: bits are adjacent iff they share a position or a job
     import numpy as np

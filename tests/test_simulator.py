@@ -273,10 +273,19 @@ def test_mixer_kernel_matches_per_pair_formula_bit_for_bit():
         # weight-2 blocks put several patterns on each side of a pair
         (OSSP224, subspace_basis(OSSP224, "1100011000001001")),
         (OSSP133, full_basis(OSSP133.n_bits)),
+        # the ladder's shapes: 3,125 amplitudes on the gather kernel, 46,656
+        # on the view kernel, and OSSP(3,3,6)'s weight-0 blocks have no
+        # unequal patterns on their pairs
+        (OsspInstance(1, 5, 5), schedule_basis(OsspInstance(1, 5, 5))),
+        (OsspInstance(1, 6, 6), schedule_basis(OsspInstance(1, 6, 6))),
+        (OsspInstance(3, 3, 6), schedule_basis(OsspInstance(3, 3, 6))),
     ]
-    assert len(simulator._swap_partners(cases[2][1], (1, 2))[1]) == 2
+    assert len(simulator._pair_axis(cases[2][1], (1, 2))[1]) == 2
+    assert {b.dim <= simulator.GATHER_DIM for _, b in cases} == {True, False}
+    assert not len(simulator._pair_axis(cases[-1][1], mixers(cases[-1][0])[0].pairs[-1])[1])
+    far = (1, 3)  # jobs 1 and 3 in block 1: a non-adjacent pair
     for inst, basis in cases:
-        for _ in range(10):
+        for _ in range(10 if basis.dim <= simulator.GATHER_DIM else 2):
             amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
             state = QuantumState(basis, amps / np.linalg.norm(amps))
             beta = np.float64(rng.uniform(0, math.pi / 2))
@@ -290,6 +299,36 @@ def test_mixer_kernel_matches_per_pair_formula_bit_for_bit():
                 one = apply_swap_rotation(state, m.pairs[-1], beta)
                 ref = per_pair_rotation(state, m.pairs[-1], beta)
                 assert np.array_equal(one.amps.view(np.uint64), ref.amps.view(np.uint64))
+            one = apply_swap_rotation(state, far, beta)
+            ref = per_pair_rotation(state, far, beta)
+            assert np.array_equal(one.amps.view(np.uint64), ref.amps.view(np.uint64))
+
+
+def test_swap_memo_holds_only_the_plan_its_kernel_reads():
+    small, big = subspace_basis(OSSP224, Z0_224), schedule_basis(OsspInstance(1, 6, 6))
+    empty = schedule_basis(OsspInstance(3, 3, 6))
+    assert small.dim <= simulator.GATHER_DIM < big.dim
+    for inst, basis in ((OSSP224, small), (OsspInstance(1, 6, 6), big),
+                        (OsspInstance(3, 3, 6), empty)):
+        state = QuantumState(basis, np.ones(basis.dim, dtype=complex))
+        for m in mixers(inst):
+            apply_mixer(state, m, 0.4)
+        assert set(basis._partners) >= {p for m in mixers(inst) for p in m.pairs}
+    for plan in small._partners.values():
+        # two flat index arrays of equal length, no view tuples
+        sel, partner = plan
+        assert isinstance(sel, np.ndarray) and isinstance(partner, np.ndarray)
+        assert sel.ndim == 1 and sel.shape == partner.shape
+        assert not sel.flags.writeable and not partner.flags.writeable
+    for plan in big._partners.values():
+        # index tuples along one axis: nothing longer than a sector
+        for index in plan:
+            assert isinstance(index, tuple)
+            for part in index:
+                assert isinstance(part, slice) or len(part) <= max(big.shape)
+    # a weight-0 block's pair has no unequal patterns: its plan is empty
+    plans = [empty._partners[p] for m in mixers(OsspInstance(3, 3, 6)) for p in m.pairs]
+    assert sum(plan == () for plan in plans) == 3 * 5  # 3 idle blocks, 5 mixers
 
 
 def test_mixer_pair_order_commutes():

@@ -271,7 +271,32 @@ def test_run_experiment_record():
     assert len(rec.iterations) == 6
     for it in rec.iterations:
         assert sum(it["histogram"].values()) == 1024
-    assert set(rec.sidecar) == {"started_at", "wall_clock_seconds"}
+    assert set(rec.sidecar) == SIDECAR_KEYS
+
+
+SIDECAR_KEYS = {"started_at", "wall_clock_seconds", "n_evaluations", "optimizer_seconds",
+                "ms_per_evaluation", "readout_seconds", "oracle_seconds"}
+
+
+def test_stage_timings_reach_the_sidecar_only(monkeypatch):
+    kw = dict(depth=1, initial_state=Z0_133, shots=256, engine="subspace",
+              config=OptimizerConfig(kind="tr", seed=3, max_iters=30))
+    real = run_experiment(OSSP133, OBJ133, **kw).to_dict()
+    # a clock whose steps grow, so that every stage reads a different time
+    ticks = iter(range(1, 1000))
+    monkeypatch.setattr(vqa.time, "perf_counter", lambda: 0.5 * next(ticks) ** 2)
+    rec = run_experiment(OSSP133, OBJ133, **kw)
+    side, doc = rec.sidecar, rec.to_dict()
+    assert set(side) == SIDECAR_KEYS
+    n = side["n_evaluations"]
+    assert n == rec.n_evaluations > 1
+    assert side["ms_per_evaluation"] == 1e3 * side["optimizer_seconds"] / n
+    stages = [side[k] for k in ("optimizer_seconds", "readout_seconds", "oracle_seconds")]
+    assert all(t > 0 for t in stages) and len(set(stages)) == 3
+    assert sum(stages) < side["wall_clock_seconds"]
+    # the clock reaches nothing outside the sidecar
+    real.pop("sidecar"), doc.pop("sidecar")
+    assert json.dumps(real, sort_keys=True) == json.dumps(doc, sort_keys=True)
 
 
 def test_run_experiment_exact_distribution():
