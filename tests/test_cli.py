@@ -335,6 +335,12 @@ def test_negative_seeds_and_non_finite_angles_exit_2(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_negative_shots_exit_2(capsys):
+    # --shots 0, the default, is the exact readout; below it nothing is valid
+    assert main(["simulate", "--preset", "ossp133", "--shots", "-1"]) == 2
+    assert "shots must be nonnegative" in capsys.readouterr().err
+
+
 def test_strings_past_63_bits_exit_4(tmp_path, capsys):
     def shape(slots, jobs):
         return write_instance(tmp_path, f"i{slots}x{jobs}.json", {

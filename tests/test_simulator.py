@@ -1,5 +1,6 @@
 """Gate, engine, and circuit tests for the exact simulator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from ossvqa.instances import (
     enumerate_solutions,
     int_to_bits,
     linear_from_rows,
+    position_blocks,
 )
 from ossvqa.simulator import (
     Basis,
@@ -367,10 +369,14 @@ def test_phase_separator():
     assert sample(state, 512, seed=42) == sample(shifted, 512, seed=42)
 
 
+def schedule_string(inst):
+    """The schedule that puts job j at position j."""
+    return "".join("1" if p == j else "0" for p in range(inst.positions) for j in range(inst.jobs))
+
+
 def schedule_basis(inst):
-    """The restricted basis of the schedule that puts job j at position j."""
-    z = "".join("1" if p == j else "0" for p in range(inst.positions) for j in range(inst.jobs))
-    return subspace_basis(inst, z)
+    """The restricted basis of schedule_string(inst)."""
+    return subspace_basis(inst, schedule_string(inst))
 
 
 def ladder_cases(rng):
@@ -788,3 +794,149 @@ def test_states_are_independent():
     out = apply_mixer(st, mixer_hamiltonian(OSSP133, 1), 0.3)
     assert amplitude(st, Z0_133) == 1.0  # input untouched
     assert out is not st
+
+
+def random_schedule(inst, rng):
+    """A random feasible string: each job at its own random position."""
+    where = rng.permutation(inst.positions)[:inst.jobs]
+    return "".join("1" if where[j] == p else "0"
+                   for p in range(inst.positions) for j in range(inst.jobs))
+
+
+def dense(state):
+    """The same state without a support: every gate runs on the whole array."""
+    return QuantumState(state.basis, state.amps, None)
+
+
+def random_params(circuit, rng):
+    """Random angles with some exact zeros (skipped gates) and half turns."""
+    beta = rng.uniform(0.0, math.pi / 2, circuit.n_beta)
+    gamma = rng.uniform(-2.0, 2.0, circuit.n_gamma)
+    beta[rng.random(circuit.n_beta) < 0.25] = 0.0
+    beta[rng.random(circuit.n_beta) < 0.2] = math.pi / 2
+    gamma[rng.random(circuit.n_gamma) < 0.2] = 0.0
+    return ParameterVector(beta, gamma)
+
+
+def test_basis_state_support_is_the_start_and_the_phase_keeps_it():
+    inst = OsspInstance(1, 6, 6)
+    start = basis_state(inst, random_schedule(inst, np.random.default_rng(3)), "subspace")
+    index = np.unravel_index(int(np.flatnonzero(start.amps)[0]), start.basis.shape)
+    assert start.support == tuple((int(i), int(i) + 1) for i in index)
+    assert start.copy().support == start.support
+    d = np.triu(np.ones((6, 6), dtype=int), 1)
+    circuit = build_circuit(inst, TspObjective(tuple(map(tuple, (d + d.T).tolist()))), 1)
+    table = circuit.phase_table_for(start.basis)
+    assert apply_phase_separator(start, table, 0.3).support == start.support
+    # the gather kernel ignores the support and makes no claim
+    small = basis_state(OSSP224, Z0_224, "subspace")
+    assert small.support is not None
+    assert apply_mixer(small, mixer_hamiltonian(OSSP224, 1), 0.4).support is None
+
+
+def box_cases(rng):
+    """(instance, objective, depth, start, engine) on bases past GATHER_DIM:
+    the ladder's tour shape (deep enough for a box to fill the basis) and
+    non-busy shape, a start with weight-2 blocks, and full bases of 15 and
+    16 bits, whose box runs on one axis."""
+    d = np.triu(rng.integers(1, 10, (6, 6)), 1)
+    tour = TspObjective(tuple(map(tuple, (d + d.T).tolist())))
+    i166, i336, i155 = OsspInstance(1, 6, 6), OsspInstance(3, 3, 6), OsspInstance(1, 5, 5)
+    i153, i144 = OsspInstance(1, 5, 3), OsspInstance(1, 4, 4)
+
+    def weights(inst):
+        return linear_from_rows(inst, rng.integers(0, 10, (inst.positions, inst.jobs)).tolist())
+
+    # blocks {1,2}, {1,2}, {3}, {4}, {5}: 10^2 * 5^3 = 12,500 amplitudes
+    pairs2 = "11000" "11000" "00100" "00010" "00001"
+    return [
+        (i166, tour, 5, random_schedule(i166, rng), "subspace"),
+        (i336, weights(i336), 2, random_schedule(i336, rng), "subspace"),
+        (i155, weights(i155), 2, pairs2, "subspace"),
+        (i153, weights(i153), 2, random_schedule(i153, rng), "full"),
+        (i144, weights(i144), 2, random_schedule(i144, rng), "full"),
+    ]
+
+
+def test_support_box_matches_the_dense_kernel_bit_for_bit():
+    rng = np.random.default_rng(41)
+    ends = set()
+    for inst, objective, depth, z, engine in box_cases(rng):
+        circuit = build_circuit(inst, objective, depth)
+        start = basis_state(inst, z, engine)
+        assert start.basis.dim > simulator.GATHER_DIM
+        diag = circuit.phase_for(start.basis)
+        # the first mixer in application order, cut to the pairs with equal
+        # bits at the start: it leaves a one-element box, so its later pairs
+        # phase one amplitude (the in-place trap of _rotate)
+        first = circuit.mixers[0]
+        idle = tuple((a, b) for a, b in first.pairs if z[a - 1] == z[b - 1])
+        assert len(idle) >= 2
+        cut = dataclasses.replace(circuit, mixers=(
+            simulator.MixerHamiltonian(first.generator, idle),) + circuit.mixers[1:])
+        for c in (circuit, cut):
+            for _ in range(6):
+                params = random_params(c, rng)
+                first_slot = inst.jobs - 2  # B_{J-1} in round 1, the first mixer applied
+                params.beta[first_slot] = rng.uniform(0.1, 1.0)
+                params.beta[first_slot - 1] = 0.0
+                params.beta[-1] = math.pi / 2
+                got = apply_circuit(c, params, start)
+                want = apply_circuit(c, params, dense(start))
+                assert want.support is None
+                assert np.array_equal(got.amps, want.amps)
+                assert expectation(got, diag) == expectation(want, diag)
+                # the support's claim: exact zeros outside the box
+                outside = np.ones(start.basis.shape, dtype=bool)
+                outside[tuple(slice(lo, hi) for lo, hi in got.support or ())] = False
+                assert not np.any(got.amps.reshape(start.basis.shape)[outside])
+                ends.add(got.support is None)
+        one = apply_mixer(start, cut.mixers[0], 0.7)
+        assert math.prod(hi - lo for lo, hi in one.support) == 1
+        assert np.array_equal(one.amps, apply_mixer(dense(start), cut.mixers[0], 0.7).amps)
+    assert ends == {True, False}  # some boxes grow to the whole basis
+
+
+def test_support_box_with_two_pairs_on_one_axis():
+    # a hand-made mixer whose pairs share block 1, which holds job 1: the
+    # later pair widens the range that the earlier pair's plan was made for
+    inst = OsspInstance(1, 6, 6)
+    start = basis_state(inst, schedule_string(inst), "subspace")
+    block = position_blocks(inst)[0]
+    for pairs in (((block[0], block[1]), (block[1], block[2])),
+                  ((block[1], block[2]), (block[0], block[1]))):
+        m = simulator.MixerHamiltonian(1, pairs)
+        for beta in (0.3, math.pi / 2):
+            got = apply_mixer(start, m, beta)
+            assert np.array_equal(got.amps, apply_mixer(dense(start), m, beta).amps)
+
+
+def test_engines_agree_from_random_schedules():
+    """Full and subspace engines, support boxes included, from random
+    schedules of random small shapes and of 15- and 16-bit full bases,
+    against a dense full-engine run that never uses a support."""
+    rng = np.random.default_rng(43)
+    shapes = [OsspInstance(1, 5, 3), OsspInstance(1, 4, 4)]
+    while len(shapes) < 10:
+        m, t, j = (int(v) for v in rng.integers(1, 5, 3))
+        if j >= 2 and m * t >= j and m * t * j <= 12:
+            shapes.append(OsspInstance(m, t, j))
+    for inst in shapes:
+        if inst.machines == 1 and inst.time_slots == inst.jobs:
+            d = np.triu(rng.integers(1, 10, (inst.jobs, inst.jobs)), 1)
+            objective = TspObjective(tuple(map(tuple, (d + d.T).tolist())))
+        else:
+            objective = linear_from_rows(
+                inst, rng.uniform(-3, 3, (inst.positions, inst.jobs)).tolist())
+        circuit = build_circuit(inst, objective, int(rng.integers(1, 3)))
+        z = random_schedule(inst, rng)
+        params = random_params(circuit, rng)
+        full = basis_state(inst, z, "full")
+        ref = apply_circuit(circuit, params, dense(full))
+        sub = basis_state(inst, z, "subspace")
+        sector = sub.basis.values()
+        assert np.linalg.norm(ref.amps[sector]) == pytest.approx(1.0, abs=1e-12)
+        for start in (full, sub):
+            got = apply_circuit(circuit, params, start)
+            at = np.searchsorted(start.basis.values(), sector)
+            assert np.max(np.abs(got.amps[at] - ref.amps[sector])) < 1e-12
