@@ -43,10 +43,10 @@ from .instances import (
     int_to_bits,
     job_blocks,
     load_instance,
-    objective_values,
+    optimum,
     position_blocks,
     read_json,
-    solution_values,
+    scored_solutions,
 )
 from .presets import list_presets, resolve_preset
 from .simulator import (
@@ -141,20 +141,18 @@ def _parse_floats(text: str | None, what: str) -> list[float]:
 
 def cmd_enumerate(args) -> int:
     instance, objective, _ = _resolve_inputs(args)
-    solutions = solution_values(instance)
-    values = objective_values(objective, instance, solutions)
+    solutions, values = scored_solutions(instance, objective)
+    best, optimal = optimum(values)  # the oracle's tie rule
     order = np.lexsort((solutions, values))  # by value, ties by string
     scored = [
-        {"bitstring": int_to_bits(z, instance.n_bits), "value": v}
-        for z, v in zip(solutions[order].tolist(), values[order].tolist())
+        {"bitstring": int_to_bits(z, instance.n_bits), "value": v, "optimal": o}
+        for z, v, o in zip(solutions[order].tolist(), values[order].tolist(),
+                           optimal[order].tolist())
     ]
-    optimum = scored[0]["value"] if scored else None
-    for row in scored:
-        row["optimal"] = row["value"] == optimum
     record = {
         "instance": instance_to_dict(instance, objective),
         "n_solutions": len(scored),
-        "optimum": optimum,
+        "optimum": best,
         "solutions": scored,
     }
     _emit(record, args, csv_rows=scored)

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -100,6 +101,44 @@ def test_enumerate_csv_and_stdout(tmp_path, capsys):
     assert main(["enumerate", "--preset", "ossp133"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n_solutions"] == 6
+
+
+# SHA-256 of `ossvqa enumerate --preset P` on stdout and written to a .csv
+# file, as the per-bit scorer with exact-equality optima printed them; the
+# presets' integer weights tie exactly, so the shared tie rule prints the same
+ENUMERATE_SHA256 = {
+    "ossp224": ("e1c2f5747422b4b6d2d3375bc7a8ddc3eae537d5e2dbcea375c1369bc5bd6501",
+                "0c474d1a61f2fbedf176a2eb1a806b9b209aed182be29a712c09e1c7636e7e85"),
+    "ossp133": ("953a704936c68e0553aa908783aeee8bf0a5b442ba26ae81986601761b6c0c18",
+                "3451505bb342fd325c9b35a4395bae46a7e08fb3380610e8507e4405db5f5d38"),
+    "ossp133-restricted": ("953a704936c68e0553aa908783aeee8bf0a5b442ba26ae81986601761b6c0c18",
+                           "3451505bb342fd325c9b35a4395bae46a7e08fb3380610e8507e4405db5f5d38"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(ENUMERATE_SHA256))
+def test_enumerate_presets_are_byte_identical(preset, tmp_path, capsys):
+    json_sha, csv_sha = ENUMERATE_SHA256[preset]
+    assert main(["enumerate", "--preset", preset]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == json_sha
+    out = tmp_path / "rows.csv"
+    assert main(["enumerate", "--preset", preset, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+
+
+def test_enumerate_flags_optima_by_the_oracle_tie_rule(tmp_path):
+    # 0110 scores 0.0 + 0.3 = 0.3 and 1001 scores 0.1 + 0.2 =
+    # 0.30000000000000004: apart by exact equality, tied within 1e-12
+    doc = {"machines": 1, "time_slots": 2, "jobs": 2,
+           "objective": {"linear": {"weights": [[0.1, 0.3], [0.0, 0.2]]}}}
+    path = write_instance(tmp_path, "near_tie.json", doc)
+    out = tmp_path / "rows.json"
+    assert main(["enumerate", "--instance", path, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["solutions"]
+    assert [(r["bitstring"], r["value"], r["optimal"]) for r in rows] == [
+        ("0110", 0.3, True), ("1001", 0.30000000000000004, True)]
+    instance, objective = instances.load_instance(path)
+    assert instances.optimal_solutions(instance, objective) == (0.3, {"0110", "1001"})
 
 
 def test_enumerate_infeasible_instance(tmp_path, capsys):

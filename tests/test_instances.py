@@ -1,5 +1,6 @@
 """Core encoding, enumeration, and objective tests against frozen goldens."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -371,6 +372,108 @@ def test_solution_values_are_the_solutions():
     assert solution_values(OsspInstance(1, 63, 1)).tolist() == [1 << k for k in range(62, -1, -1)]
     with pytest.raises(CapabilityError, match="63-bit"):
         solution_values(OsspInstance(1, 64, 1))
+
+
+def permutation_values(instance):
+    """Reference: the strings of itertools.permutations(range(P), J), in
+    its order, with job j at the position the tuple gives it."""
+    n, jobs = instance.n_bits, instance.jobs
+    return [sum(1 << (n - (jobs * p + j + 1)) for j, p in enumerate(perm))
+            for perm in itertools.permutations(range(instance.positions), jobs)]
+
+
+def per_bit_value(obj, instance, z):
+    """Reference f(z): a Python float sum from +0.0, w * bit per bit in index
+    order, or every (u, v, j) tour term, zero distances included."""
+    total = 0.0
+    if isinstance(obj, LinearObjective):
+        for w, c in zip(obj.weights, z):
+            total += w * int(c)
+        return total
+    jobs = instance.jobs
+    bit = lambda t, j: int(z[jobs * (t - 1) + j - 1])  # noqa: E731
+    for u in range(1, jobs + 1):
+        for v in range(u + 1, jobs + 1):
+            for j in range(1, jobs + 1):
+                jn = j % jobs + 1
+                total += obj.distances[u - 1][v - 1] * (bit(u, j) * bit(v, jn) + bit(v, j) * bit(u, jn))
+    return total
+
+
+def test_phase_diagonal_matches_the_per_string_reference(monkeypatch):
+    """phase_separator against per_bit_value, byte for byte, on full bases
+    of at most 12 bits and on sectors of block weights 0, 1 and 2: linear
+    objectives with integer, real, negative, -0.0 and tied weights, and
+    tours with J = 2, 3 and 4 and zero distances. Every case runs with
+    groups built whole and, with STACK_CAP = 0, one term at a time."""
+    from ossvqa import instances
+    from ossvqa.simulator import full_basis, phase_separator, subspace_basis
+
+    rng = np.random.default_rng(61)
+    cases = []  # (instance, objective, block weights or None for the full basis)
+    for shape, weights in (((1, 2, 2), None), ((1, 3, 3), None), ((2, 2, 3), None),
+                           ((3, 2, 2), None), ((2, 2, 4), (1, 1, 1, 1)), ((2, 2, 4), (2, 1, 0, 1)),
+                           ((2, 3, 4), (2, 0, 1, 2, 1, 0)), ((3, 3, 3), (1, 0, 2, 1, 1, 0, 0, 2, 1))):
+        inst = OsspInstance(*shape)
+        n = inst.n_bits
+        signed = rng.uniform(-2, 2, n)
+        signed[rng.random(n) < 0.4] = -0.0
+        for w in (rng.integers(0, 10, n), rng.uniform(-5, 5, n), -rng.integers(0, 4, n).astype(float),
+                  rng.choice([0.1, 0.2, 0.3], n), signed):
+            cases.append((inst, LinearObjective(tuple(w.tolist())), weights))
+    for cities, sectors in ((2, (None, (1, 1), (2, 0))), (3, (None, (1, 1, 1), (2, 1, 0), (2, 2, 2))),
+                            (4, ((1, 1, 1, 1), (2, 1, 0, 1), (2, 2, 2, 2)))):
+        inst = OsspInstance(1, cities, cities)
+        for d in (rng.integers(0, 4, (cities, cities)), rng.choice([0.0, 0.1, 0.2, 0.3], (cities, cities))):
+            d = np.triu(d, 1)
+            tour = TspObjective(tuple(map(tuple, (d + d.T).tolist())))
+            cases.extend((inst, tour, weights) for weights in sectors)
+    for inst, obj, weights in cases:
+        if weights is None:
+            basis = full_basis(inst.n_bits)
+        else:
+            basis = subspace_basis(inst, "".join("1" * w + "0" * (inst.jobs - w) for w in weights))
+        strings = [int_to_bits(v, inst.n_bits) for v in basis.values().tolist()]
+        want = np.array([per_bit_value(obj, inst, z) for z in strings]).tobytes()
+        assert phase_separator(obj, inst, basis).tobytes() == want
+        with monkeypatch.context() as patch:
+            patch.setattr(instances, "STACK_CAP", 0)
+            assert phase_separator(obj, inst, basis).tobytes() == want
+
+
+def test_solution_values_follow_itertools_permutations():
+    # J = 1, P = J and P > J
+    for shape in ((1, 1, 1), (1, 4, 1), (3, 2, 1), (1, 3, 3), (2, 2, 4), (1, 5, 5),
+                  (1, 3, 2), (2, 3, 4), (3, 3, 2), (2, 4, 3)):
+        inst = OsspInstance(*shape)
+        assert solution_values(inst).tolist() == permutation_values(inst)
+
+
+def test_oracle_matches_per_bit_brute_force():
+    rng = np.random.default_rng(53)
+    cases = [(OsspInstance(1, 2, 2), LinearObjective((0.1, 0.3, 0.0, 0.2)))]
+    for shape in ((1, 3, 3), (2, 2, 3), (1, 4, 2), (2, 2, 4), (3, 2, 3)):
+        inst = OsspInstance(*shape)
+        n = inst.n_bits
+        # near-ties: sums of tenths that differ in the last bits, and pairs
+        # of weights 5e-13 (tied) and 5e-11 (not tied) apart
+        tenths = rng.choice([0.1, 0.2, 0.3, 0.6, 0.7], n)
+        nudged = rng.integers(0, 3, n) + rng.choice([0.0, 5e-13, 5e-11], n)
+        for w in (rng.integers(-3, 4, n), rng.uniform(-1, 1, n), tenths, nudged):
+            cases.append((inst, LinearObjective(tuple(w.tolist()))))
+    for cities in (2, 3, 4, 5):
+        for d in (rng.integers(0, 3, (cities, cities)), rng.choice([0.1, 0.2, 0.3], (cities, cities))):
+            d = np.triu(d, 1)
+            cases.append((OsspInstance(1, cities, cities), TspObjective(tuple(map(tuple, (d + d.T).tolist())))))
+    near = 0
+    for inst, obj in cases:
+        strings = [int_to_bits(v, inst.n_bits) for v in permutation_values(inst)]
+        values = [per_bit_value(obj, inst, z) for z in strings]
+        best = min(values)
+        tied = {z for z, v in zip(strings, values) if abs(v - best) < 1e-12}
+        assert optimal_solutions(inst, obj) == (best, tied)
+        near += any(v != best for z, v in zip(strings, values) if z in tied)
+    assert near >= 3  # some tied sets hold values that differ in the last bits
 
 
 def test_enumerate_solutions_stops_at_63_bits():
