@@ -27,10 +27,13 @@ A start is one basis state and a swap moves amplitude only between
 partner patterns along one block's axis, so amplitude spreads one block
 pattern at a time. A state therefore carries a support: per amplitude
 axis, the [lo, hi) index range outside which every amplitude is exactly
-zero. basis_state sets it, the phase layer passes it through, and on
-bases larger than GATHER_DIM a mixer widens it to the swap partners and
-runs only on that box. Results equal those of the whole-array kernel to
-the bit, apart from the sign of zeros outside the box.
+zero, and None is the whole basis. basis_state sets it, the phase layer
+passes it through, and on bases larger than GATHER_DIM a mixer widens it
+to the swap partners and runs only on that box. Two kernels apply the
+swaps: a flat gather on bases of at most GATHER_DIM amplitudes, and
+strided views on the support box past it. Both read one table per swap
+pair, memoised on the basis. Results equal those of the per-pair formula
+to the bit, apart from the sign of zeros outside the box.
 
 All state comparisons in tests use fidelity |<phi|psi>| since pi/2 rotations
 introduce global phases of i per swapped pair.
@@ -74,13 +77,14 @@ BETA_LO, BETA_HI = 0.0, math.pi / 2
 class Basis:
     """A tensor product of per-block sectors: sectors[k] holds block k's
     allowed bit patterns in ascending order and masks[k] holds its bits.
-    The full 2^N basis is the single sector of all N-bit values."""
+    The full 2^N basis is the single sector of all N-bit values. _plans
+    memoises the mixer kernels' bookkeeping: each swap pair's table
+    (_pair_axis) and, past GATHER_DIM, its plan per axis range (_box_plan)."""
 
     n_bits: int
     sectors: tuple[np.ndarray, ...]
     masks: tuple[int, ...]
-    _partners: dict = field(default_factory=dict, repr=False)
-    _boxes: dict = field(default_factory=dict, repr=False)
+    _plans: dict = field(default_factory=dict, repr=False)
 
     @property
     def engine(self) -> str:
@@ -118,12 +122,12 @@ class Basis:
 class QuantumState:
     """Amplitudes over a basis, in its order.
 
-    support is derived, not a setting: None makes no claim, and otherwise
-    it holds one [lo, hi) index range per amplitude axis (basis.shape)
-    outside which every amplitude is exactly zero. basis_state sets it to
-    the start's index on each axis, the phase layer passes it through, and
-    the view kernel widens it (see _rotate). Whoever builds a state by hand
-    and gives it a support vouches for the zeros."""
+    support is derived, not a setting: one [lo, hi) index range per
+    amplitude axis (basis.shape) outside which every amplitude is exactly
+    zero, and None is the whole basis. basis_state sets it to the start's
+    index on each axis, the phase layer passes it through, and a mixer past
+    GATHER_DIM widens it (see _rotate). Whoever builds a state by hand and
+    gives it a support vouches for the zeros."""
 
     basis: Basis
     amps: np.ndarray
@@ -157,14 +161,13 @@ def subspace_basis(instance: OsspInstance, z: str) -> Basis:
 
 @functools.lru_cache(maxsize=64)
 def _sector_basis(instance: OsspInstance, weights: tuple[int, ...]) -> Basis:
-    """Shared by all starts with these block weights, so they share its swap
-    partner memo. The memo holds flat index arrays (two per pair, each
-    of at most GATHER_DIM entries) only on bases the gather kernel runs,
-    and strided views' per-axis indices on larger ones, so keeping it is
-    cheap; so is the support-box memo of larger bases, which holds
-    per-axis indices for each range a start's boxes reach.
-    Past 63 bits, or past DIM_CAP strings (prod_k C(J, w_k)), it raises
-    CapabilityError before any pattern is listed."""
+    """Shared by all starts with these block weights, so they share its plan
+    memo. That memo holds per-axis indices (one table per swap pair, and
+    past GATHER_DIM one box plan per pair and axis range a start's boxes
+    reach) and, up to GATHER_DIM, two flat index arrays per pair, so
+    keeping it is cheap. Past 63 bits, or past DIM_CAP strings
+    (prod_k C(J, w_k)), it raises CapabilityError before any pattern is
+    listed."""
     n = instance.n_bits
     as_int64((), n)
     if math.prod(math.comb(instance.jobs, w) for w in weights) > DIM_CAP:
@@ -234,21 +237,45 @@ def basis_strings(basis: Basis) -> list[str]:
 
 
 def _pair_axis(basis: Basis, pair) -> tuple:
-    """(axis, d10, p01) for the 1-based bit pair: the axis whose block holds
-    both bits, the indices along it of patterns with bits (1, 0) on the
-    pair, and those of their swapped partners (present, as a sector holds
-    every pattern of its weight)."""
-    a, b = pair
-    n = basis.n_bits
-    if not (1 <= a <= n and 1 <= b <= n) or a == b:
-        raise DomainError(f"invalid bit pair {tuple(pair)!r} for {n} bits")
-    ma, mb = 1 << (n - a), 1 << (n - b)
-    axis = next((k for k, m in enumerate(basis.masks) if m & ma and m & mb), None)
-    if axis is None:
-        raise DomainError(f"swap on pair {tuple(pair)} leaves the restricted basis")
-    patterns = basis.sectors[axis]
-    d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
-    return axis, d10, np.searchsorted(patterns, patterns[d10] ^ (ma | mb))
+    """The table of the 1-based bit pair, memoised on the basis by pair:
+    (axis, d10, p01, partner, flat).
+
+    axis is the amplitude axis whose block holds both bits; d10 holds the
+    indices along it of patterns with bits (1, 0) on the pair and p01
+    those of their swapped partners (present, as a sector holds every
+    pattern of its weight); partner maps each index along the axis to its
+    swap partner, and to itself where the bits are equal. On a basis of at
+    most GATHER_DIM amplitudes, flat is the gather kernel's plan: the flat
+    indices of the (1, 0) entries followed by those of their (0, 1)
+    partners, and the same two halves swapped; it is () on larger bases
+    and where d10 is empty. Keeping it in the table gives the gather
+    kernel one lookup per pair and no key to build."""
+    pair = tuple(pair)
+    table = basis._plans.get(pair)
+    if table is None:
+        a, b = pair
+        n = basis.n_bits
+        if not (1 <= a <= n and 1 <= b <= n) or a == b:
+            raise DomainError(f"invalid bit pair {pair!r} for {n} bits")
+        ma, mb = 1 << (n - a), 1 << (n - b)
+        axis = next((k for k, m in enumerate(basis.masks) if m & ma and m & mb), None)
+        if axis is None:
+            raise DomainError(f"swap on pair {pair} leaves the restricted basis")
+        patterns = basis.sectors[axis]
+        d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
+        p01 = np.searchsorted(patterns, patterns[d10] ^ (ma | mb))
+        partner = np.arange(len(patterns))
+        partner[d10], partner[p01] = p01, d10
+        flat = ()
+        if len(d10) and basis.dim <= GATHER_DIM:
+            lead = (slice(None),) * axis
+            index = np.arange(basis.dim).reshape(basis.shape)
+            i10, i01 = index[lead + (d10,)].ravel(), index[lead + (p01,)].ravel()
+            flat = np.concatenate([i10, i01]), np.concatenate([i01, i10])
+            for half in flat:
+                half.setflags(write=False)  # shared between callers
+        table = basis._plans[pair] = axis, d10, p01, partner, flat
+    return table
 
 
 def _run(idx: np.ndarray):
@@ -260,33 +287,6 @@ def _run(idx: np.ndarray):
     return idx
 
 
-def _swap_partners(basis: Basis, pair) -> tuple:
-    """The plan _rotate's kernel for this basis reads for the pair,
-    memoised on the basis: () when no pattern of the pair's block has
-    unequal bits on it; on a basis of at most GATHER_DIM amplitudes,
-    (sel, partner), the flat indices of the (1, 0) entries followed by
-    those of their (0, 1) partners, and the same two halves swapped; on a
-    larger basis, (i10, i01), index tuples into the reshaped amplitudes
-    that pick the two halves (views where the indices along the axis form
-    a run)."""
-    pair = tuple(pair)
-    if pair not in basis._partners:
-        axis, d10, p01 = _pair_axis(basis, pair)
-        lead = (slice(None),) * axis
-        if not len(d10):
-            plan = ()
-        elif basis.dim <= GATHER_DIM:
-            flat = np.arange(basis.dim).reshape(basis.shape)
-            i10, i01 = flat[lead + (d10,)].ravel(), flat[lead + (p01,)].ravel()
-            plan = np.concatenate([i10, i01]), np.concatenate([i01, i10])
-            for index in plan:
-                index.setflags(write=False)  # shared between callers
-        else:
-            plan = lead + (_run(d10),), lead + (_run(p01),)
-        basis._partners[pair] = plan
-    return basis._partners[pair]
-
-
 def _box_plan(basis: Basis, pair, support) -> tuple:
     """(axis, span, plan) for the pair on a basis past GATHER_DIM, given a
     support box (one [lo, hi) range per axis).
@@ -294,19 +294,12 @@ def _box_plan(basis: Basis, pair, support) -> tuple:
     span is the smallest range that holds the box's range on the pair's
     axis and the swap partner of each index in it; plan is the view
     kernel's (i10, i01) index tuples into a box of that span along the
-    axis, counted from its lo, or () when no unequal pattern lies in it;
-    on the whole axis it equals _swap_partners' plan. Memoised on the
-    basis by pair and range: a start's boxes repeat from one evaluation
-    to the next."""
-    pair = tuple(pair)
-    if pair not in basis._boxes:
-        axis, d10, p01 = _pair_axis(basis, pair)
-        partner = np.arange(basis.shape[axis])
-        partner[d10], partner[p01] = p01, d10
-        basis._boxes[pair] = axis, partner, d10, p01
-    axis, partner, d10, p01 = basis._boxes[pair]
-    key = pair + support[axis]
-    if key not in basis._boxes:
+    axis, counted from its lo (views where the indices form a run), or ()
+    when no unequal pattern lies in it. Memoised on the basis by pair and
+    range: a start's boxes repeat from one evaluation to the next."""
+    axis, d10, p01, partner, _ = _pair_axis(basis, pair)
+    key = tuple(pair) + support[axis]
+    if key not in basis._plans:
         lo, hi = support[axis]
         while True:
             seg = partner[lo:hi]
@@ -318,13 +311,14 @@ def _box_plan(basis: Basis, pair, support) -> tuple:
         if np.any(keep := (d10 >= lo) & (d10 < hi)):
             lead = (slice(None),) * axis
             plan = lead + (_run(d10[keep] - lo),), lead + (_run(p01[keep] - lo),)
-        basis._boxes[key] = span, plan
-    return axis, *basis._boxes[key]
+        basis._plans[key] = span, plan
+    return axis, *basis._plans[key]
 
 
 def _rotate(state: QuantumState, pairs, beta: float) -> QuantumState:
     """The swap rotations on the given pairs, one after another; returns a
-    new state and never writes to state.amps.
+    new state and never writes to state.amps. DomainError when beta is not
+    finite.
 
     One output array serves every pair. Per pair, the rotated values
     c*a10 + i s*a01 and c*a01 + i s*a10 are read off the current array
@@ -346,15 +340,15 @@ def _rotate(state: QuantumState, pairs, beta: float) -> QuantumState:
     7,776, and took 1.1 to 1.6 times their time from 16,384 up (46,656
     and 65,536 included).
 
-    Past GATHER_DIM the view kernel runs only on the state's support box.
-    Each pair widens its axis's range to hold the swap partners of the
-    range, and the pairs are gone over again until no range grows, so the
-    box holds the partner of every index in it. The kernel then runs on
-    that box, as a view of the input, and one fresh full-size array, zero
-    outside it, takes the result and keeps the box as its support. Without
-    a support, or once the box is the whole basis, the kernel runs on the
-    whole array and the result has no support. The gather kernel ignores
-    the support and returns a state without one: on its bases the cost is
+    Past GATHER_DIM the view kernel runs on the state's support box, the
+    whole basis when the support is None. Each pair widens its axis's
+    range to hold the swap partners of the range, and the pairs are gone
+    over again until no range grows, so the box holds the partner of every
+    index in it. The kernel then runs on that box, as a view of the input.
+    A box smaller than the basis goes into one fresh full-size array, zero
+    outside it, that keeps the box as its support; a box of the whole
+    basis is the result, with support None. The gather kernel ignores the
+    support and returns a state without one: on its bases the cost is
     numpy calls, not amplitudes.
 
     Each amplitude sees the same operations in the same order under both
@@ -365,16 +359,17 @@ def _rotate(state: QuantumState, pairs, beta: float) -> QuantumState:
     differently when its operands are swapped. A one-element array takes
     the phase out of place: numpy runs an in-place product of one element
     as a reduction, which rounds differently."""
+    if not math.isfinite(beta):
+        raise DomainError("mixer angles must be finite")
     basis = state.basis
     ph = np.exp(1j * beta)
     c, js = math.cos(beta), 1j * math.sin(beta)
     gather = basis.dim <= GATHER_DIM
-    box = None
-    if gather or state.support is None:
-        out = state.amps if gather else state.amps.reshape(basis.shape)
-        plans = [_swap_partners(basis, pair) for pair in pairs]
+    if gather:
+        out = state.amps
+        plans = [_pair_axis(basis, pair)[4] for pair in pairs]
     else:
-        support = list(state.support)
+        support = list(state.support or ((0, n) for n in basis.shape))
         while True:
             steps = []
             for pair in pairs:
@@ -410,7 +405,7 @@ def _rotate(state: QuantumState, pairs, beta: float) -> QuantumState:
         elif plan:
             out[i10] = r10
             out[i01] = r01
-    if box is None or out.shape == basis.shape:
+    if gather or out.shape == basis.shape:
         return QuantumState(basis, out.ravel())
     amps = np.zeros(basis.shape, dtype=out.dtype)
     amps[box] = out
@@ -447,21 +442,22 @@ def mixers(instance: OsspInstance) -> list[MixerHamiltonian]:
 
 
 def apply_mixer(state: QuantumState, mixer: MixerHamiltonian, beta: float) -> QuantumState:
-    """Product of the P commuting swap rotations at the same angle.
+    """Product of the P commuting swap rotations at the same angle;
+    DomainError when beta is not finite.
 
-    On a basis larger than GATHER_DIM a state with a support (a start from
-    basis_state and what the circuit makes of it) runs the view kernel on
-    its support box only: each pair's axis range grows to hold the swap
-    partners of its indices, and the result is zero outside the grown box,
-    which becomes its support. Up to GATHER_DIM the gather kernel runs on
-    every amplitude and returns no support, since there the cost is numpy
-    calls, not amplitudes. Amplitudes, expectations and samples are the
-    same to the bit as without a support; only the sign of zeros outside
-    the box can differ. See _rotate for the kernels and the numpy rounding
-    trap a one-element box meets. From the identity schedule, apply_circuit
-    on the ladder's 46,656-amplitude rungs fell from 8.06 to 2.48 ms (tour
-    OSSP(1,6,6), depth 2) and from 4.51 to 0.89 ms (OSSP(3,3,6), depth 1)
-    on one thread of a shared 2-CPU x86_64 host."""
+    Up to GATHER_DIM amplitudes the gather kernel runs on every amplitude
+    and returns no support, since there the cost is numpy calls, not
+    amplitudes. On a larger basis the view kernel runs on the state's
+    support box, the whole basis when the support is None: each pair's
+    axis range grows to hold the swap partners of its indices, and the
+    result is zero outside the grown box, which becomes its support.
+    Amplitudes, expectations and samples are the same to the bit whatever
+    the support; only the sign of zeros outside the box can differ. See
+    _rotate for the kernels and the numpy rounding trap a one-element box
+    meets. From the identity schedule, apply_circuit on the ladder's
+    46,656-amplitude rungs fell from 8.06 to 2.48 ms (tour OSSP(1,6,6),
+    depth 2) and from 4.51 to 0.89 ms (OSSP(3,3,6), depth 1) on one thread
+    of a shared 2-CPU x86_64 host (BENCH_11.json, with a support)."""
     return _rotate(state, mixer.pairs, beta)
 
 
@@ -524,21 +520,22 @@ def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> Qu
 
     Every SWAP term acts inside one position block, so the sum splits into
     commuting per-block terms and the exponential into one small matrix per
-    amplitude axis. A single-member family therefore equals apply_mixer with
-    beta -> -beta.
+    amplitude axis: the sum of the axis's SWAP permutation matrices, read
+    off the pair tables. A single-member family therefore equals apply_mixer
+    with beta -> -beta. DomainError when beta is not finite.
     """
     basis = state.basis
     if basis.engine == "full":
         raise CapabilityError("the simultaneous mixer needs the restricted engine")
+    if not math.isfinite(beta):
+        raise DomainError("mixer angles must be finite")
     from scipy.linalg import expm
 
     h = [np.zeros((len(s), len(s))) for s in basis.sectors]
     for mixer in mixer_list:
         for pair in mixer.pairs:
-            axis, d10, p01 = _pair_axis(basis, pair)
-            perm = np.arange(len(h[axis]))
-            perm[d10], perm[p01] = p01, d10
-            h[axis] += np.eye(len(perm))[perm]
+            axis, _, _, partner, _ = _pair_axis(basis, pair)
+            h[axis] += np.eye(len(partner))[partner]
     gates = {}  # busy blocks share one generator: exponentiate it once
     amps = state.amps.reshape(basis.shape)
     for axis, hk in enumerate(h):
@@ -564,31 +561,23 @@ def expectation(state: QuantumState, diag: np.ndarray) -> float:
     return float(_born(state) @ diag)
 
 
-def sample_counts(state: QuantumState, shots: int, seed) -> np.ndarray:
-    """Multinomial measurement counts per basis index, in amplitude order;
-    identical seed gives identical counts."""
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
-    probs = np.clip(_born(state), 0.0, None)
-    probs = probs / probs.sum()
-    return np.random.default_rng(seed).multinomial(shots, probs)
-
-
 def readout(state: QuantumState, shots: int = 0, seed=None) -> tuple[np.ndarray, np.ndarray]:
     """(weights, order): the measured histogram of state on basis indices.
 
     With shots = 0 the weights are the Born probabilities and order keeps
-    those above PROB_FLOOR; otherwise they are the seeded sample_counts and
-    order keeps the sampled indices. order runs by descending weight, ties
-    by ascending string value: amplitude order is ascending string value
-    and the sort is stable. Negative shots raise DomainError."""
+    those above PROB_FLOOR; otherwise they are multinomial counts of the
+    Born probabilities, identical for an identical seed, and order keeps
+    the sampled indices. order runs by descending weight, ties by
+    ascending string value: amplitude order is ascending string value and
+    the sort is stable. Negative shots raise DomainError."""
     if shots < 0:
         raise DomainError("shots must be nonnegative")
     if shots == 0:
         weights = _born(state)
         keep = np.flatnonzero(weights > PROB_FLOOR)
     else:
-        weights = sample_counts(state, shots, seed)
+        probs = np.clip(_born(state), 0.0, None)
+        weights = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
         keep = np.flatnonzero(weights)
     return weights, keep[np.argsort(-weights[keep], kind="stable")]
 
@@ -631,16 +620,23 @@ class Circuit:
     beta is a (depth, J-1) grid: beta[r(J-1)+i-1] drives B_i in round r
     (0-based), after e^{i gamma[r] f}. At beta = (pi/2, ..., pi/2) and
     gamma = 0 one round realizes the job permutation tau_1 o tau_2 o ...
-    (tau_{J-1} acting first).
+    (tau_{J-1} acting first). n_beta = depth (J-1) and n_gamma = depth
+    follow from depth and the instance.
     """
 
     instance: OsspInstance
     objective: Objective
     depth: int
-    n_beta: int
-    n_gamma: int
     mixers: tuple[MixerHamiltonian, ...] = field(repr=False)
     _sep_cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def n_beta(self) -> int:
+        return self.depth * (self.instance.jobs - 1)
+
+    @property
+    def n_gamma(self) -> int:
+        return self.depth
 
     def phase_for(self, basis: Basis) -> np.ndarray:
         """The phase diagonal over basis, built once per basis together
@@ -679,15 +675,16 @@ def build_circuit(instance: OsspInstance, objective: Objective, depth: int) -> C
         instance=instance,
         objective=objective,
         depth=depth,
-        n_beta=depth * (instance.jobs - 1),
-        n_gamma=depth,
         mixers=tuple(reversed(mixers(instance))),
     )
 
 
 def clamp_beta(beta: np.ndarray) -> np.ndarray:
-    """Force mixer angles into [0, pi/2], warning when anything moved."""
+    """Force mixer angles into [0, pi/2], warning when anything moved;
+    DomainError when one is not finite."""
     beta = np.asarray(beta, dtype=float)
+    if not np.all(np.isfinite(beta)):
+        raise DomainError("mixer angles must be finite")
     if np.any(beta < BETA_LO - 1e-12) or np.any(beta > BETA_HI + 1e-12):
         warnings.warn(
             "mixer angles outside [0, pi/2] were clamped", stacklevel=3
@@ -697,7 +694,10 @@ def clamp_beta(beta: np.ndarray) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState) -> QuantumState:
     """The circuit round by round, with beta clamped into [0, pi/2] and read
-    as the (depth, J-1) grid of the Circuit docstring.
+    as the (depth, J-1) grid of the Circuit docstring. DomainError when the
+    slot counts do not match or an angle is not finite: a NaN or infinite
+    beta is refused before clamping, and a gamma whose phase would not be
+    finite by the phase layer.
 
     A gate whose angle is exactly 0 (beta after clamping, gamma as given) is
     the identity e^{i 0 H} = I and is skipped; the phase diagonal and its
@@ -707,9 +707,9 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
 
     A start from basis_state carries its support, so on bases larger than
     GATHER_DIM the first rounds' mixers run on the box amplitude has
-    reached (apply_mixer). That too changes at most the sign of zeros, so
-    the result's amplitudes, expectation and samples are those of a run
-    without a support."""
+    reached (apply_mixer); a state without one runs on the box of the whole
+    basis. That too changes at most the sign of zeros, so the result's
+    amplitudes, expectation and samples do not depend on the support."""
     if len(params.beta) != circuit.n_beta or len(params.gamma) != circuit.n_gamma:
         raise DomainError(
             f"parameter shape ({len(params.beta)} beta, {len(params.gamma)} gamma) "

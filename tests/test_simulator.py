@@ -306,31 +306,83 @@ def test_mixer_kernel_matches_per_pair_formula_bit_for_bit():
             assert np.array_equal(one.amps.view(np.uint64), ref.amps.view(np.uint64))
 
 
+def fresh(basis):
+    """The same basis with an empty plan memo."""
+    return Basis(basis.n_bits, basis.sectors, basis.masks)
+
+
+class WriteOnce(dict):
+    """A plan memo that fails when any entry is built twice."""
+
+    def __setitem__(self, key, value):
+        assert key not in self, f"{key} planned twice"
+        super().__setitem__(key, value)
+
+
 def test_swap_memo_holds_only_the_plan_its_kernel_reads():
-    small, big = subspace_basis(OSSP224, Z0_224), schedule_basis(OsspInstance(1, 6, 6))
-    empty = schedule_basis(OsspInstance(3, 3, 6))
-    assert small.dim <= simulator.GATHER_DIM < big.dim
-    for inst, basis in ((OSSP224, small), (OsspInstance(1, 6, 6), big),
-                        (OsspInstance(3, 3, 6), empty)):
-        state = QuantumState(basis, np.ones(basis.dim, dtype=complex))
-        for m in mixers(inst):
-            apply_mixer(state, m, 0.4)
-        assert set(basis._partners) >= {p for m in mixers(inst) for p in m.pairs}
-    for plan in small._partners.values():
+    i166, i336 = OsspInstance(1, 6, 6), OsspInstance(3, 3, 6)
+    cases = [(OSSP224, subspace_basis(OSSP224, Z0_224)), (i166, schedule_basis(i166)),
+             (i336, schedule_basis(i336))]
+    assert cases[0][1].dim <= simulator.GATHER_DIM < cases[1][1].dim
+    memos = []  # the last fresh basis of each case
+    for inst, shared in cases:
+        # one pair table per pair, whichever of the kernels and the
+        # simultaneous mixer asks first
+        for simultaneous_first in (True, False):
+            basis = fresh(shared)
+            basis._plans = WriteOnce()
+            state = QuantumState(basis, np.ones(basis.dim, dtype=complex) / basis.dim ** 0.5)
+            if simultaneous_first:
+                apply_simultaneous_mixer(state, mixers(inst), 0.4)
+            for m in mixers(inst):
+                apply_mixer(state, m, 0.4)
+            apply_simultaneous_mixer(state, mixers(inst), 0.4)
+            assert set(basis._plans) >= {p for m in mixers(inst) for p in m.pairs}
+        memos.append(basis)
+    small, big, empty = memos
+    tables = {k: v for k, v in small._plans.items() if len(k) == 2}
+    assert set(tables) == set(small._plans)  # no box plans on the gather kernel's bases
+    for *_, flat in tables.values():
         # two flat index arrays of equal length, no view tuples
-        sel, partner = plan
-        assert isinstance(sel, np.ndarray) and isinstance(partner, np.ndarray)
-        assert sel.ndim == 1 and sel.shape == partner.shape
-        assert not sel.flags.writeable and not partner.flags.writeable
-    for plan in big._partners.values():
+        sel, swapped = flat
+        assert isinstance(sel, np.ndarray) and isinstance(swapped, np.ndarray)
+        assert sel.ndim == 1 and sel.shape == swapped.shape
+        assert not sel.flags.writeable and not swapped.flags.writeable
+    for key, entry in big._plans.items():
+        if len(key) == 2:
+            assert entry[-1] == ()  # no flat plan past GATHER_DIM
+            continue
+        span, plan = entry
         # index tuples along one axis: nothing longer than a sector
         for index in plan:
             assert isinstance(index, tuple)
             for part in index:
                 assert isinstance(part, slice) or len(part) <= max(big.shape)
     # a weight-0 block's pair has no unequal patterns: its plan is empty
-    plans = [empty._partners[p] for m in mixers(OsspInstance(3, 3, 6)) for p in m.pairs]
+    pairs = [p for m in mixers(i336) for p in m.pairs]
+    plans = [empty._plans[p + (0, empty.shape[empty._plans[p][0]])][1] for p in pairs]
     assert sum(plan == () for plan in plans) == 3 * 5  # 3 idle blocks, 5 mixers
+
+
+def test_a_state_without_support_runs_as_the_whole_basis_box():
+    # a 46,656-amplitude sector with a hand-made mixer whose pairs share
+    # block 1, and a 15-bit full basis, whose pairs all share its one axis
+    rng = np.random.default_rng(5)
+    i166, i153 = OsspInstance(1, 6, 6), OsspInstance(1, 5, 3)
+    block = position_blocks(i166)[0]
+    shared = simulator.MixerHamiltonian(1, ((block[0], block[1]), (block[1], block[2])))
+    for inst, basis, family in ((i166, schedule_basis(i166), mixers(i166) + [shared]),
+                                (i153, full_basis(i153.n_bits), mixers(i153))):
+        assert basis.dim > simulator.GATHER_DIM
+        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        amps /= np.linalg.norm(amps)
+        whole = tuple((0, n) for n in basis.shape)
+        for m in family:
+            beta = rng.uniform(0.0, math.pi / 2)
+            got = apply_mixer(QuantumState(basis, amps, None), m, beta)
+            want = apply_mixer(QuantumState(basis, amps, whole), m, beta)
+            assert got.support is None and want.support is None
+            assert got.amps.tobytes() == want.amps.tobytes()
 
 
 def test_mixer_pair_order_commutes():
@@ -505,6 +557,73 @@ def test_simultaneous_mixer_exponentiates_each_generator_once(monkeypatch):
     apply_simultaneous_mixer(basis_state(OSSP224, "1100011000001001", "subspace"),
                              mixers(OSSP224), 0.4)
     assert len(calls) == 2  # weight-2 blocks share one, the empty block another
+
+
+def swapped(v, pair, n_bits):
+    """v with the bits of the 1-based pair exchanged."""
+    ma, mb = 1 << (n_bits - pair[0]), 1 << (n_bits - pair[1])
+    return v ^ (ma | mb) if bool(v & ma) != bool(v & mb) else v
+
+
+def test_simultaneous_mixer_matches_dense_expm_of_the_swap_sum():
+    """e^{-i beta sum_i B_i} as a dense matrix exponential of SWAP
+    permutations built bit by bit: on the full 2^9 basis of ossp133, then
+    restricted to the sector, and on a weight-2 ossp224 sector listed
+    from all 2^16 strings by block weights."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(23)
+    z224 = "1100011000001001"  # block weights 2, 2, 0, 2
+    blocks = position_blocks(OSSP224)
+    weights = [sum(z224[i - 1] == "1" for i in b) for b in blocks]
+    sector224 = [v for v in range(1 << 16) if all(
+        sum(v >> (16 - i) & 1 for i in b) == w for b, w in zip(blocks, weights))]
+    cases = [(OSSP133, Z0_133, list(range(1 << 9))), (OSSP224, z224, sector224)]
+    for inst, z, values in cases:
+        n = inst.n_bits
+        basis = subspace_basis(inst, z)
+        at = {v: k for k, v in enumerate(values)}
+        rows = np.array([at[v] for v in basis.values().tolist()])
+        family = mixers(inst)
+        for members in (family, family[:1]):
+            h = np.zeros((len(values), len(values)))
+            for mixer in members:
+                for pair in mixer.pairs:
+                    for k, v in enumerate(values):
+                        h[at[swapped(v, pair, n)], k] += 1.0
+            for beta in (0.37, -1.2):
+                amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+                amps /= np.linalg.norm(amps)
+                start = np.zeros(len(values), dtype=complex)
+                start[rows] = amps
+                want = expm(-1j * beta * h) @ start
+                # the sector is invariant: nothing leaks out of it
+                assert np.linalg.norm(np.delete(want, rows)) < 1e-12
+                got = apply_simultaneous_mixer(QuantumState(basis, amps), members, beta)
+                assert np.max(np.abs(got.amps - want[rows])) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_mixer_angles_raise(bad):
+    circuit = build_circuit(OSSP133, OBJ133, 1)
+    start = basis_state(OSSP133, Z0_133, "subspace")
+    with pytest.raises(DomainError, match="mixer angles must be finite"):
+        apply_circuit(circuit, ParameterVector([bad, 0.3], [0.2]), start)
+    with pytest.raises(DomainError, match="mixer angles must be finite"):
+        simulator.clamp_beta(np.array([0.1, bad]))
+    i166 = OsspInstance(1, 6, 6)
+    # both kernels, with and without a support
+    for inst, state in ((OSSP133, start), (OSSP133, basis_state(OSSP133, Z0_133)),
+                        (i166, basis_state(i166, schedule_string(i166), "subspace"))):
+        m = mixer_hamiltonian(inst, 1)
+        for st in (state, QuantumState(state.basis, state.amps)):
+            with pytest.raises(DomainError, match="mixer angles must be finite"):
+                apply_mixer(st, m, bad)
+            with pytest.raises(DomainError, match="mixer angles must be finite"):
+                apply_swap_rotation(st, m.pairs[0], bad)
+    with pytest.raises(DomainError, match="mixer angles must be finite"):
+        apply_simultaneous_mixer(start, mixers(OSSP133), bad)
 
 
 def test_expectation():
@@ -828,7 +947,7 @@ def test_basis_state_support_is_the_start_and_the_phase_keeps_it():
     circuit = build_circuit(inst, TspObjective(tuple(map(tuple, (d + d.T).tolist()))), 1)
     table = circuit.phase_table_for(start.basis)
     assert apply_phase_separator(start, table, 0.3).support == start.support
-    # the gather kernel ignores the support and makes no claim
+    # the gather kernel ignores the support: its result is the whole basis
     small = basis_state(OSSP224, Z0_224, "subspace")
     assert small.support is not None
     assert apply_mixer(small, mixer_hamiltonian(OSSP224, 1), 0.4).support is None
