@@ -1,18 +1,27 @@
 """Exact noiseless simulation of SWAP-rotation circuits.
 
-Two interchangeable engines hold the amplitudes:
+Two interchangeable engines hold the amplitudes, both as a tensor product
+of one sector per position block (a block's allowed bit patterns on its J
+bits), with one amplitude axis per block. Block 1 holds the most
+significant bits (bit 1, the leftmost printed character, is the most
+significant bit), so the flat order is ascending string value:
 
-- full: the complete 2^N computational basis, indexed by the integer value of
-  the bit string (bit 1, the leftmost printed character, is the most
-  significant bit);
+- full: every block's sector holds all 2^J patterns, so the basis is the
+  complete 2^N computational basis and a flat index is the integer value
+  of the string;
 - subspace: the strings sharing a reference string's Hamming weight inside
-  every position block. Mixers act inside position blocks and phase
-  separators are diagonal, so these weights are conserved and the
-  restriction is exact. The subspace is a tensor product of one sector per
-  block (the C(J, w) patterns of weight w on its J bits); amplitudes reshape
-  to one axis per block, and block 1 holds the most significant bits, so the
-  flat order is ascending string value. Started from a schedule of a busy
-  instance it holds J^P strings, of which J! are schedules.
+  every position block, the C(J, w) patterns of weight w per block. Mixers
+  act inside position blocks and phase separators are diagonal, so these
+  weights are conserved and the restriction is exact. Started from a
+  schedule of a busy instance it holds J^P strings, of which J! are
+  schedules.
+
+Both are built by one builder and interned by block layout, so every
+start of one engine (and block weights) shares one basis, whose pair
+tables have at most 2^J entries. A swap acts inside one block: a pair
+that spans two raises DomainError on either engine. pure_state, for gates
+on bits without an instance, holds all 2^n strings as one block on one
+axis, so any pair of its bits can swap.
 
 A swap rotation by angle beta multiplies basis states with equal bits on the
 pair by e^{i beta} and mixes unequal pairs as cos(beta)|z> + i sin(beta)
@@ -75,11 +84,13 @@ BETA_LO, BETA_HI = 0.0, math.pi / 2
 
 @dataclass(eq=False)
 class Basis:
-    """A tensor product of per-block sectors: sectors[k] holds block k's
-    allowed bit patterns in ascending order and masks[k] holds its bits.
-    The full 2^N basis is the single sector of all N-bit values. _plans
-    memoises the mixer kernels' bookkeeping: each swap pair's table
-    (_pair_axis) and, past GATHER_DIM, its plan per axis range (_box_plan)."""
+    """A tensor product of per-block sectors, built by _product_basis:
+    sectors[k] holds block k's allowed bit patterns in ascending order
+    (read-only) and masks[k] holds its bits. On the full engine each
+    position block's sector holds all its 2^J patterns; full_basis(n) is
+    the single sector of all n-bit values. _plans memoises the mixer
+    kernels' bookkeeping: each swap pair's table (_pair_axis) and, past
+    GATHER_DIM, its plan per axis range (_box_plan)."""
 
     n_bits: int
     sectors: tuple[np.ndarray, ...]
@@ -88,8 +99,8 @@ class Basis:
 
     @property
     def engine(self) -> str:
-        # a sector basis fixes the weight of every block of J >= 1 bits, and
-        # C(J, w) < 2^J, so only the full basis holds all 2^N strings
+        # a sector of one weight on a block of J >= 1 bits holds C(J, w) < 2^J
+        # patterns, so only all-pattern sectors give all 2^N strings
         return "full" if self.dim == 1 << self.n_bits else "subspace"
 
     @functools.cached_property
@@ -144,52 +155,66 @@ class QuantumState:
         return float(np.linalg.norm(self.amps))
 
 
-def full_basis(n_bits: int) -> Basis:
-    if (1 << n_bits) > DIM_CAP:
-        raise CapabilityError(f"full basis of 2^{n_bits} states would exceed {DIM_CAP} states")
-    values = np.arange(1 << n_bits, dtype=np.int64)
-    values.setflags(write=False)  # values() hands it out
-    return Basis(n_bits, (values,), ((1 << n_bits) - 1,))
-
-
-def subspace_basis(instance: OsspInstance, z: str) -> Basis:
-    """All strings sharing z's Hamming weight in every position block."""
-    check_bitstring(z, instance.n_bits)
-    weights = tuple(sum(z[i - 1] == "1" for i in block) for block in position_blocks(instance))
-    return _sector_basis(instance, weights)
-
-
 @functools.lru_cache(maxsize=64)
-def _sector_basis(instance: OsspInstance, weights: tuple[int, ...]) -> Basis:
-    """Shared by all starts with these block weights, so they share its plan
-    memo. That memo holds per-axis indices (one table per swap pair, and
+def _product_basis(blocks: tuple[tuple[int, int | None], ...]) -> Basis:
+    """The basis of one sector per block of consecutive bits, block 1 the
+    most significant: (width, weight) lists the block's width-bit patterns
+    of that weight, and weight None all 2^width of them. Every Basis is
+    built here. Past 63 bits, or past DIM_CAP strings (the product of the
+    sector sizes), it raises CapabilityError before any pattern is listed.
+
+    Interned: all callers with the same blocks share one Basis and so its
+    plan memo, which holds per-axis indices (one table per swap pair, and
     past GATHER_DIM one box plan per pair and axis range a start's boxes
-    reach) and, up to GATHER_DIM, two flat index arrays per pair, so
-    keeping it is cheap. Past 63 bits, or past DIM_CAP strings
-    (prod_k C(J, w_k)), it raises CapabilityError before any pattern is
-    listed."""
-    n = instance.n_bits
+    reach) and, up to GATHER_DIM, two flat index arrays per pair. On
+    position blocks of J bits a table has at most 2^J entries, so keeping
+    it is cheap. full_basis calls the uncached builder
+    (_product_basis.__wrapped__): its one axis makes every table O(2^n)."""
+    n = sum(width for width, _ in blocks)
     as_int64((), n)
-    if math.prod(math.comb(instance.jobs, w) for w in weights) > DIM_CAP:
-        raise CapabilityError(f"restricted basis would exceed {DIM_CAP} states")
-    sectors, masks = [], []
-    for block, weight in zip(position_blocks(instance), weights):
-        bit_masks = [1 << (n - i) for i in block]
-        patterns = sorted(sum(c) for c in itertools.combinations(bit_masks, weight))
-        sector = as_int64(patterns, n)
-        sector.setflags(write=False)  # shared between callers
+    if (size := math.prod(1 << w if k is None else math.comb(w, k) for w, k in blocks)) > DIM_CAP:
+        kind = "full" if size == 1 << n else "restricted"
+        raise CapabilityError(f"{kind} basis of {size} states would exceed {DIM_CAP} states")
+    sectors, masks, shift = [], [], n
+    for width, weight in blocks:
+        shift -= width
+        if weight is None:
+            sector = np.arange(1 << width, dtype=np.int64) << shift
+        else:
+            bits = [1 << (shift + b) for b in range(width)]
+            sector = as_int64(sorted(sum(c) for c in itertools.combinations(bits, weight)), n)
+        sector.setflags(write=False)  # shared between callers; values() may hand it out
         sectors.append(sector)
-        masks.append(sum(bit_masks))
+        masks.append(((1 << width) - 1) << shift)
     return Basis(n, tuple(sectors), tuple(masks))
 
 
+def full_basis(n_bits: int) -> Basis:
+    """All 2^n_bits strings as one block, so one amplitude axis: the basis
+    of pure_state, for gates on bits without an instance. Built afresh on
+    every call, since its pair tables and box plans are O(2^n_bits)."""
+    return _product_basis.__wrapped__(((n_bits, None),))
+
+
+def subspace_basis(instance: OsspInstance, z: str) -> Basis:
+    """All strings sharing z's Hamming weight in every position block: the
+    product of the position blocks' sectors of z's block weights, shared by
+    every start with those weights."""
+    check_bitstring(z, instance.n_bits)
+    weights = (sum(z[i - 1] == "1" for i in block) for block in position_blocks(instance))
+    return _product_basis(tuple((instance.jobs, w) for w in weights))
+
+
 def basis_state(instance: OsspInstance, z: str, engine="full") -> QuantumState:
-    """Unit amplitude on |z>. engine is 'full', 'subspace', or an explicit Basis."""
+    """Unit amplitude on |z>, with z's index on each axis as the support.
+    engine is 'full' (the product of the position blocks' full sectors,
+    one Basis per block layout), 'subspace' (subspace_basis(instance, z)),
+    or an explicit Basis."""
     check_bitstring(z, instance.n_bits)
     if isinstance(engine, Basis):
         basis = engine
     elif engine == "full":
-        basis = full_basis(instance.n_bits)
+        basis = _product_basis(((instance.jobs, None),) * instance.positions)
     elif engine == "subspace":
         basis = subspace_basis(instance, z)
     else:
@@ -201,7 +226,8 @@ def basis_state(instance: OsspInstance, z: str, engine="full") -> QuantumState:
 
 
 def pure_state(n_bits: int, z: str) -> QuantumState:
-    """Full-engine basis state without an instance (gate-level testing)."""
+    """Unit amplitude on |z> over full_basis(n_bits), one block and one
+    axis, without an instance or a support (gate-level testing)."""
     check_bitstring(z, n_bits)
     basis = full_basis(n_bits)
     amps = np.zeros(basis.dim, dtype=np.complex128)
@@ -240,12 +266,14 @@ def _pair_axis(basis: Basis, pair) -> tuple:
     """The table of the 1-based bit pair, memoised on the basis by pair:
     (axis, d10, p01, partner, flat).
 
-    axis is the amplitude axis whose block holds both bits; d10 holds the
-    indices along it of patterns with bits (1, 0) on the pair and p01
-    those of their swapped partners (present, as a sector holds every
-    pattern of its weight); partner maps each index along the axis to its
-    swap partner, and to itself where the bits are equal. On a basis of at
-    most GATHER_DIM amplitudes, flat is the gather kernel's plan: the flat
+    axis is the amplitude axis whose block holds both bits; a pair that
+    spans two blocks, as two position blocks on either instance engine,
+    raises DomainError. d10 holds the indices along the axis of patterns
+    with bits (1, 0) on the pair and p01 those of their swapped partners
+    (present, as a sector holds every pattern of its weight, or of its
+    block); partner maps each index along the axis to its swap partner,
+    and to itself where the bits are equal. On a basis of at most
+    GATHER_DIM amplitudes, flat is the gather kernel's plan: the flat
     indices of the (1, 0) entries followed by those of their (0, 1)
     partners, and the same two halves swapped; it is () on larger bases
     and where d10 is empty. Keeping it in the table gives the gather
@@ -260,7 +288,7 @@ def _pair_axis(basis: Basis, pair) -> tuple:
         ma, mb = 1 << (n - a), 1 << (n - b)
         axis = next((k for k, m in enumerate(basis.masks) if m & ma and m & mb), None)
         if axis is None:
-            raise DomainError(f"swap on pair {pair} leaves the restricted basis")
+            raise DomainError(f"swap on pair {pair} spans two blocks of the basis")
         patterns = basis.sectors[axis]
         d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
         p01 = np.searchsorted(patterns, patterns[d10] ^ (ma | mb))
@@ -471,9 +499,10 @@ def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) 
     its axis, and a tour's d_uv as one table on the axes of slots u and v,
     wherever at most one of the J terms is nonzero per string; term by term
     otherwise (a tour with J = 2, sectors of weight 2 or more, the full
-    basis). Each entry equals objective_values on the string to the bit. The
-    823,543-amplitude diagonals of OSSP(3,3,7) and of the tour OSSP(1,7,7)
-    take milliseconds, not seconds (tensor_objective_values)."""
+    engine's all-pattern sectors). Each entry equals objective_values on
+    the string to the bit. The 823,543-amplitude diagonals of OSSP(3,3,7)
+    and of the tour OSSP(1,7,7) take milliseconds, not seconds
+    (tensor_objective_values)."""
     return tensor_objective_values(objective, instance, basis.sectors, basis.masks)
 
 

@@ -40,6 +40,7 @@ from ossvqa.simulator import (
     phase_table,
     probabilities,
     pure_state,
+    readout,
     sample,
     subspace_basis,
     zero_params,
@@ -117,6 +118,31 @@ def test_full_basis_is_one_read_only_sector():
     assert subspace_basis(OSSP133, Z0_133).engine == "subspace"
     with pytest.raises(CapabilityError):
         apply_simultaneous_mixer(basis_state(OSSP133, Z0_133), mixers(OSSP133), 0.3)
+
+
+@pytest.mark.parametrize("inst", [OSSP133, OSSP224, OsspInstance(1, 5, 4)],
+                         ids=["ossp133", "ossp224", "ossp154"])
+def test_full_engine_basis_is_the_product_of_full_block_sectors(inst):
+    rng = np.random.default_rng(19)
+    starts = [random_schedule(inst, rng) for _ in range(5)]
+    basis = basis_state(inst, starts[0], "full").basis
+    assert basis.engine == "full" and basis.shape == (2 ** inst.jobs,) * inst.positions
+    assert np.array_equal(basis.values(), np.arange(1 << inst.n_bits))
+    assert not any(sector.flags.writeable for sector in basis.sectors)
+    # every start of the instance, schedule or not, shares the one basis
+    other = "".join(rng.choice(["0", "1"], size=inst.n_bits))
+    assert all(basis_state(inst, z, "full").basis is basis for z in starts + [other])
+    # so a circuit builds and keeps one phase diagonal for all of them
+    weights = rng.integers(0, 10, (inst.positions, inst.jobs)).tolist()
+    circuit = build_circuit(inst, linear_from_rows(inst, weights), 1)
+    params = ParameterVector(rng.uniform(0.1, 1.0, circuit.n_beta), [0.4])
+    for z in starts:
+        apply_circuit(circuit, params, basis_state(inst, z, "full"))
+    assert list(circuit._sep_cache) == [basis]
+    # the one-block full basis stays one axis, built afresh on every call
+    one = full_basis(inst.n_bits)
+    assert one.shape == (1 << inst.n_bits,) and one.masks == ((1 << inst.n_bits) - 1,)
+    assert full_basis(inst.n_bits) is not one
 
 
 def test_index_of_reads_the_sectors_only(monkeypatch):
@@ -248,14 +274,10 @@ def per_pair_rotation(state, pair, beta):
     its pairs before they shared one kernel: the reference formula."""
     basis, (a, b) = state.basis, pair
     ma, mb = 1 << (basis.n_bits - a), 1 << (basis.n_bits - b)
-    if basis.sectors is None:
-        axis, patterns = 0, basis.values()
-    else:
-        axis = next(k for k, m in enumerate(basis.masks) if m & ma and m & mb)
-        patterns = basis.sectors[axis]
+    axis = next(k for k, m in enumerate(basis.masks) if m & ma and m & mb)
+    patterns = basis.sectors[axis]
     d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
-    partners = patterns[d10] ^ (ma | mb)
-    p01 = partners if basis.sectors is None else np.searchsorted(patterns, partners)
+    p01 = np.searchsorted(patterns, patterns[d10] ^ (ma | mb))
     amps = state.amps.reshape(basis.shape)
     out = amps * np.exp(1j * beta)
     if len(d10):
@@ -265,6 +287,23 @@ def per_pair_rotation(state, pair, beta):
         out[lead + (d10,)] = c * a10 + 1j * s * a01
         out[lead + (p01,)] = c * a01 + 1j * s * a10
     return QuantumState(basis, out.ravel())
+
+
+def test_cross_block_pair_raises_on_instance_engines_and_rotates_on_pure_state():
+    z = "001000000"  # bit 3 in block 1, bit 4 in block 2
+    across = simulator.MixerHamiltonian(1, ((3, 4),))
+    for engine in ("full", "subspace"):
+        state = basis_state(OSSP133, z, engine)
+        with pytest.raises(DomainError, match="spans two blocks"):
+            apply_swap_rotation(state, (3, 4), 0.5)
+        with pytest.raises(DomainError, match="spans two blocks"):
+            apply_mixer(state, across, 0.5)
+    # pure_state holds every bit in one block
+    got = apply_swap_rotation(pure_state(9, z), (3, 4), math.pi / 2)
+    assert amplitude(got, "000100000") == pytest.approx(1j, abs=1e-12)
+    got = apply_mixer(pure_state(9, z), across, 0.5)
+    want = per_pair_rotation(pure_state(9, z), (3, 4), 0.5)
+    assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
 
 
 def test_mixer_kernel_matches_per_pair_formula_bit_for_bit():
@@ -956,8 +995,10 @@ def test_basis_state_support_is_the_start_and_the_phase_keeps_it():
 def box_cases(rng):
     """(instance, objective, depth, start, engine) on bases past GATHER_DIM:
     the ladder's tour shape (deep enough for a box to fill the basis) and
-    non-busy shape, a start with weight-2 blocks, and full bases of 15 and
-    16 bits, whose box runs on one axis."""
+    non-busy shape, a start with weight-2 blocks, full engines of 15 and 16
+    bits, whose boxes run per block like a sector's, and the 15-bit
+    one-block full_basis, passed as an explicit basis, whose box holds
+    every pair of a mixer on its one axis."""
     d = np.triu(rng.integers(1, 10, (6, 6)), 1)
     tour = TspObjective(tuple(map(tuple, (d + d.T).tolist())))
     i166, i336, i155 = OsspInstance(1, 6, 6), OsspInstance(3, 3, 6), OsspInstance(1, 5, 5)
@@ -974,6 +1015,7 @@ def box_cases(rng):
         (i155, weights(i155), 2, pairs2, "subspace"),
         (i153, weights(i153), 2, random_schedule(i153, rng), "full"),
         (i144, weights(i144), 2, random_schedule(i144, rng), "full"),
+        (i153, weights(i153), 2, random_schedule(i153, rng), full_basis(i153.n_bits)),
     ]
 
 
@@ -1031,9 +1073,10 @@ def test_support_box_with_two_pairs_on_one_axis():
 
 
 def test_engines_agree_from_random_schedules():
-    """Full and subspace engines, support boxes included, from random
-    schedules of random small shapes and of 15- and 16-bit full bases,
-    against a dense full-engine run that never uses a support."""
+    """Full and subspace engines, support boxes included, and the one-block
+    full_basis passed as an explicit basis, from random schedules of random
+    small shapes and of 15- and 16-bit shapes, against a dense full-engine
+    run that never uses a support."""
     rng = np.random.default_rng(43)
     shapes = [OsspInstance(1, 5, 3), OsspInstance(1, 4, 4)]
     while len(shapes) < 10:
@@ -1055,7 +1098,40 @@ def test_engines_agree_from_random_schedules():
         sub = basis_state(inst, z, "subspace")
         sector = sub.basis.values()
         assert np.linalg.norm(ref.amps[sector]) == pytest.approx(1.0, abs=1e-12)
-        for start in (full, sub):
+        for start in (full, sub, basis_state(inst, z, full_basis(inst.n_bits))):
             got = apply_circuit(circuit, params, start)
             at = np.searchsorted(start.basis.values(), sector)
             assert np.max(np.abs(got.amps[at] - ref.amps[sector])) < 1e-12
+
+
+def test_per_block_full_engine_matches_the_one_block_full_basis():
+    """The full engine, one axis per position block, against full_basis(n),
+    one axis, passed as an explicit basis: random schedules and angles,
+    exact 0 and pi/2 among them, on shapes of 6 to 16 bits."""
+    rng = np.random.default_rng(53)
+    shapes = [OsspInstance(1, 3, 2), OSSP133, OsspInstance(2, 2, 3), OsspInstance(1, 5, 3),
+              OsspInstance(1, 4, 4), OSSP224]
+    assert {inst.n_bits for inst in shapes} >= {15, 16}
+    for inst in shapes:
+        if inst.machines == 1 and inst.time_slots == inst.jobs:
+            d = np.triu(rng.integers(1, 10, (inst.jobs, inst.jobs)), 1)
+            objective = TspObjective(tuple(map(tuple, (d + d.T).tolist())))
+        else:
+            objective = linear_from_rows(
+                inst, rng.uniform(-3, 3, (inst.positions, inst.jobs)).tolist())
+        circuit = build_circuit(inst, objective, 2)
+        one = full_basis(inst.n_bits)
+        for _ in range(3):
+            z = random_schedule(inst, rng)
+            params = random_params(circuit, rng)
+            params.beta[0], params.beta[-1] = 0.0, math.pi / 2
+            blocks = apply_circuit(circuit, params, basis_state(inst, z, "full"))
+            flat = apply_circuit(circuit, params, basis_state(inst, z, one))
+            assert blocks.basis.shape == (2 ** inst.jobs,) * inst.positions
+            assert flat.basis is one
+            assert np.array_equal(blocks.amps, flat.amps)
+            assert expectation(blocks, circuit.phase_for(blocks.basis)) == expectation(
+                flat, circuit.phase_for(one))
+            seed = int(rng.integers(1 << 31))
+            for got, want in zip(readout(blocks, 1000, seed), readout(flat, 1000, seed)):
+                assert np.array_equal(got, want)
