@@ -36,13 +36,20 @@ A start is one basis state and a swap moves amplitude only between
 partner patterns along one block's axis, so amplitude spreads one block
 pattern at a time. A state therefore carries a support: per amplitude
 axis, the [lo, hi) index range outside which every amplitude is exactly
-zero, and None is the whole basis. basis_state sets it, the phase layer
-passes it through, and on bases larger than GATHER_DIM a mixer widens it
-to the swap partners and runs only on that box. Two kernels apply the
-swaps: a flat gather on bases of at most GATHER_DIM amplitudes, and
-strided views on the support box past it. Both read one table per swap
-pair, memoised on the basis. Results equal those of the per-pair formula
-to the bit, apart from the sign of zeros outside the box.
+zero, and None is the whole basis. basis_state sets it and the phase
+layer passes it through. On bases larger than GATHER_DIM the phase layer
+multiplies only that box, and a mixer widens it to the swap partners and
+rotates only that box; on smaller ones both gates run on every
+amplitude, since there the cost is numpy calls, not amplitudes. Two
+kernels apply the swaps: a flat gather on bases of at most GATHER_DIM
+amplitudes, and strided views on the support box past it.
+Both read one table per swap pair, memoised on the basis. Results equal
+those of the per-pair formula and of amps * exp(1j * gamma * diag) to
+the bit, apart from the sign of zeros outside the box.
+
+Gates write into an out array, which may be the input's own amplitudes;
+without one they write a copy. apply_circuit copies its start once and
+runs every later gate in place on that copy.
 
 All state comparisons in tests use fidelity |<phi|psi>| since pi/2 rotations
 introduce global phases of i per swapped pair.
@@ -74,6 +81,8 @@ from .instances import (
 
 DIM_CAP = 1 << 20
 GATHER_DIM = 4096  # largest basis whose mixers run the flat-gather kernel (see _rotate)
+PIN_DIM = 16384  # 256 KiB of amplitudes: the phase product's operand order switches here
+COMPLEX = np.dtype(np.complex128)  # every gate's output dtype
 PROB_FLOOR = 1e-14  # Born probabilities at or below it are not read out
 BETA_LO, BETA_HI = 0.0, math.pi / 2
 
@@ -136,9 +145,13 @@ class QuantumState:
     support is derived, not a setting: one [lo, hi) index range per
     amplitude axis (basis.shape) outside which every amplitude is exactly
     zero, and None is the whole basis. basis_state sets it to the start's
-    index on each axis, the phase layer passes it through, and a mixer past
-    GATHER_DIM widens it (see _rotate). Whoever builds a state by hand and
-    gives it a support vouches for the zeros."""
+    index on each axis, the phase layer passes it through (multiplying
+    only that box past GATHER_DIM), and a mixer past GATHER_DIM widens it
+    (see _rotate). Whoever
+    builds a state by hand and gives it a support vouches for the zeros.
+    A gate given out=state.amps rewrites amps in place, so a state handed
+    to one that way is spent; apply_circuit does this only on its own
+    copy."""
 
     basis: Basis
     amps: np.ndarray
@@ -323,8 +336,11 @@ def _box_plan(basis: Basis, pair, support) -> tuple:
     axis and the swap partner of each index in it; plan is the view
     kernel's (i10, i01) index tuples into a box of that span along the
     axis, counted from its lo (views where the indices form a run), or ()
-    when no unequal pattern lies in it. Memoised on the basis by pair and
-    range: a start's boxes repeat from one evaluation to the next."""
+    when no unequal pattern lies in it. A span that starts at 0 and holds
+    every (1, 0) index reuses the table's d10 and p01 (or runs over them)
+    rather than shifted copies, so a whole-axis plan adds no O(axis)
+    arrays to the memo. Memoised on the basis by pair and range: a start's
+    boxes repeat from one evaluation to the next."""
     axis, d10, p01, partner, _ = _pair_axis(basis, pair)
     key = tuple(pair) + support[axis]
     if key not in basis._plans:
@@ -338,22 +354,35 @@ def _box_plan(basis: Basis, pair, support) -> tuple:
         plan = ()
         if np.any(keep := (d10 >= lo) & (d10 < hi)):
             lead = (slice(None),) * axis
-            plan = lead + (_run(d10[keep] - lo),), lead + (_run(p01[keep] - lo),)
+            i10, i01 = (d10, p01) if lo == 0 and keep.all() else (d10[keep] - lo, p01[keep] - lo)
+            plan = lead + (_run(i10),), lead + (_run(i01),)
         basis._plans[key] = span, plan
     return axis, *basis._plans[key]
 
 
-def _rotate(state: QuantumState, pairs, beta: float) -> QuantumState:
-    """The swap rotations on the given pairs, one after another; returns a
-    new state and never writes to state.amps. DomainError when beta is not
-    finite.
+def _target(state: QuantumState, out) -> np.ndarray:
+    """The array a gate writes: a complex copy of state.amps when out is
+    None, else out holding them (copied in unless out is state.amps
+    itself). DomainError when out is not a complex128 array of the
+    amplitudes' shape."""
+    amps = state.amps
+    if out is None:
+        return amps.astype(COMPLEX)
+    if not isinstance(out, np.ndarray) or out.dtype != COMPLEX or out.shape != amps.shape:
+        raise DomainError(f"out must be a complex128 array of shape {amps.shape}")
+    if out is not amps:
+        np.copyto(out, amps)
+    return out
 
-    One output array serves every pair. Per pair, the rotated values
-    c*a10 + i s*a01 and c*a01 + i s*a10 are read off the current array
-    first; then every amplitude is multiplied by e^{i beta} (the first pair
-    copies the input into the output this way, later pairs multiply in
-    place); then the rotated values are scattered over their phased
-    entries.
+
+def _rotate(state: QuantumState, pairs, beta: float, out=None) -> QuantumState:
+    """The swap rotations on the given pairs, one after another, written
+    into out (see apply_mixer); DomainError when beta is not finite.
+
+    Per pair, the rotated values c*a10 + i s*a01 and c*a01 + i s*a10 are
+    read off the array first; then every amplitude is multiplied by
+    e^{i beta} in place; then the rotated values are scattered over their
+    phased entries.
 
     Two kernels do this, chosen once per basis by its size. Up to
     GATHER_DIM amplitudes a pair is one stacked flat gather: r = c *
@@ -372,12 +401,11 @@ def _rotate(state: QuantumState, pairs, beta: float) -> QuantumState:
     whole basis when the support is None. Each pair widens its axis's
     range to hold the swap partners of the range, and the pairs are gone
     over again until no range grows, so the box holds the partner of every
-    index in it. The kernel then runs on that box, as a view of the input.
-    A box smaller than the basis goes into one fresh full-size array, zero
-    outside it, that keeps the box as its support; a box of the whole
-    basis is the result, with support None. The gather kernel ignores the
-    support and returns a state without one: on its bases the cost is
-    numpy calls, not amplitudes.
+    index in it. The kernel then rotates that box in place, as a view of
+    the output array; outside it the output keeps the input's zeros. The
+    grown box is the result's support, None when it is the whole basis.
+    The gather kernel ignores the support and returns a state without one:
+    on its bases the cost is numpy calls, not amplitudes.
 
     Each amplitude sees the same operations in the same order under both
     kernels, inside any box, and as with a new array per pair, so the
@@ -392,9 +420,10 @@ def _rotate(state: QuantumState, pairs, beta: float) -> QuantumState:
     basis = state.basis
     ph = np.exp(1j * beta)
     c, js = math.cos(beta), 1j * math.sin(beta)
+    amps = _target(state, out)
     gather = basis.dim <= GATHER_DIM
     if gather:
-        out = state.amps
+        x, support = amps, None
         plans = [_pair_axis(basis, pair)[4] for pair in pairs]
     else:
         support = list(state.support or ((0, n) for n in basis.shape))
@@ -407,41 +436,36 @@ def _rotate(state: QuantumState, pairs, beta: float) -> QuantumState:
             if all(support[axis] == span for axis, span, _ in steps):
                 break
         plans = [plan for *_, plan in steps]
-        box = tuple(slice(lo, hi) for lo, hi in support)
-        out = state.amps.reshape(basis.shape)[box]
-    for k, plan in enumerate(plans):
+        x = amps.reshape(basis.shape)[tuple(slice(lo, hi) for lo, hi in support)]
+        if x.shape == basis.shape:
+            support = None
+    for plan in plans:
         if plan and gather:
             sel, partner = plan
-            r = c * out[sel]
-            r += js * out[partner]
+            r = c * x[sel]
+            r += js * x[partner]
         elif plan:
             i10, i01 = plan
-            a10, a01 = out[i10], out[i01]  # views when the index is a run
+            a10, a01 = x[i10], x[i01]  # views when the index is a run
             r10 = c * a10
             r10 += js * a01
             r01 = c * a01
             r01 += js * a10
         # equal-bit states pick up the phase
-        if k == 0 or out.size == 1:
-            # the first pair's copy, so the input is never written; a
-            # one-element array too, as the docstring says
-            out = out * ph
+        if x.size == 1:
+            x[...] = x * ph  # out of place, as the docstring says
         else:
-            out *= ph
+            x *= ph
         if plan and gather:
-            out[sel] = r
+            x[sel] = r
         elif plan:
-            out[i10] = r10
-            out[i01] = r01
-    if gather or out.shape == basis.shape:
-        return QuantumState(basis, out.ravel())
-    amps = np.zeros(basis.shape, dtype=out.dtype)
-    amps[box] = out
-    return QuantumState(basis, amps.ravel(), tuple(support))
+            x[i10] = r10
+            x[i01] = r01
+    return QuantumState(basis, amps, None if support is None else tuple(support))
 
 
 def apply_swap_rotation(state: QuantumState, pair, beta: float) -> QuantumState:
-    """e^{i beta SWAP} on the two given 1-based bit indices."""
+    """e^{i beta SWAP} on the two given 1-based bit indices, into a copy."""
     return _rotate(state, (pair,), beta)
 
 
@@ -469,16 +493,22 @@ def mixers(instance: OsspInstance) -> list[MixerHamiltonian]:
     return [mixer_hamiltonian(instance, i) for i in range(1, instance.jobs)]
 
 
-def apply_mixer(state: QuantumState, mixer: MixerHamiltonian, beta: float) -> QuantumState:
+def apply_mixer(state: QuantumState, mixer: MixerHamiltonian, beta: float,
+                out: np.ndarray | None = None) -> QuantumState:
     """Product of the P commuting swap rotations at the same angle;
     DomainError when beta is not finite.
 
+    The result's amplitudes are written into out, which may be state.amps
+    itself (the gate then runs in place) or any complex array of its shape
+    (state.amps is copied into it first); without out the gate writes a
+    copy and never touches state.amps. All three give the same bits.
+
     Up to GATHER_DIM amplitudes the gather kernel runs on every amplitude
     and returns no support, since there the cost is numpy calls, not
-    amplitudes. On a larger basis the view kernel runs on the state's
-    support box, the whole basis when the support is None: each pair's
-    axis range grows to hold the swap partners of its indices, and the
-    result is zero outside the grown box, which becomes its support.
+    amplitudes. On a larger basis the view kernel rotates the state's
+    support box in place, the whole basis when the support is None: each
+    pair's axis range grows to hold the swap partners of its indices, and
+    the result is zero outside the grown box, which becomes its support.
     Amplitudes, expectations and samples are the same to the bit whatever
     the support; only the sign of zeros outside the box can differ. See
     _rotate for the kernels and the numpy rounding trap a one-element box
@@ -486,7 +516,7 @@ def apply_mixer(state: QuantumState, mixer: MixerHamiltonian, beta: float) -> Qu
     46,656-amplitude rungs fell from 8.06 to 2.48 ms (tour OSSP(1,6,6),
     depth 2) and from 4.51 to 0.89 ms (OSSP(3,3,6), depth 1) on one thread
     of a shared 2-CPU x86_64 host (BENCH_11.json, with a support)."""
-    return _rotate(state, mixer.pairs, beta)
+    return _rotate(state, mixer.pairs, beta, out)
 
 
 def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) -> np.ndarray:
@@ -519,17 +549,26 @@ def phase_table(diag: np.ndarray) -> PhaseTable:
     return PhaseTable(*np.unique(diag, return_inverse=True))
 
 
-def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float) -> QuantumState:
+def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float,
+                          out: np.ndarray | None = None) -> QuantumState:
     """e^{i gamma f} from the diagonal's table: one exponential per level,
-    gathered onto the amplitudes. An amplitude gets the factor
+    gathered onto the amplitudes of the state's support box on bases past
+    GATHER_DIM, and onto every amplitude on smaller bases or without a
+    support (as the gather kernel, there the cost is numpy calls, not
+    amplitudes). An amplitude gets the factor
     exp(1j * gamma * f(z)) of its own value, so the result equals
-    amps * exp(1j * gamma * diag) to the bit. DomainError when some
-    gamma * f(z) is not finite, as its phase would be NaN.
+    amps * exp(1j * gamma * diag) to the bit, written as its own statement.
+    DomainError when some gamma * f(z) is not finite, as its phase would
+    be NaN. out works as in apply_mixer.
 
-    A finite phase keeps a zero zero, so the support passes through. The
-    product still runs on the whole array: its bits depend on the form of
-    the expression (see the comment below), and a product over a box
-    would be a different form."""
+    A finite phase keeps a zero zero, so only the box is multiplied and
+    the support passes through. The product's operand order is pinned to
+    the one numpy picks for amps * <temporary>: from PIN_DIM amplitudes up
+    numpy writes the product into the temporary with the operands
+    swapped, and a swapped complex product can round differently, so a
+    basis of PIN_DIM or more amplitudes multiplies (phase, amplitude) and
+    a smaller one (amplitude, phase), whatever the size of its box. A
+    one-element box takes the product out of place (see _rotate)."""
     if len(table.inverse) != len(state.amps):
         raise DomainError("phase separator was built for a different basis")
     # levels ascend, so the extremes bound every |gamma * f(z)|; Python
@@ -537,11 +576,19 @@ def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float) 
     g, lo, hi = float(gamma), float(table.levels[0]), float(table.levels[-1])
     if not (math.isfinite(g * lo) and math.isfinite(g * hi)):
         raise DomainError(f"phase angle gamma = {g} times the objective is not finite")
-    # keep the form amps * <temporary> of amps * exp(1j * gamma * diag):
-    # numpy writes a product into a large temporary right operand with the
-    # operands swapped, and a swapped complex product can round differently
-    phases = np.exp(1j * gamma * table.levels)
-    return QuantumState(state.basis, state.amps * phases[table.inverse], state.support)
+    basis = state.basis
+    amps = _target(state, out)
+    x, index = amps, table.inverse
+    if state.support is not None and basis.dim > GATHER_DIM:
+        box = tuple(slice(lo, hi) for lo, hi in state.support)
+        x, index = amps.reshape(basis.shape)[box], index.reshape(basis.shape)[box]
+    phases = np.exp(1j * gamma * table.levels)[index]
+    operands = (phases, x) if basis.dim >= PIN_DIM else (x, phases)
+    if x.size == 1:
+        x[...] = np.multiply(*operands)
+    else:
+        np.multiply(*operands, out=x)
+    return QuantumState(basis, amps, state.support)
 
 
 def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> QuantumState:
@@ -734,24 +781,32 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     skipped gate would change at most the sign of zero real or imaginary
     parts.
 
+    The first gate that runs writes a copy of the start, and every later
+    gate writes that copy in place (out=), so the start is never written
+    and the result shares no memory with it unless every gate was
+    skipped, when the result is the start itself.
+
     A start from basis_state carries its support, so on bases larger than
-    GATHER_DIM the first rounds' mixers run on the box amplitude has
-    reached (apply_mixer); a state without one runs on the box of the whole
-    basis. That too changes at most the sign of zeros, so the result's
-    amplitudes, expectation and samples do not depend on the support."""
+    GATHER_DIM the first rounds' phases and mixers run on the box
+    amplitude has reached (apply_phase_separator, apply_mixer); a
+    state without one runs on the box of the whole basis. That too
+    changes at most the sign of zeros, so the result's amplitudes,
+    expectation and samples do not depend on the support."""
     if len(params.beta) != circuit.n_beta or len(params.gamma) != circuit.n_gamma:
         raise DomainError(
             f"parameter shape ({len(params.beta)} beta, {len(params.gamma)} gamma) "
             f"does not match circuit slots ({circuit.n_beta}, {circuit.n_gamma})"
         )
     grid = clamp_beta(params.beta).reshape(circuit.depth, circuit.instance.jobs - 1)
-    table = None
+    table = out = None  # the first gate run copies the start; later gates write that copy
     for gamma, row in zip(params.gamma, grid):
         if gamma != 0.0:
             if table is None:
                 table = circuit.phase_table_for(state.basis)
-            state = apply_phase_separator(state, table, gamma)
+            state = apply_phase_separator(state, table, gamma, out=out)
+            out = state.amps
         for mixer, beta in zip(circuit.mixers, row[::-1]):
             if beta != 0.0:
-                state = apply_mixer(state, mixer, beta)
+                state = apply_mixer(state, mixer, beta, out=out)
+                out = state.amps
     return state

@@ -892,21 +892,28 @@ def test_zero_angle_layers_are_skipped_exactly(name, engine, monkeypatch):
         beta[rng.random(circuit.n_beta) < 0.5] = 0.0
         gamma[rng.random(circuit.n_gamma) < 0.5] = 0.0
         cases.append(ParameterVector(beta, gamma))
-    calls = []
+    calls, phases = [], []
 
-    def counted(state, mixer, beta):
+    def counted(state, mixer, beta, **kw):
         calls.append(beta)
-        return apply_mixer(state, mixer, beta)
+        return apply_mixer(state, mixer, beta, **kw)
+
+    def counted_phase(state, table, gamma, **kw):
+        phases.append(gamma)
+        return apply_phase_separator(state, table, gamma, **kw)
 
     for params in cases:
         want = round_by_round(circuit, params, start)
         calls.clear()
+        phases.clear()
         with monkeypatch.context() as m:
             m.setattr(simulator, "apply_mixer", counted)
+            m.setattr(simulator, "apply_phase_separator", counted_phase)
             got = apply_circuit(circuit, params, start)
         assert got.basis is want.basis
         assert np.array_equal(got.amps, want.amps)
         assert len(calls) == np.count_nonzero(params.beta)
+        assert len(phases) == np.count_nonzero(params.gamma)
 
 
 def test_zero_gamma_never_builds_the_phase_diagonal(monkeypatch):
@@ -1135,3 +1142,141 @@ def test_per_block_full_engine_matches_the_one_block_full_basis():
             seed = int(rng.integers(1 << 31))
             for got, want in zip(readout(blocks, 1000, seed), readout(flat, 1000, seed)):
                 assert np.array_equal(got, want)
+
+
+def tour_and_weights(rng):
+    """A random tour for OSSP(1,6,6) and random integer weights for
+    OSSP(3,3,6): the ladder's two 46,656-amplitude rungs."""
+    d = np.triu(rng.integers(1, 10, (6, 6)), 1)
+    i166, i336 = OsspInstance(1, 6, 6), OsspInstance(3, 3, 6)
+    return [(i166, TspObjective(tuple(map(tuple, (d + d.T).tolist())))),
+            (i336, linear_from_rows(i336, rng.integers(0, 10, (9, 6)).tolist()))]
+
+
+def test_apply_circuit_never_writes_its_input():
+    """On the gather kernel (ossp224) and the box kernel, with and without a
+    support: the start's bytes stay put, and the result shares no memory
+    with the start unless every gate was skipped."""
+    rng = np.random.default_rng(59)
+    for inst, objective in [(OSSP224, OBJ224)] + tour_and_weights(rng):
+        circuit = build_circuit(inst, objective, 2)
+        start = basis_state(inst, random_schedule(inst, rng), "subspace")
+        assert (start.basis.dim <= simulator.GATHER_DIM) == (inst is OSSP224)
+        for state in (start, dense(start)):
+            before = state.amps.tobytes()
+            for params in [random_params(circuit, rng) for _ in range(3)] + [zero_params(circuit)]:
+                got = apply_circuit(circuit, params, state)
+                assert state.amps.tobytes() == before
+                if np.any(params.beta) or np.any(params.gamma):
+                    assert not np.shares_memory(got.amps, state.amps)
+                else:
+                    assert np.array_equal(got.amps, state.amps)
+
+
+def test_gates_write_the_same_bits_into_any_out():
+    """apply_mixer and apply_phase_separator give the same bytes and support
+    with out unset, with out the input's own amps (in place) and with out a
+    separate array of NaNs; a wrong out is refused."""
+    rng = np.random.default_rng(61)
+    cases = [(OSSP224, OBJ224)] + tour_and_weights(rng)
+    for inst, objective in cases:
+        circuit = build_circuit(inst, objective, 1)
+        start = basis_state(inst, random_schedule(inst, rng), "subspace")
+        table = circuit.phase_table_for(start.basis)
+        # a one-element box, a grown box and no support
+        grown = apply_mixer(start, circuit.mixers[0], 0.4)
+        for state in (start, grown, dense(grown)):
+            before = state.amps.tobytes()
+            for mixer in circuit.mixers:
+                gates = [
+                    lambda st, **kw: apply_mixer(st, mixer, 0.7, **kw),
+                    lambda st, **kw: apply_phase_separator(st, table, -1.3, **kw),
+                ]
+                for gate in gates:
+                    want = gate(state)
+                    assert state.amps.tobytes() == before
+                    own = state.copy()
+                    in_place = gate(own, out=own.amps)
+                    separate = np.full(state.basis.dim, np.nan, dtype=complex)
+                    into = gate(state, out=separate)
+                    assert in_place.amps is own.amps and into.amps is separate
+                    for got in (in_place, into):
+                        assert got.amps.tobytes() == want.amps.tobytes()
+                        assert got.support == want.support
+                    assert state.amps.tobytes() == before
+        for bad in (np.zeros(start.basis.dim), np.zeros(start.basis.dim + 1, dtype=complex)):
+            with pytest.raises(DomainError, match="out must be"):
+                apply_mixer(start, circuit.mixers[0], 0.7, out=bad)
+            with pytest.raises(DomainError, match="out must be"):
+                apply_phase_separator(start, table, 0.7, out=bad)
+
+
+def gate_by_gate(circuit, params, state, diag):
+    """The circuit's amplitudes without the simulator's kernels: every gate
+    on the whole array, each phase its own statement amps = amps *
+    np.exp(1j * gamma * diag) and each mixer pair by per_pair_rotation."""
+    jobs, basis, amps = circuit.instance.jobs, state.basis, state.amps
+    for r in range(circuit.depth):
+        gamma = params.gamma[r]
+        amps = amps * np.exp(1j * gamma * diag)
+        for i in range(jobs - 1, 0, -1):
+            beta = params.beta[r * (jobs - 1) + i - 1]
+            for pair in mixer_hamiltonian(circuit.instance, i).pairs:
+                amps = per_pair_rotation(QuantumState(basis, amps), pair, beta).amps
+    return amps
+
+
+def test_apply_circuit_matches_a_gate_by_gate_reference_bit_for_bit():
+    """Whole circuits against gate_by_gate, on bases below PIN_DIM (the
+    12,500-amplitude sector of box_cases) and above it (the 32,768-string
+    full basis of OSSP(1,5,3) and the ladder's two 46,656-amplitude
+    rungs), so both pinned operand orders of the phase product are read.
+    Every start is one basis state, a schedule where the sector holds one,
+    so round 1's phase multiplies a one-element box."""
+    rng = np.random.default_rng(67)
+    i155, i153 = OsspInstance(1, 5, 5), OsspInstance(1, 5, 3)
+
+    def weights(inst):
+        return linear_from_rows(inst, rng.integers(0, 10, (inst.positions, inst.jobs)).tolist())
+
+    cases = [(i155, weights(i155), d, "11000" "11000" "00100" "00010" "00001", "subspace")
+             for d in (1, 2)]
+    cases += [(i153, weights(i153), d, random_schedule(i153, rng), "full") for d in (1, 2)]
+    cases += [(inst, obj, d, random_schedule(inst, rng), "subspace")
+              for inst, obj in tour_and_weights(rng) for d in (1, 2, 3)]
+    dims = set()
+    for inst, objective, depth, z, engine in cases:
+        circuit = build_circuit(inst, objective, depth)
+        start = basis_state(inst, z, engine)
+        assert math.prod(hi - lo for lo, hi in start.support) == 1
+        dims.add(start.basis.dim)
+        diag = circuit.phase_for(start.basis)
+        for _ in range(4):
+            params = ParameterVector(rng.uniform(0.0, math.pi / 2, circuit.n_beta),
+                                     rng.uniform(-2.0, 2.0, circuit.n_gamma))
+            got = apply_circuit(circuit, params, start)
+            want = gate_by_gate(circuit, params, start, diag)
+            assert np.array_equal(got.amps, want)
+            assert expectation(got, diag) == expectation(QuantumState(start.basis, want), diag)
+    assert dims == {12_500, 32_768, 46_656}
+    assert min(dims) < simulator.PIN_DIM < 32_768
+
+
+def test_whole_axis_box_plans_reuse_the_pair_table():
+    """On pure_state's one axis a box of the whole axis plans with the
+    table's own d10 and p01, not shifted copies."""
+    z = "0110100101101001"
+    state = pure_state(16, z)
+    mixer = simulator.MixerHamiltonian(1, ((3, 4), (6, 11)))
+    got = apply_mixer(state, mixer, 0.3)
+    want = state
+    for pair in mixer.pairs:
+        want = per_pair_rotation(want, pair, 0.3)
+    assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
+    basis = state.basis
+    for pair in mixer.pairs:
+        _, d10, p01, _, _ = simulator._pair_axis(basis, pair)
+        span, (i10, i01) = basis._plans[pair + (0, 1 << 16)]
+        assert span == (0, 1 << 16)
+        assert isinstance(i10[-1], np.ndarray) and isinstance(i01[-1], np.ndarray)
+        assert np.shares_memory(i10[-1], d10) and np.shares_memory(i01[-1], p01)
