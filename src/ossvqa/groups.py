@@ -19,6 +19,7 @@ meets a 1-based label, the bridge is label - 1. cycle_notation renders
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import math
 import operator
@@ -280,9 +281,11 @@ def _closure(start: np.ndarray, perms) -> set[bytes]:
 
     Rows are compact integer arrays (start's dtype: uint8 when the labels
     fit), so one step is one column gather frontier[:, p] per p over the
-    whole frontier, and new rows are found through the set of row bytes,
-    which is returned. Raises CapabilityError as soon as the closure would
-    hold more than GROUP_CLOSURE_CAP rows.
+    whole frontier, and new rows are found through the set of row bytes.
+    That set is returned as it is: generate_group wraps it in a
+    PermutationGroup and orbits decode it, so no row becomes a tuple here.
+    Raises CapabilityError as soon as the closure would hold more than
+    GROUP_CLOSURE_CAP rows.
     """
     gathers = [np.asarray(p, dtype=np.intp) for p in perms]
     row = np.dtype((np.void, start.nbytes))
@@ -305,17 +308,70 @@ def _closure(start: np.ndarray, perms) -> set[bytes]:
     return seen
 
 
-def generate_group(perms) -> set[tuple[int, ...]]:
+class PermutationGroup(collections.abc.Set):
+    """A read-only set of permutations of 0..n-1, held as the closure's row
+    bytes (one row of n labels in dtype per element) rather than as tuples.
+
+    len, in and == need no tuples: a query is encoded as one row and looked
+    up, and == against a plain set looks up each of its elements. in takes
+    any sequence of integers and answers False for a wrong length, a label
+    out of range or a non-integer entry. Iteration decodes the rows a chunk
+    at a time into tuples of Python ints, in no fixed order. Set operations
+    (&, |, -, ^) return plain sets of tuples. Unhashable, like set."""
+
+    _CHUNK = 4096  # rows decoded per numpy call while iterating
+
+    def __init__(self, n: int, dtype: np.dtype, rows: set[bytes]) -> None:
+        self._n, self._dtype, self._rows = n, dtype, rows
+
+    @classmethod
+    def _from_iterable(cls, it) -> set:
+        return set(it)
+
+    def _row(self, perm) -> bytes | None:
+        """perm encoded as a row, or None when it cannot be an element."""
+        try:
+            labels = [operator.index(x) for x in perm]
+        except TypeError:
+            return None
+        if len(labels) != self._n or not all(0 <= x < self._n for x in labels):
+            return None
+        return np.array(labels, dtype=self._dtype).tobytes()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, perm) -> bool:
+        return self._row(perm) in self._rows
+
+    def __iter__(self):
+        rows = list(self._rows)
+        for k in range(0, len(rows), self._CHUNK):
+            chunk = rows[k:k + self._CHUNK]
+            labels = np.frombuffer(b"".join(chunk), dtype=self._dtype)
+            yield from map(tuple, labels.reshape(len(chunk), self._n).tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, collections.abc.Set):
+            return NotImplemented
+        return len(self) == len(other) and all(x in self for x in other)
+
+
+def generate_group(perms) -> PermutationGroup:
     """Closure of the given 0-based permutations under composition: the
-    closure of the identity under x -> x o p, which is the same group."""
+    closure of the identity under x -> x o p, which is the same group.
+
+    Every generator must be a permutation of 0..n-1 for one n, the length
+    of the first; anything else raises DomainError before the closure
+    runs. No generators give the trivial group {()}. The group comes back
+    as a PermutationGroup over the closure's rows (uint8 labels up to 256
+    points), which compares equal to the plain set of its tuples."""
     perms = [tuple(p) for p in perms]
-    if not perms:
-        return {()}
-    n = len(perms[0])
+    n = len(perms[0]) if perms else 0
+    perms = [_check_perm(p, n) for p in perms]
     dtype = np.min_scalar_type(max(n - 1, 0))
-    rows = _closure(np.arange(n, dtype=dtype), perms)
-    elements = np.frombuffer(b"".join(rows), dtype=dtype).reshape(len(rows), n)
-    return set(map(tuple, elements.tolist()))
+    start = np.arange(n, dtype=dtype)
+    return PermutationGroup(n, dtype, _closure(start, perms) if perms else {start.tobytes()})
 
 
 def _string_closure(instance: OsspInstance, z: str, generators) -> set[bytes]:

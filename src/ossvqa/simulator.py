@@ -48,8 +48,9 @@ those of the per-pair formula and of amps * exp(1j * gamma * diag) to
 the bit, apart from the sign of zeros outside the box.
 
 Gates write into an out array, which may be the input's own amplitudes;
-without one they write a copy. apply_circuit copies its start once and
-runs every later gate in place on that copy.
+without one they write a copy (past GATHER_DIM, of the support box
+only, into zeros). apply_circuit copies its start once and runs every
+later gate in place on that copy.
 
 All state comparisons in tests use fidelity |<phi|psi>| since pi/2 rotations
 introduce global phases of i per swapped pair.
@@ -364,10 +365,22 @@ def _target(state: QuantumState, out) -> np.ndarray:
     """The array a gate writes: a complex copy of state.amps when out is
     None, else out holding them (copied in unless out is state.amps
     itself). DomainError when out is not a complex128 array of the
-    amplitudes' shape."""
+    amplitudes' shape.
+
+    Past GATHER_DIM a copy of a state with a support is a zeroed array
+    with only the support box copied in, since the support vouches that
+    every amplitude outside it is zero: a basis_state start on 46,656
+    amplitudes then copies one. Outside the box the copy holds +0.0,
+    as basis_state's own zeros are."""
     amps = state.amps
     if out is None:
-        return amps.astype(COMPLEX)
+        basis = state.basis
+        if state.support is None or basis.dim <= GATHER_DIM:
+            return amps.astype(COMPLEX)
+        box = tuple(slice(lo, hi) for lo, hi in state.support)
+        copy = np.zeros(amps.shape, dtype=COMPLEX)
+        copy.reshape(basis.shape)[box] = amps.reshape(basis.shape)[box]
+        return copy
     if not isinstance(out, np.ndarray) or out.dtype != COMPLEX or out.shape != amps.shape:
         raise DomainError(f"out must be a complex128 array of shape {amps.shape}")
     if out is not amps:
@@ -781,8 +794,9 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     skipped gate would change at most the sign of zero real or imaginary
     parts.
 
-    The first gate that runs writes a copy of the start, and every later
-    gate writes that copy in place (out=), so the start is never written
+    The first gate that runs writes a copy of the start (past GATHER_DIM,
+    of its support box into zeros; see _target), and every later gate
+    writes that copy in place (out=), so the start is never written
     and the result shares no memory with it unless every gate was
     skipped, when the result is the start itself.
 

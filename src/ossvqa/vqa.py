@@ -15,6 +15,7 @@ of its configuration and results do not depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -27,6 +28,7 @@ from .errors import CapabilityError, DomainError, VerificationError
 from .groups import decompose_job_permutation
 from .instances import (
     OsspInstance,
+    bits_to_int,
     feasibility_mask,
     indices_of_ones,
     instance_to_dict,
@@ -43,7 +45,6 @@ from .simulator import (
     basis_state,
     build_circuit,
     expectation,
-    fidelity,
     readout,
 )
 
@@ -328,7 +329,10 @@ def run_optimizer(circuit: Circuit, state: QuantumState,
 
 @dataclass
 class ReachPlan:
-    """A parameter assignment steering one solution onto another."""
+    """A parameter assignment steering one solution onto another. circuit
+    is the instance's one zero-objective reach circuit (_reach_circuit),
+    shared by every plan on that instance; word and params are the plan's
+    own."""
 
     word: list[int]
     circuit: Circuit
@@ -349,14 +353,28 @@ def job_assignment(instance: OsspInstance, z: str) -> tuple[int, ...]:
     return tuple(assignment)
 
 
+@functools.lru_cache(maxsize=16)
+def _reach_circuit(instance: OsspInstance) -> Circuit:
+    """The circuit every reach plan on instance runs: J(J-1)/2 rounds (at
+    least one) over an all-zero linear objective, whose phase layer is
+    never run since gamma stays zero. It depends on the instance alone, so
+    it is built once per instance and shared, as _product_basis shares
+    bases; a plan's angles live in its params."""
+    jobs = instance.jobs
+    zero = linear_from_rows(instance, [[0] * jobs] * instance.positions)
+    return build_circuit(instance, zero, max(1, jobs * (jobs - 1) // 2))
+
+
 def compile_reach(instance: OsspInstance, source: str, target: str) -> ReachPlan:
     """Build a grid parameter assignment with |<target|U(beta)|source>| = 1.
 
     Busy instances only: the job permutation linking the two solutions is
     unique, and entry w_r of its adjacent-transposition word turns B_{w_r}
-    to pi/2 in round r of the Circuit's beta grid. Gamma stays zero
-    throughout, so no objective enters. The plan is verified on the
-    restricted-basis engine before being returned.
+    to pi/2 in round r of the beta grid of the instance's shared reach
+    circuit (_reach_circuit). Gamma stays zero throughout, so no objective
+    enters. Every plan is re-run from |source> on the restricted-basis
+    engine before being returned: its fidelity is |amplitude| of the
+    result on target, and below 1 - 1e-10 it raises VerificationError.
     """
     if not instance.is_busy:
         raise CapabilityError(
@@ -369,16 +387,13 @@ def compile_reach(instance: OsspInstance, source: str, target: str) -> ReachPlan
     for p in range(instance.positions):
         tau[src[p]] = tgt[p]
     word = decompose_job_permutation(tau)
-    jobs = instance.jobs
-    depth = max(1, jobs * (jobs - 1) // 2)
-    zero = linear_from_rows(instance, [[0] * jobs] * instance.positions)
-    circuit = build_circuit(instance, zero, depth)
-    grid = np.zeros((depth, jobs - 1))
+    circuit = _reach_circuit(instance)
+    grid = np.zeros((circuit.depth, instance.jobs - 1))
     for r, w in enumerate(word):
         grid[r, w - 1] = math.pi / 2
-    params = ParameterVector(grid.ravel(), np.zeros(depth))
+    params = ParameterVector(grid.ravel(), np.zeros(circuit.depth))
     reached = apply_circuit(circuit, params, basis_state(instance, source, "subspace"))
-    fid = fidelity(reached, basis_state(instance, target, reached.basis))
+    fid = float(abs(reached.amps[reached.basis.index_of(bits_to_int(target))]))
     if fid < 1 - 1e-10:
         raise VerificationError(
             f"reach plan fidelity {fid:.12f} for {source} -> {target}"

@@ -1,5 +1,6 @@
 """Constraint-graph and permutation-group tests against frozen structure."""
 
+import collections.abc
 import itertools
 import json
 import math
@@ -281,6 +282,56 @@ def test_closure_returns_python_values():
     assert generate_group([cycle]) == _tuple_closure(identity_perm(300), [cycle], compose_perms)
     found = orbit(OSSP133, "100010001", job_generators(OSSP133))
     assert all(type(z) is str for z in found)
+
+
+def test_generate_group_refuses_non_permutations():
+    for bad in ([(0, 0, 1)], [(-1, 0, 1)], [(1, 0, 2), (0, 1)], [(1, 0, 2), (0, 1, 2, 3)]):
+        with pytest.raises(DomainError, match="not a permutation"):
+            generate_group(bad)
+
+
+def test_group_set_against_plain_sets():
+    perms = [vertex_permutation(OSSP133, g) for g in group_generators(OSSP133)]
+    group = generate_group(perms)
+    plain = _tuple_closure(identity_perm(OSSP133.n_bits), perms, compose_perms)
+    assert isinstance(group, collections.abc.Set) and len(group) == len(plain) == 72
+    assert group == plain and plain == group and not group != plain
+    assert group == generate_group(list(reversed(perms)))
+    smaller = set(plain)
+    smaller.pop()
+    assert group != smaller and smaller != group and smaller < group and group >= smaller
+    stranger = (1, 0) + tuple(range(2, 9))  # swaps two bits of one position block only
+    assert stranger not in plain and stranger not in group
+    assert group != (set(plain) - {identity_perm(9)}) | {stranger}
+    assert group != list(plain) and group != tuple(plain)
+    e = next(iter(plain))
+    assert e in group and list(e) in group
+    assert e[:-1] not in group and e + (9,) not in group
+    assert tuple(range(1, 10)) not in group and (-1,) + tuple(range(1, 9)) not in group
+    assert "123456789" not in group and 5 not in group and None not in group
+    for op in (lambda a, b: a & b, lambda a, b: a | b, lambda a, b: a - b, lambda a, b: a ^ b):
+        for pair in ((group, smaller), (smaller, group)):
+            got = op(*pair)
+            assert type(got) is set and got == op(*(set(x) for x in pair))
+    with pytest.raises(TypeError):
+        hash(group)
+    assert not hasattr(group, "add") and not hasattr(group, "discard")
+
+
+def test_group_set_iterates_python_tuples():
+    s3 = generate_group([(1, 0, 2), (0, 2, 1)])
+    cycle = tuple(range(1, 300)) + (0,)
+    c300 = generate_group([cycle])
+    for group, size in ((s3, 6), (c300, 300)):
+        elements = list(group)
+        assert len(elements) == len(set(elements)) == size
+        assert all(type(e) is tuple and all(type(x) is int for x in e) for e in elements)
+        assert all(e in group for e in elements)
+    assert set(c300) == _tuple_closure(identity_perm(300), [cycle], compose_perms)
+    assert (299,) + tuple(range(299)) in c300 and tuple(range(300)) in c300
+    assert (300,) + tuple(range(1, 300)) not in c300
+    trivial = generate_group([])
+    assert list(trivial) == [()] and () in trivial and (0,) not in trivial
 
 
 def test_orbit_transitivity():

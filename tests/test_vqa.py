@@ -240,6 +240,22 @@ def test_compile_reach_budget_224():
     assert plan.fidelity >= 1 - 1e-10
 
 
+def test_compile_reach_shares_one_circuit_per_instance():
+    sols = enumerate_solutions(OSSP224)
+    first = compile_reach(OSSP224, sols[0], sols[-1])
+    second = compile_reach(OsspInstance(2, 2, 4), sols[5], sols[17])
+    assert first.circuit is second.circuit and first.word != second.word
+    assert compile_reach(OSSP133, Z0_133, "010001100").circuit is not first.circuit
+    for plan, src, tgt in ((first, sols[0], sols[-1]), (second, sols[5], sols[17])):
+        full = apply_circuit(plan.circuit, plan.params, basis_state(OSSP224, src, "full"))
+        assert full.basis.engine == "full"
+        assert simulator.fidelity(full, basis_state(OSSP224, tgt, "full")) == pytest.approx(
+            1.0, abs=1e-12)
+        reached = apply_circuit(plan.circuit, plan.params, basis_state(OSSP224, src, "subspace"))
+        assert plan.fidelity == simulator.fidelity(
+            reached, basis_state(OSSP224, tgt, reached.basis))
+
+
 def test_compile_reach_errors():
     nonbusy = OsspInstance(1, 3, 2)
     with pytest.raises(CapabilityError):
