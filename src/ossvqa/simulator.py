@@ -36,21 +36,22 @@ A start is one basis state and a swap moves amplitude only between
 partner patterns along one block's axis, so amplitude spreads one block
 pattern at a time. A state therefore carries a support: per amplitude
 axis, the [lo, hi) index range outside which every amplitude is exactly
-zero, and None is the whole basis. basis_state sets it and the phase
-layer passes it through. On bases larger than GATHER_DIM the phase layer
-multiplies only that box, and a mixer widens it to the swap partners and
-rotates only that box; on smaller ones both gates run on every
-amplitude, since there the cost is numpy calls, not amplitudes. Two
-kernels apply the swaps: a flat gather on bases of at most GATHER_DIM
-amplitudes, and strided views on the support box past it.
-Both read one table per swap pair, memoised on the basis. Results equal
-those of the per-pair formula and of amps * exp(1j * gamma * diag) to
-the bit, apart from the sign of zeros outside the box.
+zero, and None is the whole basis. basis_state sets it, the phase layer
+passes it through and a mixer widens it to the swap partners of the box.
+Every gate runs on that box alone, held as one C-contiguous array of the
+box's shape (_gate): apply_circuit copies its start's box out once, runs
+every gate on it in place (a mixer that widens the box moves it into a
+zeroed array of the grown box), and writes it once into a zeroed
+full-length vector. One kernel body applies every swap pair, reading
+one plan per mixer and input box, memoised on the basis
+(_mixer_plan): flat indices on boxes of at most GATHER_DIM amplitudes,
+per-axis indices or slices on larger ones. Results equal those of the
+per-pair formula and of amps * exp(1j * gamma * diag) to the bit, apart
+from the sign of zeros outside the box.
 
-Gates write into an out array, which may be the input's own amplitudes;
-without one they write a copy (past GATHER_DIM, of the support box
-only, into zeros). apply_circuit copies its start once and runs every
-later gate in place on that copy.
+A gate called on its own takes and returns full-length amplitudes: it
+writes into an out array, which may be the input's own amplitudes, and
+without one into a copy.
 
 All state comparisons in tests use fidelity |<phi|psi>| since pi/2 rotations
 introduce global phases of i per swapped pair.
@@ -81,7 +82,7 @@ from .instances import (
 )
 
 DIM_CAP = 1 << 20
-GATHER_DIM = 4096  # largest basis whose mixers run the flat-gather kernel (see _rotate)
+GATHER_DIM = 4096  # largest box whose mixer plan holds flat indices (see _mixer_plan)
 PIN_DIM = 16384  # 256 KiB of amplitudes: the phase product's operand order switches here
 COMPLEX = np.dtype(np.complex128)  # every gate's output dtype
 PROB_FLOOR = 1e-14  # Born probabilities at or below it are not read out
@@ -98,9 +99,10 @@ class Basis:
     sectors[k] holds block k's allowed bit patterns in ascending order
     (read-only) and masks[k] holds its bits. On the full engine each
     position block's sector holds all its 2^J patterns; full_basis(n) is
-    the single sector of all n-bit values. _plans memoises the mixer
-    kernels' bookkeeping: each swap pair's table (_pair_axis) and, past
-    GATHER_DIM, its plan per axis range (_box_plan)."""
+    the single sector of all n-bit values. _plans memoises the mixer's
+    bookkeeping: each swap pair's table (_pair_axis), keyed by the pair,
+    and each mixer's plan (_mixer_plan), keyed by its pairs and input
+    box."""
 
     n_bits: int
     sectors: tuple[np.ndarray, ...]
@@ -117,9 +119,14 @@ class Basis:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.sectors)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return math.prod(self.shape)
+
+    @functools.cached_property
+    def whole(self) -> tuple[tuple[int, int], ...]:
+        """The whole basis as a support box: (0, n) on each axis."""
+        return tuple((0, n) for n in self.shape)
 
     def values(self) -> np.ndarray:
         """Integer value of every basis string in amplitude order (ascending)."""
@@ -146,13 +153,13 @@ class QuantumState:
     support is derived, not a setting: one [lo, hi) index range per
     amplitude axis (basis.shape) outside which every amplitude is exactly
     zero, and None is the whole basis. basis_state sets it to the start's
-    index on each axis, the phase layer passes it through (multiplying
-    only that box past GATHER_DIM), and a mixer past GATHER_DIM widens it
-    (see _rotate). Whoever
-    builds a state by hand and gives it a support vouches for the zeros.
-    A gate given out=state.amps rewrites amps in place, so a state handed
-    to one that way is spent; apply_circuit does this only on its own
-    copy."""
+    index on each axis, the phase layer passes it through, and a mixer
+    widens it to the swap partners of the box; both gates compute only
+    that box (see _gate). Whoever builds a state by hand and gives it a
+    support vouches for the zeros. amps is full-length, in basis order; only
+    inside apply_circuit does a state hold its box instead. A gate given
+    out=state.amps rewrites amps in place, so a state handed to one that
+    way is spent; apply_circuit does this only on its own copy."""
 
     basis: Basis
     amps: np.ndarray
@@ -178,12 +185,12 @@ def _product_basis(blocks: tuple[tuple[int, int | None], ...]) -> Basis:
     sector sizes), it raises CapabilityError before any pattern is listed.
 
     Interned: all callers with the same blocks share one Basis and so its
-    plan memo, which holds per-axis indices (one table per swap pair, and
-    past GATHER_DIM one box plan per pair and axis range a start's boxes
-    reach) and, up to GATHER_DIM, two flat index arrays per pair. On
-    position blocks of J bits a table has at most 2^J entries, so keeping
-    it is cheap. full_basis calls the uncached builder
-    (_product_basis.__wrapped__): its one axis makes every table O(2^n)."""
+    plan memo, which holds one table per swap pair and one plan per mixer
+    and input box a start's circuits reach. On position blocks of J bits
+    a table has at most 2^J entries, so keeping it is cheap; a plan holds
+    at most GATHER_DIM flat indices per pair, or per-axis ones. full_basis
+    calls the uncached builder (_product_basis.__wrapped__): its one axis
+    makes every table O(2^n)."""
     n = sum(width for width, _ in blocks)
     as_int64((), n)
     if (size := math.prod(1 << w if k is None else math.comb(w, k) for w, k in blocks)) > DIM_CAP:
@@ -206,7 +213,7 @@ def _product_basis(blocks: tuple[tuple[int, int | None], ...]) -> Basis:
 def full_basis(n_bits: int) -> Basis:
     """All 2^n_bits strings as one block, so one amplitude axis: the basis
     of pure_state, for gates on bits without an instance. Built afresh on
-    every call, since its pair tables and box plans are O(2^n_bits)."""
+    every call, since its pair tables and mixer plans are O(2^n_bits)."""
     return _product_basis.__wrapped__(((n_bits, None),))
 
 
@@ -278,7 +285,7 @@ def basis_strings(basis: Basis) -> list[str]:
 
 def _pair_axis(basis: Basis, pair) -> tuple:
     """The table of the 1-based bit pair, memoised on the basis by pair:
-    (axis, d10, p01, partner, flat).
+    (axis, d10, p01, partner), all read-only.
 
     axis is the amplitude axis whose block holds both bits; a pair that
     spans two blocks, as two position blocks on either instance engine,
@@ -286,12 +293,9 @@ def _pair_axis(basis: Basis, pair) -> tuple:
     with bits (1, 0) on the pair and p01 those of their swapped partners
     (present, as a sector holds every pattern of its weight, or of its
     block); partner maps each index along the axis to its swap partner,
-    and to itself where the bits are equal. On a basis of at most
-    GATHER_DIM amplitudes, flat is the gather kernel's plan: the flat
-    indices of the (1, 0) entries followed by those of their (0, 1)
-    partners, and the same two halves swapped; it is () on larger bases
-    and where d10 is empty. Keeping it in the table gives the gather
-    kernel one lookup per pair and no key to build."""
+    and to itself where the bits are equal. d10 and p01 are views of one
+    array d10 ++ p01 ++ d10, whose first and last two thirds are the
+    stacked indices of a whole axis (see _mixer_plan)."""
     pair = tuple(pair)
     table = basis._plans.get(pair)
     if table is None:
@@ -308,178 +312,170 @@ def _pair_axis(basis: Basis, pair) -> tuple:
         p01 = np.searchsorted(patterns, patterns[d10] ^ (ma | mb))
         partner = np.arange(len(patterns))
         partner[d10], partner[p01] = p01, d10
-        flat = ()
-        if len(d10) and basis.dim <= GATHER_DIM:
-            lead = (slice(None),) * axis
-            index = np.arange(basis.dim).reshape(basis.shape)
-            i10, i01 = index[lead + (d10,)].ravel(), index[lead + (p01,)].ravel()
-            flat = np.concatenate([i10, i01]), np.concatenate([i01, i10])
-            for half in flat:
-                half.setflags(write=False)  # shared between callers
-        table = basis._plans[pair] = axis, d10, p01, partner, flat
+        stack, k = np.concatenate([d10, p01, d10]), len(d10)
+        for array in (stack, partner):
+            array.setflags(write=False)  # shared between callers
+        table = basis._plans[pair] = axis, stack[:k], stack[k:2 * k], partner
     return table
 
 
 def _run(idx: np.ndarray):
-    """idx as a slice when it is an ascending arithmetic run, so that
-    indexing with it gives a view instead of a copy."""
+    """idx as a slice when it is an arithmetic run, ascending or
+    descending, so that indexing with it gives a view instead of a copy."""
     step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
-    if len(idx) and step > 0 and np.all(np.diff(idx) == step):
-        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    if len(idx) and step and np.all(np.diff(idx) == step):
+        stop = int(idx[-1]) + (1 if step > 0 else -1)
+        return slice(int(idx[0]), None if stop < 0 else stop, step)
     return idx
 
 
-def _box_plan(basis: Basis, pair, support) -> tuple:
-    """(axis, span, plan) for the pair on a basis past GATHER_DIM, given a
-    support box (one [lo, hi) range per axis).
-
-    span is the smallest range that holds the box's range on the pair's
-    axis and the swap partner of each index in it; plan is the view
-    kernel's (i10, i01) index tuples into a box of that span along the
-    axis, counted from its lo (views where the indices form a run), or ()
-    when no unequal pattern lies in it. A span that starts at 0 and holds
-    every (1, 0) index reuses the table's d10 and p01 (or runs over them)
-    rather than shifted copies, so a whole-axis plan adds no O(axis)
-    arrays to the memo. Memoised on the basis by pair and range: a start's
-    boxes repeat from one evaluation to the next."""
-    axis, d10, p01, partner, _ = _pair_axis(basis, pair)
-    key = tuple(pair) + support[axis]
-    if key not in basis._plans:
-        lo, hi = support[axis]
-        while True:
-            seg = partner[lo:hi]
-            span = min(lo, int(seg.min())), max(hi, int(seg.max()) + 1)
-            if span == (lo, hi):
-                break
-            lo, hi = span
-        plan = ()
-        if np.any(keep := (d10 >= lo) & (d10 < hi)):
-            lead = (slice(None),) * axis
-            i10, i01 = (d10, p01) if lo == 0 and keep.all() else (d10[keep] - lo, p01[keep] - lo)
-            plan = lead + (_run(i10),), lead + (_run(i01),)
-        basis._plans[key] = span, plan
-    return axis, *basis._plans[key]
+def _slices(box) -> tuple:
+    return tuple(itertools.starmap(slice, box))
 
 
-def _target(state: QuantumState, out) -> np.ndarray:
-    """The array a gate writes: a complex copy of state.amps when out is
-    None, else out holding them (copied in unless out is state.amps
-    itself). DomainError when out is not a complex128 array of the
-    amplitudes' shape.
+def _mixer_plan(basis: Basis, pairs, box) -> tuple:
+    """(grown, extent, embed, flat, steps) for a mixer on the given pairs
+    whose input is the support box box, memoised on the basis by pairs and
+    box: a start's boxes repeat from one evaluation to the next.
 
-    Past GATHER_DIM a copy of a state with a support is a zeroed array
-    with only the support box copied in, since the support vouches that
-    every amplitude outside it is zero: a basis_state start on 46,656
-    amplitudes then copies one. Outside the box the copy holds +0.0,
-    as basis_state's own zeros are."""
-    amps = state.amps
+    grown is the smallest box that holds box and the swap partner of every
+    index in it under every pair, found by widening each pair's axis
+    range until no range grows; extent is its shape and embed the slices
+    of box inside it. steps holds per pair the kernel's (sel, swp),
+    counted from grown's corner: sel lists the (1, 0) entries followed by
+    their (0, 1) partners, and swp the same entries with the halves
+    swapped, so swp[j] is the partner of sel[j]. A pair with no unequal
+    pattern in the box, as on a weight-0 block, has the empty step ().
+
+    On a grown box of at most GATHER_DIM amplitudes (flat) sel and swp
+    are flat indices: on boxes that small the numpy calls, not the
+    amplitudes, are the cost, and one flat gather is the fewest calls. On
+    a larger box a flat gather costs more per element, so they are index
+    tuples along the pair's axis, slices (views) where the indices form a
+    run, descending runs included. Best-of-5 timings of the two forms on
+    whole bases tied between 4,096 and 7,776 amplitudes. An axis range
+    that starts at 0 and holds every (1, 0) index reads its indices as
+    views of the pair table, so a whole-axis plan adds no O(axis) arrays
+    to the memo."""
+    key = (pairs, box)
+    plan = basis._plans.get(key)
+    if plan is None:
+        tables = [_pair_axis(basis, pair) for pair in pairs]
+        grown, before = list(box), None
+        while grown != before:  # until every range holds its partners under every pair
+            before = list(grown)
+            for axis, *_, partner in tables:
+                (lo, hi), seg = grown[axis], partner[slice(*grown[axis])]
+                grown[axis] = min(lo, int(seg.min())), max(hi, int(seg.max()) + 1)
+        extent = tuple(hi - lo for lo, hi in grown)
+        flat = math.prod(extent) <= GATHER_DIM
+        index = np.arange(math.prod(extent)).reshape(extent) if flat else None
+        steps = []
+        for axis, d10, *_ in tables:
+            (lo, hi), stack = grown[axis], d10.base  # d10 ++ p01 ++ d10 (see _pair_axis)
+            # grown holds the partner of every index it holds, so the kept
+            # entries are again some d10 ++ their p01 ++ the same d10
+            keep = (stack >= lo) & (stack < hi)
+            w = stack if lo == 0 and keep.all() else stack[keep] - lo
+            w.setflags(write=False)
+            k, lead = len(w) // 3, (slice(None),) * axis
+            sel, swp = w[:2 * k], w[k:]
+            if flat:
+                sel, swp = (index[lead + (i,)].ravel() for i in (sel, swp))
+                sel.setflags(write=False), swp.setflags(write=False)
+            else:
+                sel, swp = lead + (_run(sel),), lead + (_run(swp),)
+            steps.append((sel, swp) if k else ())
+        grown = tuple(grown)
+        embed = tuple(slice(lo - g, hi - g) for (lo, hi), (g, _) in zip(box, grown))
+        plan = basis._plans[key] = grown, extent, embed, flat, tuple(steps)
+    return plan
+
+
+def _gate(state: QuantumState, out, kernel, *args) -> QuantumState:
+    """Run kernel(basis, x, box, *args) -> (x, box) on the state's support
+    box (the whole basis when the support is None), held as one
+    C-contiguous complex128 array x of the box's shape.
+
+    apply_circuit holds its state as that box array and passes it as out.
+    A box array is told from full-length amps by its shape, which is not
+    (basis.dim,) (on a one-axis basis whole boxes look alike, and the
+    full-length route below gives the same result): the kernel then runs
+    on it directly, in place unless the box grows, and the result's amps
+    are the kernel's box array. Full-length amps are written as
+    apply_mixer says: the box is copied out of state.amps and run, then
+    written, grown, into the target (a copy of state.amps when out is
+    None, else out holding them), whose amplitudes outside the box keep
+    the input's zeros. DomainError, before anything is written, when out
+    is not None and not a complex128 array of the amplitudes' shape. A
+    support that reaches the whole basis is None in the result."""
+    basis, amps = state.basis, state.amps
+    box = state.support or basis.whole
+    if out is amps and amps.shape != (basis.dim,):
+        amps, box = kernel(basis, amps, box, *args)
+        return QuantumState(basis, amps, None if box == basis.whole else box)
+    x, box = kernel(basis, _box_copy(state), box, *args)
     if out is None:
-        basis = state.basis
-        if state.support is None or basis.dim <= GATHER_DIM:
-            return amps.astype(COMPLEX)
-        box = tuple(slice(lo, hi) for lo, hi in state.support)
-        copy = np.zeros(amps.shape, dtype=COMPLEX)
-        copy.reshape(basis.shape)[box] = amps.reshape(basis.shape)[box]
-        return copy
-    if not isinstance(out, np.ndarray) or out.dtype != COMPLEX or out.shape != amps.shape:
+        out = amps.astype(COMPLEX)
+    elif not (isinstance(out, np.ndarray) and out.dtype == COMPLEX and out.shape == amps.shape):
         raise DomainError(f"out must be a complex128 array of shape {amps.shape}")
-    if out is not amps:
+    elif out is not amps:
         np.copyto(out, amps)
-    return out
+    out.reshape(basis.shape)[_slices(box)] = x
+    return QuantumState(basis, out, None if box == basis.whole else box)
 
 
-def _rotate(state: QuantumState, pairs, beta: float, out=None) -> QuantumState:
-    """The swap rotations on the given pairs, one after another, written
-    into out (see apply_mixer); DomainError when beta is not finite.
+def _box_copy(state: QuantumState) -> np.ndarray:
+    """The state's support box of full-length amps as a new C-contiguous
+    complex128 array of the box's shape."""
+    box = _slices(state.support or state.basis.whole)
+    return np.array(state.amps.reshape(state.basis.shape)[box], dtype=COMPLEX, order="C")
 
-    Per pair, the rotated values c*a10 + i s*a01 and c*a01 + i s*a10 are
-    read off the array first; then every amplitude is multiplied by
-    e^{i beta} in place; then the rotated values are scattered over their
-    phased entries.
 
-    Two kernels do this, chosen once per basis by its size. Up to
-    GATHER_DIM amplitudes a pair is one stacked flat gather: r = c *
-    x[sel]; r += js * x[partner]; then the phase; then x[sel] = r, seven
-    numpy calls where the two halves take eleven, and on small states the
-    calls, not the data, are the cost. Past GATHER_DIM the per-element cost
-    of a flat gather dominates and the halves are read as strided views
-    along the pair's axis (index arrays where the axis indices form no
-    run). The switch sits where best-of-5 timings of both kernels on one
-    CPU crossed: the gather took about half the views' time on 27 and 256
-    amplitudes and two thirds on 3,125, tied with them from 4,096 to
-    7,776, and took 1.1 to 1.6 times their time from 16,384 up (46,656
-    and 65,536 included).
+def _swap(basis: Basis, x: np.ndarray, box, pairs, beta: float) -> tuple:
+    """The swap rotations on the given pairs, one after another, on the box
+    array x (see _gate); the box grows first to the plan's (_mixer_plan),
+    a zeroed array with x copied in at its offset.
 
-    Past GATHER_DIM the view kernel runs on the state's support box, the
-    whole basis when the support is None. Each pair widens its axis's
-    range to hold the swap partners of the range, and the pairs are gone
-    over again until no range grows, so the box holds the partner of every
-    index in it. The kernel then rotates that box in place, as a view of
-    the output array; outside it the output keeps the input's zeros. The
-    grown box is the result's support, None when it is the whole basis.
-    The gather kernel ignores the support and returns a state without one:
-    on its bases the cost is numpy calls, not amplitudes.
-
-    Each amplitude sees the same operations in the same order under both
-    kernels, inside any box, and as with a new array per pair, so the
-    result is the same to the bit; outside a box only the sign of a zero
-    can differ. The scalars stay where they were: c and js on the left of
-    their products and ph on the right, since numpy can round a product
-    differently when its operands are swapped. A one-element array takes
-    the phase out of place: numpy runs an in-place product of one element
-    as a reduction, which rounds differently."""
+    Per pair one kernel body runs: r = c * x[sel]; r += js * x[swp] reads
+    the rotated values c*a10 + i s*a01 and c*a01 + i s*a10; then every
+    amplitude of the box is multiplied by e^{i beta} in place; then
+    x[sel] = r scatters the rotated values over their phased entries.
+    Each amplitude sees the same operations in the same order whatever the
+    box, the index form and the support, so the result is the same to the
+    bit; outside a box only the sign of a zero can differ. The scalars stay
+    where they were: c and js on the left of their products and ph on the
+    right, since numpy can round a product differently when its operands
+    are swapped. A one-element box takes the phase out of place: numpy
+    runs an in-place product of one element as a reduction, which rounds
+    differently. DomainError when beta is not finite."""
     if not math.isfinite(beta):
         raise DomainError("mixer angles must be finite")
-    basis = state.basis
+    grown, extent, embed, flat, steps = _mixer_plan(basis, pairs, box)
+    if grown != box:
+        x, old = np.zeros(extent, dtype=COMPLEX), x
+        x[embed] = old
     ph = np.exp(1j * beta)
     c, js = math.cos(beta), 1j * math.sin(beta)
-    amps = _target(state, out)
-    gather = basis.dim <= GATHER_DIM
-    if gather:
-        x, support = amps, None
-        plans = [_pair_axis(basis, pair)[4] for pair in pairs]
-    else:
-        support = list(state.support or ((0, n) for n in basis.shape))
-        while True:
-            steps = []
-            for pair in pairs:
-                axis, span, plan = _box_plan(basis, pair, support)
-                support[axis] = span
-                steps.append((axis, span, plan))
-            if all(support[axis] == span for axis, span, _ in steps):
-                break
-        plans = [plan for *_, plan in steps]
-        x = amps.reshape(basis.shape)[tuple(slice(lo, hi) for lo, hi in support)]
-        if x.shape == basis.shape:
-            support = None
-    for plan in plans:
-        if plan and gather:
-            sel, partner = plan
-            r = c * x[sel]
-            r += js * x[partner]
-        elif plan:
-            i10, i01 = plan
-            a10, a01 = x[i10], x[i01]  # views when the index is a run
-            r10 = c * a10
-            r10 += js * a01
-            r01 = c * a01
-            r01 += js * a10
+    v = x.reshape(-1) if flat else x
+    for step in steps:
+        if step:
+            sel, swp = step
+            r = c * v[sel]
+            r += js * v[swp]
         # equal-bit states pick up the phase
-        if x.size == 1:
-            x[...] = x * ph  # out of place, as the docstring says
+        if v.size == 1:
+            v[...] = v * ph  # out of place, as the docstring says
         else:
-            x *= ph
-        if plan and gather:
-            x[sel] = r
-        elif plan:
-            x[i10] = r10
-            x[i01] = r01
-    return QuantumState(basis, amps, None if support is None else tuple(support))
+            v *= ph
+        if step:
+            v[sel] = r
+    return x, grown
 
 
 def apply_swap_rotation(state: QuantumState, pair, beta: float) -> QuantumState:
     """e^{i beta SWAP} on the two given 1-based bit indices, into a copy."""
-    return _rotate(state, (pair,), beta)
+    return _gate(state, None, _swap, (tuple(pair),), beta)
 
 
 @dataclass(frozen=True)
@@ -516,20 +512,15 @@ def apply_mixer(state: QuantumState, mixer: MixerHamiltonian, beta: float,
     (state.amps is copied into it first); without out the gate writes a
     copy and never touches state.amps. All three give the same bits.
 
-    Up to GATHER_DIM amplitudes the gather kernel runs on every amplitude
-    and returns no support, since there the cost is numpy calls, not
-    amplitudes. On a larger basis the view kernel rotates the state's
-    support box in place, the whole basis when the support is None: each
-    pair's axis range grows to hold the swap partners of its indices, and
-    the result is zero outside the grown box, which becomes its support.
+    The rotations run on the state's support box, the whole basis when the
+    support is None: each pair's axis range grows to hold the swap
+    partners of its indices, and the result is zero outside the grown
+    box, which becomes its support (None when it is the whole basis).
     Amplitudes, expectations and samples are the same to the bit whatever
     the support; only the sign of zeros outside the box can differ. See
-    _rotate for the kernels and the numpy rounding trap a one-element box
-    meets. From the identity schedule, apply_circuit on the ladder's
-    46,656-amplitude rungs fell from 8.06 to 2.48 ms (tour OSSP(1,6,6),
-    depth 2) and from 4.51 to 0.89 ms (OSSP(3,3,6), depth 1) on one thread
-    of a shared 2-CPU x86_64 host (BENCH_11.json, with a support)."""
-    return _rotate(state, mixer.pairs, beta, out)
+    _swap for the kernel and the numpy rounding trap a one-element box
+    meets, and _mixer_plan for its indices."""
+    return _gate(state, out, _swap, mixer.pairs, beta)
 
 
 def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) -> np.ndarray:
@@ -565,10 +556,8 @@ def phase_table(diag: np.ndarray) -> PhaseTable:
 def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float,
                           out: np.ndarray | None = None) -> QuantumState:
     """e^{i gamma f} from the diagonal's table: one exponential per level,
-    gathered onto the amplitudes of the state's support box on bases past
-    GATHER_DIM, and onto every amplitude on smaller bases or without a
-    support (as the gather kernel, there the cost is numpy calls, not
-    amplitudes). An amplitude gets the factor
+    gathered onto the amplitudes of the state's support box (every
+    amplitude when the support is None). An amplitude gets the factor
     exp(1j * gamma * f(z)) of its own value, so the result equals
     amps * exp(1j * gamma * diag) to the bit, written as its own statement.
     DomainError when some gamma * f(z) is not finite, as its phase would
@@ -581,27 +570,29 @@ def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float,
     swapped, and a swapped complex product can round differently, so a
     basis of PIN_DIM or more amplitudes multiplies (phase, amplitude) and
     a smaller one (amplitude, phase), whatever the size of its box. A
-    one-element box takes the product out of place (see _rotate)."""
-    if len(table.inverse) != len(state.amps):
+    one-element box takes the product out of place (see _swap)."""
+    if len(table.inverse) != state.basis.dim:
         raise DomainError("phase separator was built for a different basis")
     # levels ascend, so the extremes bound every |gamma * f(z)|; Python
     # floats overflow to inf without a warning
     g, lo, hi = float(gamma), float(table.levels[0]), float(table.levels[-1])
     if not (math.isfinite(g * lo) and math.isfinite(g * hi)):
         raise DomainError(f"phase angle gamma = {g} times the objective is not finite")
-    basis = state.basis
-    amps = _target(state, out)
-    x, index = amps, table.inverse
-    if state.support is not None and basis.dim > GATHER_DIM:
-        box = tuple(slice(lo, hi) for lo, hi in state.support)
-        x, index = amps.reshape(basis.shape)[box], index.reshape(basis.shape)[box]
+    return _gate(state, out, _phase, table, gamma)
+
+
+def _phase(basis: Basis, x: np.ndarray, box, table: PhaseTable, gamma: float) -> tuple:
+    """e^{i gamma f} on the box array x (see _gate), in place; the box
+    passes through. The phases are gathered through a view of the
+    diagonal's inverse index, so no per-box index is kept."""
+    index = table.inverse.reshape(basis.shape)[_slices(box)]
     phases = np.exp(1j * gamma * table.levels)[index]
     operands = (phases, x) if basis.dim >= PIN_DIM else (x, phases)
     if x.size == 1:
         x[...] = np.multiply(*operands)
     else:
         np.multiply(*operands, out=x)
-    return QuantumState(basis, amps, state.support)
+    return x, box
 
 
 def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> QuantumState:
@@ -623,7 +614,7 @@ def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> Qu
     h = [np.zeros((len(s), len(s))) for s in basis.sectors]
     for mixer in mixer_list:
         for pair in mixer.pairs:
-            axis, _, _, partner, _ = _pair_axis(basis, pair)
+            axis, *_, partner = _pair_axis(basis, pair)
             h[axis] += np.eye(len(partner))[partner]
     gates = {}  # busy blocks share one generator: exponentiate it once
     amps = state.amps.reshape(basis.shape)
@@ -757,9 +748,14 @@ def zero_params(circuit: Circuit) -> ParameterVector:
 
 
 def build_circuit(instance: OsspInstance, objective: Objective, depth: int) -> Circuit:
-    """depth rounds of [phase, mixers]; (J-1) beta slots and 1 gamma slot per round."""
+    """depth rounds of [phase, mixers]; (J-1) beta slots and 1 gamma slot per
+    round. CapabilityError when the depth * J slots would pass DIM_CAP,
+    before anything is allocated."""
     if depth < 1:
         raise DomainError("circuit depth must be >= 1")
+    if depth * instance.jobs > DIM_CAP:
+        raise CapabilityError(
+            f"depth {depth} gives {depth * instance.jobs} circuit parameters, more than {DIM_CAP}")
     return Circuit(
         instance=instance,
         objective=objective,
@@ -794,33 +790,38 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     skipped gate would change at most the sign of zero real or imaginary
     parts.
 
-    The first gate that runs writes a copy of the start (past GATHER_DIM,
-    of its support box into zeros; see _target), and every later gate
-    writes that copy in place (out=), so the start is never written
-    and the result shares no memory with it unless every gate was
-    skipped, when the result is the start itself.
-
-    A start from basis_state carries its support, so on bases larger than
-    GATHER_DIM the first rounds' phases and mixers run on the box
-    amplitude has reached (apply_phase_separator, apply_mixer); a
-    state without one runs on the box of the whole basis. That too
-    changes at most the sign of zeros, so the result's amplitudes,
-    expectation and samples do not depend on the support."""
+    When some gate runs, the start's support box (the whole basis when its
+    support is None) is copied out once into a C-contiguous array of the
+    box's shape, and every gate runs on that array in place: each is still
+    called as the module's apply_phase_separator or apply_mixer, with the
+    box array as both amps and out (see _gate). A mixer that widens the
+    box moves it into a zeroed array of the grown box. At the end the box
+    is written once into a zeroed full-length vector, so the start is
+    never written and the result shares no memory with it; when every
+    gate was skipped the result is the start itself. The result's support
+    is the box amplitude has reached, None when that is the whole basis.
+    Its amplitudes, expectation and samples do not depend on the start's
+    support: a support changes at most the sign of zeros."""
     if len(params.beta) != circuit.n_beta or len(params.gamma) != circuit.n_gamma:
         raise DomainError(
             f"parameter shape ({len(params.beta)} beta, {len(params.gamma)} gamma) "
             f"does not match circuit slots ({circuit.n_beta}, {circuit.n_gamma})"
         )
     grid = clamp_beta(params.beta).reshape(circuit.depth, circuit.instance.jobs - 1)
-    table = out = None  # the first gate run copies the start; later gates write that copy
+    if not (grid.any() or params.gamma.any()):
+        return state  # every gate is skipped
+    basis, table = state.basis, None
+    state = QuantumState(basis, _box_copy(state), state.support)
     for gamma, row in zip(params.gamma, grid):
         if gamma != 0.0:
             if table is None:
-                table = circuit.phase_table_for(state.basis)
-            state = apply_phase_separator(state, table, gamma, out=out)
-            out = state.amps
+                table = circuit.phase_table_for(basis)
+            state = apply_phase_separator(state, table, gamma, out=state.amps)
         for mixer, beta in zip(circuit.mixers, row[::-1]):
             if beta != 0.0:
-                state = apply_mixer(state, mixer, beta, out=out)
-                out = state.amps
-    return state
+                state = apply_mixer(state, mixer, beta, out=state.amps)
+    if state.support is None:  # the box is the whole basis
+        return QuantumState(basis, state.amps.reshape(-1))
+    amps = np.zeros(basis.dim, dtype=COMPLEX)
+    amps.reshape(basis.shape)[_slices(state.support)] = state.amps
+    return QuantumState(basis, amps, state.support)

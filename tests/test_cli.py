@@ -280,6 +280,16 @@ def test_oversize_sector_exits_4_before_listing_patterns(tmp_path):
     assert "capability exceeded" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_huge_depth_exits_4_before_allocating(command):
+    # 10^8 rounds of ossp224 would take 4 * 10^8 angle slots, gigabytes
+    # as Python lists; the circuit is refused before any is listed
+    code, err = run_capped([command, "--preset", "ossp224", "--depth", "100000000"],
+                           limit_mb=1024)
+    assert code == 4, err
+    assert "capability exceeded" in err and "circuit parameters" in err
+
+
 def test_group_check_instances(tmp_path):
     out = tmp_path / "gc.json"
     assert main(["group-check", "--preset", "ossp133", "--out", str(out)]) == 0

@@ -359,48 +359,63 @@ class WriteOnce(dict):
 
 
 def test_swap_memo_holds_only_the_plan_its_kernel_reads():
+    """Each pair table and each mixer plan is built once, whichever of the
+    mixer (from a whole-basis box or a schedule's one-element box) and the
+    simultaneous mixer asks first; every array in the memo is read-only,
+    and a weight-0 block's pair has the empty step."""
     i166, i336 = OsspInstance(1, 6, 6), OsspInstance(3, 3, 6)
     cases = [(OSSP224, subspace_basis(OSSP224, Z0_224)), (i166, schedule_basis(i166)),
              (i336, schedule_basis(i336))]
     assert cases[0][1].dim <= simulator.GATHER_DIM < cases[1][1].dim
     memos = []  # the last fresh basis of each case
     for inst, shared in cases:
-        # one pair table per pair, whichever of the kernels and the
-        # simultaneous mixer asks first
         for simultaneous_first in (True, False):
             basis = fresh(shared)
             basis._plans = WriteOnce()
-            state = QuantumState(basis, np.ones(basis.dim, dtype=complex) / basis.dim ** 0.5)
+            dense_state = QuantumState(basis, np.ones(basis.dim, dtype=complex) / basis.dim ** 0.5)
+            start = basis_state(inst, Z0_224 if inst is OSSP224 else schedule_string(inst), basis)
             if simultaneous_first:
-                apply_simultaneous_mixer(state, mixers(inst), 0.4)
-            for m in mixers(inst):
-                apply_mixer(state, m, 0.4)
-            apply_simultaneous_mixer(state, mixers(inst), 0.4)
+                apply_simultaneous_mixer(dense_state, mixers(inst), 0.4)
+            for _ in range(2):
+                for m in mixers(inst):
+                    apply_mixer(dense_state, m, 0.4)
+                    apply_mixer(start, m, 0.4)
+            apply_simultaneous_mixer(dense_state, mixers(inst), 0.4)
             assert set(basis._plans) >= {p for m in mixers(inst) for p in m.pairs}
         memos.append(basis)
-    small, big, empty = memos
-    tables = {k: v for k, v in small._plans.items() if len(k) == 2}
-    assert set(tables) == set(small._plans)  # no box plans on the gather kernel's bases
-    for *_, flat in tables.values():
-        # two flat index arrays of equal length, no view tuples
-        sel, swapped = flat
-        assert isinstance(sel, np.ndarray) and isinstance(swapped, np.ndarray)
-        assert sel.ndim == 1 and sel.shape == swapped.shape
-        assert not sel.flags.writeable and not swapped.flags.writeable
-    for key, entry in big._plans.items():
-        if len(key) == 2:
-            assert entry[-1] == ()  # no flat plan past GATHER_DIM
-            continue
-        span, plan = entry
-        # index tuples along one axis: nothing longer than a sector
-        for index in plan:
-            assert isinstance(index, tuple)
-            for part in index:
-                assert isinstance(part, slice) or len(part) <= max(big.shape)
-    # a weight-0 block's pair has no unequal patterns: its plan is empty
-    pairs = [p for m in mixers(i336) for p in m.pairs]
-    plans = [empty._plans[p + (0, empty.shape[empty._plans[p][0]])][1] for p in pairs]
-    assert sum(plan == () for plan in plans) == 3 * 5  # 3 idle blocks, 5 mixers
+    for basis in memos:
+        for key, entry in basis._plans.items():
+            if not isinstance(key[0], tuple):  # a pair table
+                arrays = list(entry[1:])
+                continue
+            pairs, box = key
+            grown, extent, embed, flat, steps = entry
+            assert len(steps) == len(pairs)
+            assert extent == tuple(hi - lo for lo, hi in grown)
+            assert all(g <= lo < hi <= h for (lo, hi), (g, h) in zip(box, grown))
+            assert flat == (math.prod(extent) <= simulator.GATHER_DIM)
+            arrays = []
+            for step in steps:
+                for index in step:
+                    if flat:  # flat indices into the box
+                        assert isinstance(index, np.ndarray) and index.ndim == 1
+                        arrays.append(index)
+                        continue
+                    # index tuples along one axis: nothing longer than a sector
+                    assert isinstance(index, tuple)
+                    for part in index:
+                        assert isinstance(part, slice) or len(part) <= max(basis.shape)
+                        arrays += [] if isinstance(part, slice) else [part]
+            assert not any(a.flags.writeable for a in arrays)
+    # a weight-0 block's pair has no unequal patterns: its step is empty
+    empty = memos[2]
+    idle = [k for k, b in enumerate(position_blocks(i336)) if "1" not in
+            "".join(schedule_string(i336)[i - 1] for i in b)]
+    assert len(idle) == 3
+    steps = [(pair, step) for key, entry in empty._plans.items() if isinstance(key[0], tuple)
+             for pair, step in zip(key[0], entry[-1])]
+    assert {step for pair, step in steps if empty._plans[pair][0] in idle} == {()}
+    assert sum(empty._plans[pair][0] in idle for pair, _ in steps) >= 3 * 5
 
 
 def test_a_state_without_support_runs_as_the_whole_basis_box():
@@ -938,6 +953,15 @@ def test_fidelity_accepts_the_same_basis_without_comparing_values(monkeypatch):
     assert fidelity(b, b) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_build_circuit_refuses_more_parameters_than_dim_cap():
+    # depth * J angle slots: ossp224 has J = 4
+    cap = simulator.DIM_CAP // 4
+    largest = build_circuit(OSSP224, OBJ224, cap)
+    assert largest.n_beta + largest.n_gamma == simulator.DIM_CAP
+    with pytest.raises(CapabilityError, match="circuit parameters"):
+        build_circuit(OSSP224, OBJ224, cap + 1)
+
+
 def test_apply_circuit_validation_and_clamp():
     circuit = build_circuit(OSSP133, OBJ133, 1)
     st = basis_state(OSSP133, Z0_133, "subspace")
@@ -993,10 +1017,14 @@ def test_basis_state_support_is_the_start_and_the_phase_keeps_it():
     circuit = build_circuit(inst, TspObjective(tuple(map(tuple, (d + d.T).tolist()))), 1)
     table = circuit.phase_table_for(start.basis)
     assert apply_phase_separator(start, table, 0.3).support == start.support
-    # the gather kernel ignores the support: its result is the whole basis
+    # a small basis runs its support box too: B_1 swaps jobs 1 and 2, so
+    # only the blocks that hold one of them grow, to both patterns
     small = basis_state(OSSP224, Z0_224, "subspace")
-    assert small.support is not None
-    assert apply_mixer(small, mixer_hamiltonian(OSSP224, 1), 0.4).support is None
+    got = apply_mixer(small, mixer_hamiltonian(OSSP224, 1), 0.4)
+    assert small.basis.dim <= simulator.GATHER_DIM
+    assert [hi - lo for lo, hi in got.support] == [2, 2, 1, 1]
+    want = apply_mixer(dense(small), mixer_hamiltonian(OSSP224, 1), 0.4)
+    assert want.support is None and np.array_equal(got.amps, want.amps)
 
 
 def box_cases(rng):
@@ -1154,9 +1182,9 @@ def tour_and_weights(rng):
 
 
 def test_apply_circuit_never_writes_its_input():
-    """On the gather kernel (ossp224) and the box kernel, with and without a
-    support: the start's bytes stay put, and the result shares no memory
-    with the start unless every gate was skipped."""
+    """On a basis of at most GATHER_DIM amplitudes (ossp224) and past it,
+    with and without a support: the start's bytes stay put, and the result
+    shares no memory with the start unless every gate was skipped."""
     rng = np.random.default_rng(59)
     for inst, objective in [(OSSP224, OBJ224)] + tour_and_weights(rng):
         circuit = build_circuit(inst, objective, 2)
@@ -1263,8 +1291,8 @@ def test_apply_circuit_matches_a_gate_by_gate_reference_bit_for_bit():
 
 
 def test_whole_axis_box_plans_reuse_the_pair_table():
-    """On pure_state's one axis a box of the whole axis plans with the
-    table's own d10 and p01, not shifted copies."""
+    """On pure_state's one axis a box of the whole axis plans with views of
+    the pair table (d10 ++ p01 ++ d10), not new arrays."""
     z = "0110100101101001"
     state = pure_state(16, z)
     mixer = simulator.MixerHamiltonian(1, ((3, 4), (6, 11)))
@@ -1274,9 +1302,155 @@ def test_whole_axis_box_plans_reuse_the_pair_table():
         want = per_pair_rotation(want, pair, 0.3)
     assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
     basis = state.basis
-    for pair in mixer.pairs:
-        _, d10, p01, _, _ = simulator._pair_axis(basis, pair)
-        span, (i10, i01) = basis._plans[pair + (0, 1 << 16)]
-        assert span == (0, 1 << 16)
-        assert isinstance(i10[-1], np.ndarray) and isinstance(i01[-1], np.ndarray)
-        assert np.shares_memory(i10[-1], d10) and np.shares_memory(i01[-1], p01)
+    grown, _, _, flat, steps = basis._plans[(mixer.pairs, basis.whole)]
+    assert grown == basis.whole == ((0, 1 << 16),) and not flat
+    for pair, ((sel,), (swp,)) in zip(mixer.pairs, steps):
+        _, d10, p01, _ = simulator._pair_axis(basis, pair)
+        assert isinstance(sel, np.ndarray) and isinstance(swp, np.ndarray)
+        assert np.array_equal(sel, np.concatenate([d10, p01]))
+        assert np.array_equal(swp, np.concatenate([p01, d10]))
+        for index in (sel, swp):  # views of the one array that holds d10 and p01
+            assert index.base is d10.base is p01.base
+
+
+def by_pairs(circuit, params, state, diag):
+    """gate_by_gate for any circuit.mixers, hand-made ones included: every
+    gate on the whole array, zero angles included, each mixer pair by
+    per_pair_rotation."""
+    basis, amps = state.basis, state.amps
+    grid = params.beta.reshape(circuit.depth, -1)
+    for gamma, row in zip(params.gamma, grid):
+        amps = amps * np.exp(1j * gamma * diag)
+        for mixer, beta in zip(circuit.mixers, row[::-1]):
+            for pair in mixer.pairs:
+                amps = per_pair_rotation(QuantumState(basis, amps), pair, beta).amps
+    return amps
+
+
+def differential_cases(rng):
+    """(instance, objective, start, dense start, circuit mixers) on busy,
+    non-busy and random shapes, a start with weight-2 blocks, the full
+    engine, a tour, and pure_state's one axis with a hand-made mixer whose
+    two pairs share it."""
+    def weights(inst):
+        return linear_from_rows(inst, rng.integers(0, 10, (inst.positions, inst.jobs)).tolist())
+
+    def tour(jobs):
+        d = np.triu(rng.integers(1, 10, (jobs, jobs)), 1)
+        return TspObjective(tuple(map(tuple, (d + d.T).tolist())))
+
+    i155, i144, i233, i153 = (OsspInstance(1, 5, 5), OsspInstance(1, 4, 4),
+                              OsspInstance(2, 3, 3), OsspInstance(1, 5, 3))
+    shapes = [(i144, weights(i144), random_schedule(i144, rng), "subspace"),
+              (i233, weights(i233), random_schedule(i233, rng), "subspace"),
+              (i155, weights(i155), "11000" "11000" "00100" "00010" "00001", "subspace"),
+              (i155, tour(5), random_schedule(i155, rng), "subspace"),
+              (OSSP133, OBJ133, random_schedule(OSSP133, rng), "full"),
+              (i144, tour(4), random_schedule(i144, rng), "full")]
+    while len(shapes) < 10:
+        m, t, j = (int(v) for v in rng.integers(1, 5, 3))
+        if j >= 2 and m * t >= j and m * t * j <= 16:
+            inst = OsspInstance(m, t, j)
+            shapes.append((inst, weights(inst), random_schedule(inst, rng), "subspace"))
+    cases = []
+    for inst, objective, z, engine in shapes:
+        start = basis_state(inst, z, engine)
+        cases.append((inst, objective, start, dense(start), None))
+    for inst in (OSSP133, i153):  # 512 and 32,768 amplitudes on one axis
+        z = random_schedule(inst, rng)
+        block = position_blocks(inst)[0]
+        shared = simulator.MixerHamiltonian(1, ((block[0], block[1]), (block[1], block[2])))
+        start = basis_state(inst, z, full_basis(inst.n_bits))
+        assert np.array_equal(pure_state(inst.n_bits, z).amps, start.amps)
+        cases.append((inst, weights(inst), start, pure_state(inst.n_bits, z), shared))
+    return cases
+
+
+def test_box_route_matches_dense_starts_and_the_per_pair_reference():
+    """apply_circuit from a basis_state start (its support box), from the
+    same start without a support, and by_pairs agree by np.array_equal,
+    with angles of exactly 0 and pi/2 among random ones, and a circuit
+    whose first mixer holds only pairs with equal bits at the start, so
+    that it phases a one-element box."""
+    rng = np.random.default_rng(73)
+    seen = set()
+    for inst, objective, start, dense_start, shared in differential_cases(rng):
+        circuit = build_circuit(inst, objective, int(rng.integers(1, 4)))
+        if shared is not None:
+            circuit = dataclasses.replace(circuit, mixers=(shared,) + circuit.mixers[1:])
+        diag = circuit.phase_for(start.basis)
+        circuits = [circuit]
+        z = int_to_bits(int(start.basis.values()[np.flatnonzero(start.amps)[0]]), inst.n_bits)
+        first = circuit.mixers[0]
+        idle = tuple((a, b) for a, b in first.pairs if z[a - 1] == z[b - 1])
+        if idle:
+            circuits.append(dataclasses.replace(circuit, mixers=(
+                simulator.MixerHamiltonian(first.generator, idle),) + circuit.mixers[1:]))
+        for c in circuits:
+            for _ in range(4):
+                params = random_params(c, rng)
+                params.gamma[0] = rng.uniform(0.1, 2.0)  # round 1 phases the one-element box
+                params.beta[inst.jobs - 2] = rng.uniform(0.1, 1.0)  # the first mixer runs
+                got = apply_circuit(c, params, start)
+                assert np.array_equal(got.amps, apply_circuit(c, params, dense_start).amps)
+                assert np.array_equal(got.amps, by_pairs(c, params, start, diag))
+                seen.add(start.basis.dim > simulator.GATHER_DIM)
+        if idle:
+            one = apply_mixer(start, circuits[-1].mixers[0], 0.7)
+            assert math.prod(hi - lo for lo, hi in (one.support or start.basis.whole)) in (
+                1, start.basis.dim)
+    assert seen == {True, False}
+
+
+def test_box_route_reaches_each_gate_through_the_module(monkeypatch):
+    """Past GATHER_DIM (the ladder's tour OSSP(1,6,6)) apply_circuit calls
+    simulator.apply_mixer and simulator.apply_phase_separator once per
+    nonzero angle, so a tracer that replaces them sees every gate."""
+    rng = np.random.default_rng(79)
+    inst, objective = tour_and_weights(rng)[0]
+    circuit = build_circuit(inst, objective, 2)
+    start = basis_state(inst, random_schedule(inst, rng), "subspace")
+    assert start.basis.dim > simulator.GATHER_DIM
+    calls, phases = [], []
+
+    def counted(state, mixer, beta, **kw):
+        calls.append(beta)
+        return apply_mixer(state, mixer, beta, **kw)
+
+    def counted_phase(state, table, gamma, **kw):
+        phases.append(gamma)
+        return apply_phase_separator(state, table, gamma, **kw)
+
+    for params in [random_params(circuit, rng) for _ in range(6)]:
+        want = round_by_round(circuit, params, start)
+        calls.clear()
+        phases.clear()
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "apply_mixer", counted)
+            m.setattr(simulator, "apply_phase_separator", counted_phase)
+            got = apply_circuit(circuit, params, start)
+        assert np.array_equal(got.amps, want.amps)
+        assert len(calls) == np.count_nonzero(params.beta)
+        assert len(phases) == np.count_nonzero(params.gamma)
+
+
+def test_repeated_parameter_vectors_add_no_plans():
+    """The mixer plans are keyed by pairs and input box, and a start's boxes
+    repeat: running the same 40 parameter vectors again on the ladder's
+    shapes builds no new memo entry."""
+    rng = np.random.default_rng(83)
+    cases = [(OsspInstance(1, 5, 5), linear_from_rows(
+        OsspInstance(1, 5, 5), rng.integers(0, 10, (5, 5)).tolist()), 3)]
+    cases += [(inst, obj, depth) for (inst, obj), depth in zip(tour_and_weights(rng), (2, 1))]
+    for inst, objective, depth in cases:
+        circuit = build_circuit(inst, objective, depth)
+        basis = fresh(schedule_basis(inst))
+        basis._plans = WriteOnce()
+        start = basis_state(inst, schedule_string(inst), basis)
+        vectors = [ParameterVector(rng.uniform(0.0, math.pi / 2, circuit.n_beta),
+                                   rng.uniform(-2.0, 2.0, circuit.n_gamma)) for _ in range(40)]
+        first = [apply_circuit(circuit, p, start).amps for p in vectors]
+        planned = dict(basis._plans)
+        again = [apply_circuit(circuit, p, start).amps for p in vectors]
+        assert basis._plans == planned
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
