@@ -62,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -132,18 +133,54 @@ class Basis:
         """Integer value of every basis string in amplitude order (ascending)."""
         return functools.reduce(np.add.outer, self.sectors).ravel()
 
+    @functools.cached_property
+    def _axes(self) -> tuple[tuple[int, int, int | None], ...]:
+        """Per amplitude axis (shift, ones, weight): a string's block
+        pattern, shifted down to the block's lowest bit, is value >> shift
+        & ones; weight is the sector's pattern weight, None on a sector of
+        all 2^width patterns."""
+        axes = []
+        for sector, mask in zip(self.sectors, self.masks):
+            shift = (mask & -mask).bit_length() - 1
+            ones = mask >> shift
+            weight = None if len(sector) == ones + 1 else int(sector[0]).bit_count()
+            axes.append((shift, ones, weight))
+        return tuple(axes)
+
     def position_of(self, value: int) -> tuple[int, ...]:
-        """The string's index along each amplitude axis."""
-        patterns = [value & m for m in self.masks]
-        pos = tuple(int(np.searchsorted(s, p)) for s, p in zip(self.sectors, patterns))
-        if sum(patterns) == value and all(
-            i < len(s) and s[i] == p for s, i, p in zip(self.sectors, pos, patterns)
-        ):
-            return pos
+        """The string's index along each amplitude axis, from its bits
+        alone: no sector is searched or copied. On an all-pattern sector a
+        block's pattern p (shifted down) is its own index. On a sector of
+        weight w a pattern with set bits c_1 < ... < c_w, counted from the
+        block's lowest bit, has index sum_i C(c_i, i), its rank in
+        ascending order (the combinatorial number system). DomainError
+        when the string is not in the basis."""
+        value = operator.index(value)
+        pos = []
+        if 0 <= value < 1 << self.n_bits:
+            for shift, ones, weight in self._axes:
+                p = value >> shift & ones
+                if weight is None:
+                    pos.append(p)
+                    continue
+                if p.bit_count() != weight:
+                    break
+                rank = i = 0
+                while p:
+                    low, i = p & -p, i + 1
+                    rank += math.comb(low.bit_length() - 1, i)
+                    p ^= low
+                pos.append(rank)
+            else:
+                return tuple(pos)
         raise DomainError(f"string {int_to_bits(value, self.n_bits)} is not in the basis")
 
     def index_of(self, value: int) -> int:
-        return int(np.ravel_multi_index(self.position_of(value), self.shape))
+        """The string's flat index in amplitude order (C order over shape)."""
+        index = 0
+        for i, n in zip(self.position_of(value), self.shape):
+            index = index * n + i
+        return index
 
 
 @dataclass(eq=False)
@@ -220,10 +257,11 @@ def full_basis(n_bits: int) -> Basis:
 def subspace_basis(instance: OsspInstance, z: str) -> Basis:
     """All strings sharing z's Hamming weight in every position block: the
     product of the position blocks' sectors of z's block weights, shared by
-    every start with those weights."""
+    every start with those weights. Position block k is the J characters
+    z[kJ : kJ + J], and its weight is counted there with str.count."""
     check_bitstring(z, instance.n_bits)
-    weights = (sum(z[i - 1] == "1" for i in block) for block in position_blocks(instance))
-    return _product_basis(tuple((instance.jobs, w) for w in weights))
+    jobs = instance.jobs
+    return _product_basis(tuple((jobs, z.count("1", k, k + jobs)) for k in range(0, len(z), jobs)))
 
 
 def basis_state(instance: OsspInstance, z: str, engine="full") -> QuantumState:
@@ -765,16 +803,22 @@ def build_circuit(instance: OsspInstance, objective: Objective, depth: int) -> C
 
 
 def clamp_beta(beta: np.ndarray) -> np.ndarray:
-    """Force mixer angles into [0, pi/2], warning when anything moved;
-    DomainError when one is not finite."""
+    """Mixer angles as a float array in [0, pi/2]. The array's least and
+    greatest angles are read once: DomainError when either is not finite
+    (NaN included), checked first; a clipped copy when one lies outside the
+    box, with a warning when it lies more than 1e-12 outside; otherwise the
+    float array itself, neither copied nor written."""
     beta = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(beta)):
+    if not beta.size:
+        return beta
+    lo, hi = float(beta.min()), float(beta.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("mixer angles must be finite")
-    if np.any(beta < BETA_LO - 1e-12) or np.any(beta > BETA_HI + 1e-12):
-        warnings.warn(
-            "mixer angles outside [0, pi/2] were clamped", stacklevel=3
-        )
-    return np.clip(beta, BETA_LO, BETA_HI)
+    if lo < BETA_LO or hi > BETA_HI:
+        if lo < BETA_LO - 1e-12 or hi > BETA_HI + 1e-12:
+            warnings.warn("mixer angles outside [0, pi/2] were clamped", stacklevel=3)
+        beta = np.clip(beta, BETA_LO, BETA_HI)
+    return beta
 
 
 def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState) -> QuantumState:
@@ -807,12 +851,15 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
             f"parameter shape ({len(params.beta)} beta, {len(params.gamma)} gamma) "
             f"does not match circuit slots ({circuit.n_beta}, {circuit.n_gamma})"
         )
-    grid = clamp_beta(params.beta).reshape(circuit.depth, circuit.instance.jobs - 1)
-    if not (grid.any() or params.gamma.any()):
+    # angles as Python floats: the gates read scalars, and a list is
+    # cheaper to walk and test than numpy scalars
+    grid = clamp_beta(params.beta).reshape(circuit.depth, circuit.instance.jobs - 1).tolist()
+    gammas = params.gamma.tolist()
+    if not (any(gammas) or any(map(any, grid))):
         return state  # every gate is skipped
     basis, table = state.basis, None
     state = QuantumState(basis, _box_copy(state), state.support)
-    for gamma, row in zip(params.gamma, grid):
+    for gamma, row in zip(gammas, grid):
         if gamma != 0.0:
             if table is None:
                 table = circuit.phase_table_for(basis)

@@ -29,11 +29,10 @@ from .groups import decompose_job_permutation
 from .instances import (
     OsspInstance,
     bits_to_int,
+    check_bitstring,
     feasibility_mask,
-    indices_of_ones,
     instance_to_dict,
     int_to_bits,
-    is_feasible,
     linear_from_rows,
     optimal_solutions,
 )
@@ -341,16 +340,25 @@ class ReachPlan:
 
 
 def job_assignment(instance: OsspInstance, z: str) -> tuple[int, ...]:
-    """Busy solutions are bijections position -> job (both zero-based)."""
+    """The job in each position of a busy solution, both zero-based.
+
+    z is read once: one str.find per position block of J characters gives
+    the block's first set bit, and the counts of '1' and '0' over the whole
+    string close the check. z is a solution exactly when it has length N,
+    holds only '0' and '1', has one set bit in every block (each block has
+    one and there are P = J in all) and no job twice, which is
+    is_feasible on a busy instance. Otherwise DomainError: the message of
+    check_bitstring for a malformed string, else "<z> is not a solution"."""
     if not instance.is_busy:
         raise DomainError("job assignments require a busy instance")
-    if not is_feasible(instance, z):
-        raise DomainError(f"{z} is not a solution")
-    assignment = [-1] * instance.positions
-    for idx in indices_of_ones(z):
-        p, j = divmod(idx - 1, instance.jobs)
-        assignment[p] = j
-    return tuple(assignment)
+    n, jobs = instance.n_bits, instance.jobs
+    if isinstance(z, str) and len(z) == n:
+        assignment = tuple(z.find("1", k, k + jobs) - k for k in range(0, n, jobs))
+        if (min(assignment) >= 0 and len(set(assignment)) == jobs
+                and z.count("1") == jobs and z.count("0") == n - jobs):
+            return assignment
+    check_bitstring(z, n)
+    raise DomainError(f"{z} is not a solution")
 
 
 @functools.lru_cache(maxsize=16)
@@ -373,8 +381,11 @@ def compile_reach(instance: OsspInstance, source: str, target: str) -> ReachPlan
     to pi/2 in round r of the beta grid of the instance's shared reach
     circuit (_reach_circuit). Gamma stays zero throughout, so no objective
     enters. Every plan is re-run from |source> on the restricted-basis
-    engine before being returned: its fidelity is |amplitude| of the
-    result on target, and below 1 - 1e-10 it raises VerificationError.
+    engine, through apply_circuit, before being returned: its fidelity is
+    |amplitude| of the result on target, read at the target's position
+    on the basis axes (Basis.position_of), and below 1 - 1e-10 it raises
+    VerificationError. Both schedules are checked by job_assignment, so a
+    string that is not a solution raises DomainError before anything runs.
     """
     if not instance.is_busy:
         raise CapabilityError(
@@ -393,7 +404,8 @@ def compile_reach(instance: OsspInstance, source: str, target: str) -> ReachPlan
         grid[r, w - 1] = math.pi / 2
     params = ParameterVector(grid.ravel(), np.zeros(circuit.depth))
     reached = apply_circuit(circuit, params, basis_state(instance, source, "subspace"))
-    fid = float(abs(reached.amps[reached.basis.index_of(bits_to_int(target))]))
+    basis = reached.basis
+    fid = float(abs(reached.amps.reshape(basis.shape)[basis.position_of(bits_to_int(target))]))
     if fid < 1 - 1e-10:
         raise VerificationError(
             f"reach plan fidelity {fid:.12f} for {source} -> {target}"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,71 @@ def test_index_of_reads_the_sectors_only(monkeypatch):
             assert amplitude(basis_state(inst, z, sub), z) == 1.0
 
 
+def searchsorted_position(basis, value):
+    """Reference for Basis.position_of: each block's pattern looked up in
+    its sector by np.searchsorted."""
+    patterns = [value & m for m in basis.masks]
+    pos = tuple(int(np.searchsorted(s, p)) for s, p in zip(basis.sectors, patterns))
+    if sum(patterns) == value and all(
+        i < len(s) and s[i] == p for s, i, p in zip(basis.sectors, pos, patterns)
+    ):
+        return pos
+    raise DomainError(f"string {int_to_bits(value, basis.n_bits)} is not in the basis")
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def test_position_of_matches_the_searchsorted_reference():
+    rng = np.random.default_rng(23)
+    i155 = OsspInstance(1, 5, 5)
+    bases = [
+        subspace_basis(OSSP224, Z0_224),  # weight-1 blocks
+        subspace_basis(OSSP224, "1100011000001001"),  # weights 2, 2, 0, 2
+        subspace_basis(OSSP224, "0000000000000000"),  # weight-0 blocks only
+        subspace_basis(i155, "11100" + "11000" + "10000" + "00000" + "11110"),
+        subspace_basis(OSSP133, Z0_133),
+        basis_state(OSSP224, Z0_224, "full").basis,
+        basis_state(OSSP133, Z0_133, "full").basis,
+        full_basis(9),  # pure_state's one axis
+        full_basis(16),
+    ]
+    assert {b.engine for b in bases} == {"full", "subspace"}
+    for basis in bases:
+        values = basis.values()
+        members = rng.choice(values, size=min(len(values), 300), replace=False).tolist()
+        others = rng.integers(-3, (1 << basis.n_bits) + 3, size=300).tolist()
+        for v in members + others + [-1, 0, (1 << basis.n_bits) - 1, 1 << basis.n_bits]:
+            want = outcome(searchsorted_position, basis, v)
+            assert outcome(basis.position_of, v) == want
+            if isinstance(want[0], type):
+                assert want[0] is DomainError
+                assert outcome(basis.index_of, v) == want
+            else:
+                assert basis.index_of(v) == int(np.ravel_multi_index(want, basis.shape))
+        # members and numpy integers alike
+        for k in rng.choice(len(values), size=min(len(values), 50), replace=False).tolist():
+            assert basis.index_of(values[k]) == k
+
+
+def test_subspace_basis_matches_the_block_tuple_reference():
+    rng = np.random.default_rng(29)
+    for inst in (OSSP224, OSSP133, OsspInstance(1, 3, 2), OsspInstance(3, 3, 3)):
+        for _ in range(60):
+            z = "".join(rng.choice(["0", "1"], size=inst.n_bits))
+            weights = (sum(z[i - 1] == "1" for i in block) for block in position_blocks(inst))
+            want = simulator._product_basis(tuple((inst.jobs, w) for w in weights))
+            assert subspace_basis(inst, z) is want
+    for bad in ("1", "2" * OSSP224.n_bits, None):
+        with pytest.raises(DomainError, match="expected a bit string"):
+            subspace_basis(OSSP224, bad)
+
+
 def test_subspace_basis_contents():
     sub224 = subspace_basis(OSSP224, Z0_224)
     assert sub224.dim == 256  # 4 choices per position block
@@ -314,9 +380,9 @@ def test_mixer_kernel_matches_per_pair_formula_bit_for_bit():
         # weight-2 blocks put several patterns on each side of a pair
         (OSSP224, subspace_basis(OSSP224, "1100011000001001")),
         (OSSP133, full_basis(OSSP133.n_bits)),
-        # the ladder's shapes: 3,125 amplitudes on the gather kernel, 46,656
-        # on the view kernel, and OSSP(3,3,6)'s weight-0 blocks have no
-        # unequal patterns on their pairs
+        # the ladder's shapes: 3,125 amplitudes on flat-index mixer plans,
+        # 46,656 on per-axis index plans, and OSSP(3,3,6)'s weight-0 blocks
+        # have no unequal patterns on their pairs
         (OsspInstance(1, 5, 5), schedule_basis(OsspInstance(1, 5, 5))),
         (OsspInstance(1, 6, 6), schedule_basis(OsspInstance(1, 6, 6))),
         (OsspInstance(3, 3, 6), schedule_basis(OsspInstance(3, 3, 6))),
@@ -975,6 +1041,51 @@ def test_apply_circuit_validation_and_clamp():
     assert np.allclose(wild.amps, tame.amps, atol=1e-12)
 
 
+def test_apply_circuit_never_writes_the_callers_beta():
+    circuit = build_circuit(OSSP224, OBJ224, 2)
+    start = basis_state(OSSP224, Z0_224, "subspace")
+    rng = np.random.default_rng(31)
+    inside = rng.uniform(0.0, math.pi / 2, circuit.n_beta)
+    outside = inside.copy()
+    outside[[0, 4]] = -0.25, 2.5
+    for beta in (inside, outside):
+        kept = beta.copy()
+        beta.setflags(write=False)  # any write into it raises
+        params = ParameterVector(beta, [0.3, -0.7])
+        assert params.beta is beta
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = apply_circuit(circuit, params, start)
+        assert np.array_equal(beta.view(np.uint64), kept.view(np.uint64))
+        assert sum("were clamped" in str(w.message) for w in caught) == (beta is outside)
+        clipped = ParameterVector(np.clip(kept, 0.0, math.pi / 2), [0.3, -0.7])
+        want = apply_circuit(circuit, clipped, start)
+        assert np.array_equal(out.amps.view(np.uint64), want.amps.view(np.uint64))
+
+
+def test_clamp_beta_reads_the_bounds_once():
+    clamp = simulator.clamp_beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = np.array([0.0, 0.3, math.pi / 2])
+        assert clamp(inside) is inside  # in range: neither copied nor written
+        assert clamp(np.array([])).size == 0
+        # up to 1e-12 past a bound is clipped without a warning
+        edge = np.array([-1e-13, math.pi / 2 + 1e-13])
+        got = clamp(edge)
+        assert got is not edge and got.tolist() == [0.0, math.pi / 2]
+        assert edge.tolist() == [-1e-13, math.pi / 2 + 1e-13]
+        # a non-finite angle raises before any warning, wherever it sits
+        for bad in (math.nan, math.inf, -math.inf):
+            for beta in ([bad, 5.0], [-5.0, bad], [bad]):
+                with pytest.raises(DomainError, match="mixer angles must be finite"):
+                    clamp(np.array(beta))
+    for beta in ([2.0, 0.1], [0.1, -0.3], [-1.0, 9.0]):
+        with pytest.warns(UserWarning, match="were clamped"):
+            got = clamp(np.array(beta))
+        assert got.tolist() == np.clip(beta, 0.0, math.pi / 2).tolist()
+
+
 def test_states_are_independent():
     st = basis_state(OSSP133, Z0_133, "subspace")
     clone = st.copy()
@@ -1064,7 +1175,7 @@ def test_support_box_matches_the_dense_kernel_bit_for_bit():
         diag = circuit.phase_for(start.basis)
         # the first mixer in application order, cut to the pairs with equal
         # bits at the start: it leaves a one-element box, so its later pairs
-        # phase one amplitude (the in-place trap of _rotate)
+        # phase one amplitude (the in-place trap that _swap steps around)
         first = circuit.mixers[0]
         idle = tuple((a, b) for a, b in first.pairs if z[a - 1] == z[b - 1])
         assert len(idle) >= 2

@@ -8,6 +8,7 @@ import pytest
 
 from ossvqa import instances, simulator, vqa
 from ossvqa.errors import CapabilityError, DomainError
+from ossvqa.groups import decompose_job_permutation
 from ossvqa.instances import (
     OsspInstance,
     enumerate_solutions,
@@ -264,6 +265,89 @@ def test_compile_reach_errors():
         compile_reach(OSSP133, "110000000", Z0_133)
     with pytest.raises(DomainError):
         compile_reach(OSSP133, Z0_133, "111000000")
+
+
+def reference_assignment(instance, z):
+    """job_assignment by the string-level reference: is_feasible, then the
+    indices of the set bits."""
+    if not instance.is_busy:
+        raise DomainError("job assignments require a busy instance")
+    if not instances.is_feasible(instance, z):
+        raise DomainError(f"{z} is not a solution")
+    assignment = [-1] * instance.positions
+    for idx in instances.indices_of_ones(z):
+        p, j = divmod(idx - 1, instance.jobs)
+        assignment[p] = j
+    return tuple(assignment)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def test_job_assignment_matches_the_string_reference():
+    rng = np.random.default_rng(37)
+    strings = [(OSSP133, int_to_bits(v, 9)) for v in range(512)]
+    strings += [(OSSP224, z) for z in enumerate_solutions(OSSP224)]
+    strings += [(OSSP224, int_to_bits(int(v), 16)) for v in rng.integers(0, 1 << 16, 2000)]
+    strings += [
+        (OSSP224, Z0_224[:-1]),  # too short
+        (OSSP224, Z0_224 + "0"),  # too long
+        (OSSP224, ""),
+        (OSSP224, "2" + Z0_224[1:]),  # a "2"
+        (OSSP224, "1000010000100002"),
+        (OSSP224, "1000 10000100001"),
+        (OSSP224, b"1000010000100001"),  # not a str
+        (OSSP224, None),
+        (OSSP224, 0b1000010000100001),
+        (OSSP224, list(Z0_224)),
+        (OSSP224, "1100" "0000" "0010" "0001"),  # two jobs in one block
+        (OSSP224, "1000" "1000" "0010" "0001"),  # one job twice
+        (OSSP224, "1000" "0100" "0010" "0000"),  # an empty block
+        (OSSP224, "1000" "0100" "0011" "0000"),
+        (OsspInstance(1, 3, 2), "100010"),  # not busy
+    ]
+    solutions = 0
+    for inst, z in strings:
+        want = outcome(reference_assignment, inst, z)
+        assert outcome(vqa.job_assignment, inst, z) == want, (inst, z)
+        solutions += not isinstance(want[0], type)
+    assert solutions >= 6 + 24  # every solution of both instances passed
+
+
+def reference_reach(instance, source, target):
+    """compile_reach's word, beta grid and fidelity by the parent path:
+    reference_assignment, and the target's index found in the basis's
+    values()."""
+    src = reference_assignment(instance, source)
+    tgt = reference_assignment(instance, target)
+    tau = [0] * instance.jobs
+    for p in range(instance.positions):
+        tau[src[p]] = tgt[p]
+    word = decompose_job_permutation(tau)
+    circuit = vqa._reach_circuit(instance)
+    grid = np.zeros((circuit.depth, instance.jobs - 1))
+    for r, w in enumerate(word):
+        grid[r, w - 1] = math.pi / 2
+    params = ParameterVector(grid.ravel(), np.zeros(circuit.depth))
+    reached = apply_circuit(circuit, params, basis_state(instance, source, "subspace"))
+    (index,) = np.flatnonzero(reached.basis.values() == int(target, 2))
+    return word, params.beta.tobytes(), float(abs(reached.amps[index]))
+
+
+def test_compile_reach_matches_the_parent_path_on_every_pair():
+    for inst in (OSSP224, OSSP133):
+        sols = enumerate_solutions(inst)
+        for src in sols:
+            for tgt in sols:
+                plan = compile_reach(inst, src, tgt)
+                got = plan.word, plan.params.beta.tobytes(), plan.fidelity
+                assert got == reference_reach(inst, src, tgt)
+                assert not plan.params.gamma.any()
 
 
 def test_run_experiment_record():
