@@ -36,22 +36,20 @@ A start is one basis state and a swap moves amplitude only between
 partner patterns along one block's axis, so amplitude spreads one block
 pattern at a time. A state therefore carries a support: per amplitude
 axis, the [lo, hi) index range outside which every amplitude is exactly
-zero, and None is the whole basis. basis_state sets it, the phase layer
-passes it through and a mixer widens it to the swap partners of the box.
-Every gate runs on that box alone, held as one C-contiguous array of the
-box's shape (_gate): apply_circuit copies its start's box out once, runs
-every gate on it in place (a mixer that widens the box moves it into a
-zeroed array of the grown box), and writes it once into a zeroed
-full-length vector. One kernel body applies every swap pair, reading
+zero, and None is the whole basis. basis_state sets it, and apply_circuit
+alone reads it: it copies its start's box out once into its private
+buffer (_BoxBuffer), one C-contiguous array of the box's shape, runs
+every gate on that buffer in place (the phase layer keeps the box, a
+mixer widens it to the swap partners of the box and, when it grows,
+moves it into a zeroed array of the grown box), and writes it once into
+a zeroed full-length vector. A gate called on a caller's state never
+writes that state: it copies all the amplitudes once and runs on the
+whole basis (_gate). One kernel body applies every swap pair, reading
 one plan per mixer and input box, memoised on the basis
 (_mixer_plan): flat indices on boxes of at most GATHER_DIM amplitudes,
 per-axis indices or slices on larger ones. Results equal those of the
 per-pair formula and of amps * exp(1j * gamma * diag) to the bit, apart
 from the sign of zeros outside the box.
-
-A gate called on its own takes and returns full-length amplitudes: it
-writes into an out array, which may be the input's own amplitudes, and
-without one into a copy.
 
 All state comparisons in tests use fidelity |<phi|psi>| since pi/2 rotations
 introduce global phases of i per swapped pair.
@@ -190,13 +188,10 @@ class QuantumState:
     support is derived, not a setting: one [lo, hi) index range per
     amplitude axis (basis.shape) outside which every amplitude is exactly
     zero, and None is the whole basis. basis_state sets it to the start's
-    index on each axis, the phase layer passes it through, and a mixer
-    widens it to the swap partners of the box; both gates compute only
-    that box (see _gate). Whoever builds a state by hand and gives it a
-    support vouches for the zeros. amps is full-length, in basis order; only
-    inside apply_circuit does a state hold its box instead. A gate given
-    out=state.amps rewrites amps in place, so a state handed to one that
-    way is spent; apply_circuit does this only on its own copy."""
+    index on each axis, and apply_circuit computes only that box and
+    returns the box amplitude has reached. Whoever builds a state by hand
+    and gives it a support vouches for the zeros. amps is full-length, in
+    basis order, and no gate writes it (see _gate)."""
 
     basis: Basis
     amps: np.ndarray
@@ -211,6 +206,13 @@ class QuantumState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+
+class _BoxBuffer(QuantumState):
+    """apply_circuit's private state: amps is the support box alone (the
+    whole basis when support is None), one C-contiguous complex128 array of
+    the box's shape, which every gate rewrites in place (see _gate). Only
+    apply_circuit builds one, and none leaves it."""
 
 
 @functools.lru_cache(maxsize=64)
@@ -295,20 +297,23 @@ def pure_state(n_bits: int, z: str) -> QuantumState:
 
 
 def amplitude(state: QuantumState, z: str) -> complex:
-    """Amplitude on |z>; 0 for strings outside a restricted basis."""
+    """Amplitude on |z>; 0j for strings outside a restricted basis."""
     check_bitstring(z, state.basis.n_bits)
     try:
         return complex(state.amps[state.basis.index_of(bits_to_int(z))])
     except DomainError:
-        return 0.0
+        return 0j
+
+
+def _same_basis(a: Basis, b: Basis) -> bool:
+    """a is b, or both list the same strings of the same width in the same
+    amplitude order: the rule of fidelity and of the phase layer."""
+    return a is b or (a.n_bits == b.n_bits and np.array_equal(a.values(), b.values()))
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
     """|<a|b>| for states over the identical basis."""
-    if a.basis is not b.basis and (
-        a.basis.n_bits != b.basis.n_bits
-        or not np.array_equal(a.basis.values(), b.basis.values())
-    ):
+    if not _same_basis(a.basis, b.basis):
         raise DomainError("fidelity requires states over the same basis")
     return float(abs(np.vdot(a.amps, b.amps)))
 
@@ -323,17 +328,14 @@ def basis_strings(basis: Basis) -> list[str]:
 
 def _pair_axis(basis: Basis, pair) -> tuple:
     """The table of the 1-based bit pair, memoised on the basis by pair:
-    (axis, d10, p01, partner), all read-only.
+    (axis, partner).
 
     axis is the amplitude axis whose block holds both bits; a pair that
     spans two blocks, as two position blocks on either instance engine,
-    raises DomainError. d10 holds the indices along the axis of patterns
-    with bits (1, 0) on the pair and p01 those of their swapped partners
-    (present, as a sector holds every pattern of its weight, or of its
-    block); partner maps each index along the axis to its swap partner,
-    and to itself where the bits are equal. d10 and p01 are views of one
-    array d10 ++ p01 ++ d10, whose first and last two thirds are the
-    stacked indices of a whole axis (see _mixer_plan)."""
+    raises DomainError. partner (read-only) maps each index along the axis
+    to the index of its pattern with the pair's bits swapped, and to
+    itself where the bits are equal; the swapped pattern is present, as a
+    sector holds every pattern of its weight, or of its block."""
     pair = tuple(pair)
     table = basis._plans.get(pair)
     if table is None:
@@ -346,14 +348,10 @@ def _pair_axis(basis: Basis, pair) -> tuple:
         if axis is None:
             raise DomainError(f"swap on pair {pair} spans two blocks of the basis")
         patterns = basis.sectors[axis]
-        d10 = np.nonzero(((patterns & ma) != 0) & ((patterns & mb) == 0))[0]
-        p01 = np.searchsorted(patterns, patterns[d10] ^ (ma | mb))
-        partner = np.arange(len(patterns))
-        partner[d10], partner[p01] = p01, d10
-        stack, k = np.concatenate([d10, p01, d10]), len(d10)
-        for array in (stack, partner):
-            array.setflags(write=False)  # shared between callers
-        table = basis._plans[pair] = axis, stack[:k], stack[k:2 * k], partner
+        unequal = ((patterns & ma) == 0) != ((patterns & mb) == 0)
+        partner = np.searchsorted(patterns, np.where(unequal, patterns ^ (ma | mb), patterns))
+        partner.setflags(write=False)  # shared between callers
+        table = basis._plans[pair] = axis, partner
     return table
 
 
@@ -380,8 +378,9 @@ def _mixer_plan(basis: Basis, pairs, box) -> tuple:
     index in it under every pair, found by widening each pair's axis
     range until no range grows; extent is its shape and embed the slices
     of box inside it. steps holds per pair the kernel's (sel, swp),
-    counted from grown's corner: sel lists the (1, 0) entries followed by
-    their (0, 1) partners, and swp the same entries with the halves
+    counted from grown's corner and read off the pair's partner table:
+    sel lists the entries of grown's axis range whose partner comes before
+    them, then those partners, and swp the same entries with the halves
     swapped, so swp[j] is the partner of sel[j]. A pair with no unequal
     pattern in the box, as on a weight-0 block, has the empty step ().
 
@@ -391,10 +390,8 @@ def _mixer_plan(basis: Basis, pairs, box) -> tuple:
     a larger box a flat gather costs more per element, so they are index
     tuples along the pair's axis, slices (views) where the indices form a
     run, descending runs included. Best-of-5 timings of the two forms on
-    whole bases tied between 4,096 and 7,776 amplitudes. An axis range
-    that starts at 0 and holds every (1, 0) index reads its indices as
-    views of the pair table, so a whole-axis plan adds no O(axis) arrays
-    to the memo."""
+    whole bases tied between 4,096 and 7,776 amplitudes. Every index
+    array in a plan is read-only."""
     key = (pairs, box)
     plan = basis._plans.get(key)
     if plan is None:
@@ -402,72 +399,49 @@ def _mixer_plan(basis: Basis, pairs, box) -> tuple:
         grown, before = list(box), None
         while grown != before:  # until every range holds its partners under every pair
             before = list(grown)
-            for axis, *_, partner in tables:
+            for axis, partner in tables:
                 (lo, hi), seg = grown[axis], partner[slice(*grown[axis])]
                 grown[axis] = min(lo, int(seg.min())), max(hi, int(seg.max()) + 1)
         extent = tuple(hi - lo for lo, hi in grown)
         flat = math.prod(extent) <= GATHER_DIM
         index = np.arange(math.prod(extent)).reshape(extent) if flat else None
         steps = []
-        for axis, d10, *_ in tables:
-            (lo, hi), stack = grown[axis], d10.base  # d10 ++ p01 ++ d10 (see _pair_axis)
-            # grown holds the partner of every index it holds, so the kept
-            # entries are again some d10 ++ their p01 ++ the same d10
-            keep = (stack >= lo) & (stack < hi)
-            w = stack if lo == 0 and keep.all() else stack[keep] - lo
-            w.setflags(write=False)
-            k, lead = len(w) // 3, (slice(None),) * axis
-            sel, swp = w[:2 * k], w[k:]
+        for axis, partner in tables:
+            (lo, hi), lead = grown[axis], (slice(None),) * axis
+            # grown holds the partner of every index it holds
+            seg = partner[lo:hi] - lo
+            late = np.flatnonzero(seg < np.arange(hi - lo))
+            early = seg[late]
+            sel, swp = np.concatenate([late, early]), np.concatenate([early, late])
             if flat:
-                sel, swp = (index[lead + (i,)].ravel() for i in (sel, swp))
-                sel.setflags(write=False), swp.setflags(write=False)
-            else:
+                sel, swp = index[lead + (sel,)].ravel(), index[lead + (swp,)].ravel()
+            sel.setflags(write=False), swp.setflags(write=False)
+            if not flat:
                 sel, swp = lead + (_run(sel),), lead + (_run(swp),)
-            steps.append((sel, swp) if k else ())
+            steps.append((sel, swp) if len(late) else ())
         grown = tuple(grown)
         embed = tuple(slice(lo - g, hi - g) for (lo, hi), (g, _) in zip(box, grown))
         plan = basis._plans[key] = grown, extent, embed, flat, tuple(steps)
     return plan
 
 
-def _gate(state: QuantumState, out, kernel, *args) -> QuantumState:
-    """Run kernel(basis, x, box, *args) -> (x, box) on the state's support
-    box (the whole basis when the support is None), held as one
-    C-contiguous complex128 array x of the box's shape.
+def _gate(state: QuantumState, kernel, *args) -> QuantumState:
+    """Run kernel(basis, x, box, *args) -> (x, box), x one C-contiguous
+    complex128 array of the box's shape.
 
-    apply_circuit holds its state as that box array and passes it as out.
-    A box array is told from full-length amps by its shape, which is not
-    (basis.dim,) (on a one-axis basis whole boxes look alike, and the
-    full-length route below gives the same result): the kernel then runs
-    on it directly, in place unless the box grows, and the result's amps
-    are the kernel's box array. Full-length amps are written as
-    apply_mixer says: the box is copied out of state.amps and run, then
-    written, grown, into the target (a copy of state.amps when out is
-    None, else out holding them), whose amplitudes outside the box keep
-    the input's zeros. DomainError, before anything is written, when out
-    is not None and not a complex128 array of the amplitudes' shape. A
-    support that reaches the whole basis is None in the result."""
-    basis, amps = state.basis, state.amps
-    box = state.support or basis.whole
-    if out is amps and amps.shape != (basis.dim,):
-        amps, box = kernel(basis, amps, box, *args)
-        return QuantumState(basis, amps, None if box == basis.whole else box)
-    x, box = kernel(basis, _box_copy(state), box, *args)
-    if out is None:
-        out = amps.astype(COMPLEX)
-    elif not (isinstance(out, np.ndarray) and out.dtype == COMPLEX and out.shape == amps.shape):
-        raise DomainError(f"out must be a complex128 array of shape {amps.shape}")
-    elif out is not amps:
-        np.copyto(out, amps)
-    out.reshape(basis.shape)[_slices(box)] = x
-    return QuantumState(basis, out, None if box == basis.whole else box)
-
-
-def _box_copy(state: QuantumState) -> np.ndarray:
-    """The state's support box of full-length amps as a new C-contiguous
-    complex128 array of the box's shape."""
-    box = _slices(state.support or state.basis.whole)
-    return np.array(state.amps.reshape(state.basis.shape)[box], dtype=COMPLEX, order="C")
+    On apply_circuit's buffer, told by its type (_BoxBuffer) alone, the
+    kernel runs on the buffer's box, in place unless a mixer grows it, and
+    the result is the buffer of the box the kernel returns, with support
+    None when that is the whole basis. Any other state is a caller's and
+    is never written: all its amplitudes are copied once into an array of
+    basis.shape, the kernel runs on the whole basis, and the result holds
+    that copy, flat, with support None."""
+    basis = state.basis
+    if isinstance(state, _BoxBuffer):
+        x, box = kernel(basis, state.amps, state.support or basis.whole, *args)
+        return _BoxBuffer(basis, x, None if box == basis.whole else box)
+    x = np.array(state.amps.reshape(basis.shape), dtype=COMPLEX, order="C")
+    return QuantumState(basis, kernel(basis, x, basis.whole, *args)[0].reshape(-1))
 
 
 def _swap(basis: Basis, x: np.ndarray, box, pairs, beta: float) -> tuple:
@@ -513,7 +487,7 @@ def _swap(basis: Basis, x: np.ndarray, box, pairs, beta: float) -> tuple:
 
 def apply_swap_rotation(state: QuantumState, pair, beta: float) -> QuantumState:
     """e^{i beta SWAP} on the two given 1-based bit indices, into a copy."""
-    return _gate(state, None, _swap, (tuple(pair),), beta)
+    return _gate(state, _swap, (tuple(pair),), beta)
 
 
 @dataclass(frozen=True)
@@ -540,25 +514,20 @@ def mixers(instance: OsspInstance) -> list[MixerHamiltonian]:
     return [mixer_hamiltonian(instance, i) for i in range(1, instance.jobs)]
 
 
-def apply_mixer(state: QuantumState, mixer: MixerHamiltonian, beta: float,
-                out: np.ndarray | None = None) -> QuantumState:
+def apply_mixer(state: QuantumState, mixer: MixerHamiltonian, beta: float) -> QuantumState:
     """Product of the P commuting swap rotations at the same angle;
     DomainError when beta is not finite.
 
-    The result's amplitudes are written into out, which may be state.amps
-    itself (the gate then runs in place) or any complex array of its shape
-    (state.amps is copied into it first); without out the gate writes a
-    copy and never touches state.amps. All three give the same bits.
-
-    The rotations run on the state's support box, the whole basis when the
-    support is None: each pair's axis range grows to hold the swap
-    partners of its indices, and the result is zero outside the grown
-    box, which becomes its support (None when it is the whole basis).
-    Amplitudes, expectations and samples are the same to the bit whatever
-    the support; only the sign of zeros outside the box can differ. See
-    _swap for the kernel and the numpy rounding trap a one-element box
-    meets, and _mixer_plan for its indices."""
-    return _gate(state, out, _swap, mixer.pairs, beta)
+    On a caller's state the rotations run on the whole basis, into a copy
+    of its amplitudes, and the result's support is None (see _gate). On
+    apply_circuit's buffer they run on its support box: each pair's axis
+    range grows to hold the swap partners of its indices, and the grown
+    box becomes the buffer's support. Amplitudes, expectations and samples
+    are the same to the bit on either route; only the sign of zeros
+    outside the box can differ. See _swap for the kernel and the numpy
+    rounding trap a one-element box meets, and _mixer_plan for its
+    indices."""
+    return _gate(state, _swap, mixer.pairs, beta)
 
 
 def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) -> np.ndarray:
@@ -579,44 +548,52 @@ def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) 
 
 
 class PhaseTable(NamedTuple):
-    """A phase diagonal as its distinct values: levels ascending, and
-    diag == levels[inverse]. Integer weights leave few levels (tens on
-    46,656 amplitudes), so the phase layer exponentiates only those."""
+    """A phase diagonal over basis as its distinct values: levels
+    ascending, and diag == levels[inverse]. Integer weights leave few
+    levels (tens on 46,656 amplitudes), so the phase layer exponentiates
+    only those."""
 
     levels: np.ndarray
     inverse: np.ndarray
+    basis: Basis
 
 
-def phase_table(diag: np.ndarray) -> PhaseTable:
-    return PhaseTable(*np.unique(diag, return_inverse=True))
+def phase_table(diag: np.ndarray, basis: Basis) -> PhaseTable:
+    """The PhaseTable of diag, a diagonal over basis; DomainError when its
+    length is not basis.dim."""
+    if len(diag) != basis.dim:
+        raise DomainError(
+            f"a diagonal of {len(diag)} entries is not over a basis of {basis.dim} strings")
+    return PhaseTable(*np.unique(diag, return_inverse=True), basis)
 
 
-def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float,
-                          out: np.ndarray | None = None) -> QuantumState:
+def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float) -> QuantumState:
     """e^{i gamma f} from the diagonal's table: one exponential per level,
-    gathered onto the amplitudes of the state's support box (every
-    amplitude when the support is None). An amplitude gets the factor
-    exp(1j * gamma * f(z)) of its own value, so the result equals
-    amps * exp(1j * gamma * diag) to the bit, written as its own statement.
-    DomainError when some gamma * f(z) is not finite, as its phase would
-    be NaN. out works as in apply_mixer.
+    gathered onto the amplitudes, on the route apply_mixer describes. An
+    amplitude gets the factor exp(1j * gamma * f(z)) of its own value, so
+    the result equals amps * exp(1j * gamma * diag) to the bit, written as
+    its own statement. DomainError when the table was built on another
+    basis (neither state.basis nor one listing the same strings, the rule
+    of fidelity), and when some gamma * f(z) is not finite, as its phase
+    would be NaN.
 
-    A finite phase keeps a zero zero, so only the box is multiplied and
-    the support passes through. The product's operand order is pinned to
-    the one numpy picks for amps * <temporary>: from PIN_DIM amplitudes up
-    numpy writes the product into the temporary with the operands
-    swapped, and a swapped complex product can round differently, so a
-    basis of PIN_DIM or more amplitudes multiplies (phase, amplitude) and
-    a smaller one (amplitude, phase), whatever the size of its box. A
-    one-element box takes the product out of place (see _swap)."""
-    if len(table.inverse) != state.basis.dim:
+    A finite phase keeps a zero zero, so on apply_circuit's buffer only
+    the box is multiplied and the support passes through. The product's
+    operand order is pinned to the one numpy picks for amps *
+    <temporary>: from PIN_DIM amplitudes up numpy writes the product into
+    the temporary with the operands swapped, and a swapped complex
+    product can round differently, so a basis of PIN_DIM or more
+    amplitudes multiplies (phase, amplitude) and a smaller one
+    (amplitude, phase), whatever the size of its box. A one-element box
+    takes the product out of place (see _swap)."""
+    if not _same_basis(table.basis, state.basis):
         raise DomainError("phase separator was built for a different basis")
     # levels ascend, so the extremes bound every |gamma * f(z)|; Python
     # floats overflow to inf without a warning
     g, lo, hi = float(gamma), float(table.levels[0]), float(table.levels[-1])
     if not (math.isfinite(g * lo) and math.isfinite(g * hi)):
         raise DomainError(f"phase angle gamma = {g} times the objective is not finite")
-    return _gate(state, out, _phase, table, gamma)
+    return _gate(state, _phase, table, gamma)
 
 
 def _phase(basis: Basis, x: np.ndarray, box, table: PhaseTable, gamma: float) -> tuple:
@@ -652,7 +629,7 @@ def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> Qu
     h = [np.zeros((len(s), len(s))) for s in basis.sectors]
     for mixer in mixer_list:
         for pair in mixer.pairs:
-            axis, *_, partner = _pair_axis(basis, pair)
+            axis, partner = _pair_axis(basis, pair)
             h[axis] += np.eye(len(partner))[partner]
     gates = {}  # busy blocks share one generator: exponentiate it once
     amps = state.amps.reshape(basis.shape)
@@ -673,7 +650,10 @@ def _born(state: QuantumState) -> np.ndarray:
 
 
 def expectation(state: QuantumState, diag: np.ndarray) -> float:
-    """<state| f |state> = sum_z f(z) |amp(z)|^2, f given as the phase diagonal."""
+    """<state| f |state> = sum_z f(z) |amp(z)|^2, f given as the phase
+    diagonal. Only the diagonal's length is checked against the
+    amplitudes', not the basis it was built on: DomainError when they
+    differ."""
     if len(diag) != len(state.amps):
         raise DomainError("diagonal was built for a different basis")
     return float(_born(state) @ diag)
@@ -761,7 +741,7 @@ class Circuit:
         with its PhaseTable."""
         if basis not in self._sep_cache:  # bases hash by identity
             diag = phase_separator(self.objective, self.instance, basis)
-            self._sep_cache[basis] = diag, phase_table(diag)
+            self._sep_cache[basis] = diag, phase_table(diag, basis)
         return self._sep_cache[basis][0]
 
     def phase_table_for(self, basis: Basis) -> PhaseTable:
@@ -835,14 +815,15 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     parts.
 
     When some gate runs, the start's support box (the whole basis when its
-    support is None) is copied out once into a C-contiguous array of the
-    box's shape, and every gate runs on that array in place: each is still
-    called as the module's apply_phase_separator or apply_mixer, with the
-    box array as both amps and out (see _gate). A mixer that widens the
-    box moves it into a zeroed array of the grown box. At the end the box
-    is written once into a zeroed full-length vector, so the start is
-    never written and the result shares no memory with it; when every
-    gate was skipped the result is the start itself. The result's support
+    support is None) is copied out once into the private buffer, a
+    _BoxBuffer holding a C-contiguous array of the box's shape, and every
+    gate runs on that buffer in place: each is still called as the
+    module's apply_phase_separator or apply_mixer, which tell the buffer
+    by its type (see _gate). A mixer that widens the box moves it into a
+    zeroed array of the grown box. At the end the box is written once into
+    a zeroed full-length vector, so the start is never written, the buffer
+    never leaves, and the result shares no memory with the start; when
+    every gate was skipped the result is the start itself. The result's support
     is the box amplitude has reached, None when that is the whole basis.
     Its amplitudes, expectation and samples do not depend on the start's
     support: a support changes at most the sign of zeros."""
@@ -858,17 +839,18 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     if not (any(gammas) or any(map(any, grid))):
         return state  # every gate is skipped
     basis, table = state.basis, None
-    state = QuantumState(basis, _box_copy(state), state.support)
+    box = state.amps.reshape(basis.shape)[_slices(state.support or basis.whole)]
+    buf = _BoxBuffer(basis, np.array(box, dtype=COMPLEX, order="C"), state.support)
     for gamma, row in zip(gammas, grid):
         if gamma != 0.0:
             if table is None:
                 table = circuit.phase_table_for(basis)
-            state = apply_phase_separator(state, table, gamma, out=state.amps)
+            buf = apply_phase_separator(buf, table, gamma)
         for mixer, beta in zip(circuit.mixers, row[::-1]):
             if beta != 0.0:
-                state = apply_mixer(state, mixer, beta, out=state.amps)
-    if state.support is None:  # the box is the whole basis
-        return QuantumState(basis, state.amps.reshape(-1))
+                buf = apply_mixer(buf, mixer, beta)
+    if buf.support is None:  # the box is the whole basis
+        return QuantumState(basis, buf.amps.reshape(-1))
     amps = np.zeros(basis.dim, dtype=COMPLEX)
-    amps.reshape(basis.shape)[_slices(state.support)] = state.amps
-    return QuantumState(basis, amps, state.support)
+    amps.reshape(basis.shape)[_slices(buf.support)] = buf.amps
+    return QuantumState(basis, amps, buf.support)

@@ -194,7 +194,7 @@ def test_criterion_05_gate_identities_and_unitarity():
 
     inst133, obj133, _ = resolve_preset("ossp133")
     sub = subspace_basis(inst133, "100010001")
-    sep = phase_table(phase_separator(obj133, inst133, sub))
+    sep = phase_table(phase_separator(obj133, inst133, sub), sub)
     fam = mixers(inst133)
     trials = 0
     for k in range(1000):

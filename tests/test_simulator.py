@@ -250,6 +250,10 @@ def test_subspace_basis_contents():
     # a string outside an explicit restricted basis is rejected
     with pytest.raises(DomainError):
         basis_state(OSSP133, "110000000", sub133)
+    # and has amplitude complex zero in a state over it
+    for z, want in (("110000000", 0j), (Z0_133, 1 + 0j)):
+        got = amplitude(basis_state(OSSP133, Z0_133, sub133), z)
+        assert type(got) is complex and got == want
 
 
 def test_swap_rotation_identities():
@@ -292,7 +296,7 @@ def test_gate_unitarity_random_trials():
     rng = np.random.default_rng(9)
     sub = subspace_basis(OSSP133, Z0_133)
     mix133 = mixers(OSSP133)
-    sep = phase_table(phase_separator(OBJ133, OSSP133, sub))
+    sep = phase_table(phase_separator(OBJ133, OSSP133, sub), sub)
     for _ in range(200):
         amps = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
         state = QuantumState(sub, amps / np.linalg.norm(amps))
@@ -387,11 +391,26 @@ def test_mixer_kernel_matches_per_pair_formula_bit_for_bit():
         (OsspInstance(1, 6, 6), schedule_basis(OsspInstance(1, 6, 6))),
         (OsspInstance(3, 3, 6), schedule_basis(OsspInstance(3, 3, 6))),
     ]
-    assert len(simulator._pair_axis(cases[2][1], (1, 2))[1]) == 2
-    assert {b.dim <= simulator.GATHER_DIM for _, b in cases} == {True, False}
-    assert not len(simulator._pair_axis(cases[-1][1], mixers(cases[-1][0])[0].pairs[-1])[1])
     far = (1, 3)  # jobs 1 and 3 in block 1: a non-adjacent pair
+
+    def unequal(basis, pair):
+        """The pair table's partner map against the swapped patterns; the
+        number of indices whose partner is another index."""
+        axis, partner = simulator._pair_axis(basis, pair)
+        patterns = basis.sectors[axis].tolist()
+        ma, mb = (1 << (basis.n_bits - b) for b in pair)
+        want = [p ^ (ma | mb) if bool(p & ma) != bool(p & mb) else p for p in patterns]
+        assert [patterns[i] for i in partner.tolist()] == want
+        assert not partner.flags.writeable
+        return int(np.count_nonzero(partner != np.arange(len(partner))))
+
+    # a weight-2 block of four bits has two patterns on each side of (1, 2)
+    assert unequal(cases[2][1], (1, 2)) == 4
+    assert {b.dim <= simulator.GATHER_DIM for _, b in cases} == {True, False}
+    assert unequal(cases[-1][1], mixers(cases[-1][0])[0].pairs[-1]) == 0
     for inst, basis in cases:
+        for pair in {p for m in mixers(inst) for p in m.pairs} | {far, far[::-1]}:
+            unequal(basis, pair)
         for _ in range(10 if basis.dim <= simulator.GATHER_DIM else 2):
             amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
             state = QuantumState(basis, amps / np.linalg.norm(amps))
@@ -406,9 +425,10 @@ def test_mixer_kernel_matches_per_pair_formula_bit_for_bit():
                 one = apply_swap_rotation(state, m.pairs[-1], beta)
                 ref = per_pair_rotation(state, m.pairs[-1], beta)
                 assert np.array_equal(one.amps.view(np.uint64), ref.amps.view(np.uint64))
-            one = apply_swap_rotation(state, far, beta)
             ref = per_pair_rotation(state, far, beta)
-            assert np.array_equal(one.amps.view(np.uint64), ref.amps.view(np.uint64))
+            for pair in (far, far[::-1]):  # either order names the same swap
+                one = apply_swap_rotation(state, pair, beta)
+                assert np.array_equal(one.amps.view(np.uint64), ref.amps.view(np.uint64))
 
 
 def fresh(basis):
@@ -485,8 +505,10 @@ def test_swap_memo_holds_only_the_plan_its_kernel_reads():
 
 
 def test_a_state_without_support_runs_as_the_whole_basis_box():
-    # a 46,656-amplitude sector with a hand-made mixer whose pairs share
-    # block 1, and a 15-bit full basis, whose pairs all share its one axis
+    # apply_circuit's buffer from a start without a support and from one
+    # whose support is the whole basis: a 46,656-amplitude sector with a
+    # hand-made mixer whose pairs share block 1, and a 15-bit full basis,
+    # whose pairs all share its one axis
     rng = np.random.default_rng(5)
     i166, i153 = OsspInstance(1, 6, 6), OsspInstance(1, 5, 3)
     block = position_blocks(i166)[0]
@@ -497,10 +519,12 @@ def test_a_state_without_support_runs_as_the_whole_basis_box():
         amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         amps /= np.linalg.norm(amps)
         whole = tuple((0, n) for n in basis.shape)
+        circuit = build_circuit(inst, linear_from_rows(inst, [[1] * inst.jobs] * inst.positions), 1)
         for m in family:
-            beta = rng.uniform(0.0, math.pi / 2)
-            got = apply_mixer(QuantumState(basis, amps, None), m, beta)
-            want = apply_mixer(QuantumState(basis, amps, whole), m, beta)
+            c = with_first_mixer(circuit, m)
+            params = only_angles(c, mixer=0, beta=rng.uniform(0.0, math.pi / 2))
+            got = apply_circuit(c, params, QuantumState(basis, amps, None))
+            want = apply_circuit(c, params, QuantumState(basis, amps, whole))
             assert got.support is None and want.support is None
             assert got.amps.tobytes() == want.amps.tobytes()
 
@@ -524,7 +548,7 @@ def test_phase_separator():
     sub = subspace_basis(OSSP133, Z0_133)
     diag = phase_separator(OBJ133, OSSP133, sub)
     assert diag.dtype == np.float64 and diag.shape == (sub.dim,)
-    sep = phase_table(diag)
+    sep = phase_table(diag, sub)
     st = basis_state(OSSP133, "001010100", sub)
     assert fidelity(apply_phase_separator(st, sep, 0.0), st) == pytest.approx(1.0)
     # f = 5 at gamma = pi flips the sign
@@ -572,7 +596,7 @@ def test_phase_table_kernel_matches_the_direct_exponential_bit_for_bit():
     n_levels = []
     for inst, obj, basis in ladder_cases(rng):
         diag = phase_separator(obj, inst, basis)
-        table = phase_table(diag)
+        table = phase_table(diag, basis)
         assert table.levels.tobytes() == np.unique(diag).tobytes()
         assert table.levels[table.inverse].tobytes() == diag.tobytes()
         n_levels.append(len(table.levels))
@@ -598,7 +622,7 @@ def test_phase_angle_overflow_is_a_domain_error():
     state = basis_state(OSSP133, Z0_133, sub)
     negative = linear_from_rows(OSSP133, (-np.array(WEIGHTS_133)).tolist())
     for obj in (OBJ133, negative):  # f(z) in [5, 9] and in [-9, -5]
-        table = phase_table(phase_separator(obj, OSSP133, sub))
+        table = phase_table(phase_separator(obj, OSSP133, sub), sub)
         # 3e307 overflows at |f(z)| = 9 only, at one end of the table
         for gamma in (3e307, -3e307, np.float64(1e308), math.nan, math.inf):
             with pytest.raises(DomainError, match="not finite"):
@@ -764,7 +788,7 @@ def test_expectation():
     with pytest.raises(DomainError):
         expectation(full, sep)
     with pytest.raises(DomainError):
-        apply_phase_separator(full, phase_table(sep), 0.5)
+        apply_phase_separator(full, phase_table(sep, sub), 0.5)
 
 
 def test_sample():
@@ -975,13 +999,13 @@ def test_zero_angle_layers_are_skipped_exactly(name, engine, monkeypatch):
         cases.append(ParameterVector(beta, gamma))
     calls, phases = [], []
 
-    def counted(state, mixer, beta, **kw):
+    def counted(state, mixer, beta):
         calls.append(beta)
-        return apply_mixer(state, mixer, beta, **kw)
+        return apply_mixer(state, mixer, beta)
 
-    def counted_phase(state, table, gamma, **kw):
+    def counted_phase(state, table, gamma):
         phases.append(gamma)
-        return apply_phase_separator(state, table, gamma, **kw)
+        return apply_phase_separator(state, table, gamma)
 
     for params in cases:
         want = round_by_round(circuit, params, start)
@@ -1108,6 +1132,22 @@ def dense(state):
     return QuantumState(state.basis, state.amps, None)
 
 
+def only_angles(circuit, gamma=0.0, mixer=None, beta=0.0):
+    """Parameters whose only nonzero angles are round 1's gamma and the
+    beta of circuit.mixers[mixer], so that apply_circuit runs just those
+    gates, on its buffer."""
+    params = zero_params(circuit)
+    params.gamma[0] = gamma
+    if mixer is not None:
+        params.beta[circuit.instance.jobs - 2 - mixer] = beta
+    return params
+
+
+def with_first_mixer(circuit, mixer):
+    """circuit with mixer in place of its first mixer in application order."""
+    return dataclasses.replace(circuit, mixers=(mixer,) + circuit.mixers[1:])
+
+
 def random_params(circuit, rng):
     """Random angles with some exact zeros (skipped gates) and half turns."""
     beta = rng.uniform(0.0, math.pi / 2, circuit.n_beta)
@@ -1126,16 +1166,21 @@ def test_basis_state_support_is_the_start_and_the_phase_keeps_it():
     assert start.copy().support == start.support
     d = np.triu(np.ones((6, 6), dtype=int), 1)
     circuit = build_circuit(inst, TspObjective(tuple(map(tuple, (d + d.T).tolist()))), 1)
-    table = circuit.phase_table_for(start.basis)
-    assert apply_phase_separator(start, table, 0.3).support == start.support
+    assert apply_circuit(circuit, only_angles(circuit, gamma=0.3), start).support == start.support
     # a small basis runs its support box too: B_1 swaps jobs 1 and 2, so
     # only the blocks that hold one of them grow, to both patterns
     small = basis_state(OSSP224, Z0_224, "subspace")
-    got = apply_mixer(small, mixer_hamiltonian(OSSP224, 1), 0.4)
+    c224 = build_circuit(OSSP224, OBJ224, 1)
+    assert c224.mixers[-1] == mixer_hamiltonian(OSSP224, 1)
+    params = only_angles(c224, mixer=len(c224.mixers) - 1, beta=0.4)
+    got = apply_circuit(c224, params, small)
     assert small.basis.dim <= simulator.GATHER_DIM
     assert [hi - lo for lo, hi in got.support] == [2, 2, 1, 1]
-    want = apply_mixer(dense(small), mixer_hamiltonian(OSSP224, 1), 0.4)
+    want = apply_circuit(c224, params, dense(small))
     assert want.support is None and np.array_equal(got.amps, want.amps)
+    # the gate called on its own runs on the whole basis
+    alone = apply_mixer(small, mixer_hamiltonian(OSSP224, 1), 0.4)
+    assert alone.support is None and np.array_equal(alone.amps, got.amps)
 
 
 def box_cases(rng):
@@ -1198,9 +1243,10 @@ def test_support_box_matches_the_dense_kernel_bit_for_bit():
                 outside[tuple(slice(lo, hi) for lo, hi in got.support or ())] = False
                 assert not np.any(got.amps.reshape(start.basis.shape)[outside])
                 ends.add(got.support is None)
-        one = apply_mixer(start, cut.mixers[0], 0.7)
+        params = only_angles(cut, mixer=0, beta=0.7)
+        one = apply_circuit(cut, params, start)
         assert math.prod(hi - lo for lo, hi in one.support) == 1
-        assert np.array_equal(one.amps, apply_mixer(dense(start), cut.mixers[0], 0.7).amps)
+        assert np.array_equal(one.amps, apply_circuit(cut, params, dense(start)).amps)
     assert ends == {True, False}  # some boxes grow to the whole basis
 
 
@@ -1210,12 +1256,15 @@ def test_support_box_with_two_pairs_on_one_axis():
     inst = OsspInstance(1, 6, 6)
     start = basis_state(inst, schedule_string(inst), "subspace")
     block = position_blocks(inst)[0]
+    circuit = build_circuit(inst, linear_from_rows(inst, [[1] * 6] * 6), 1)
     for pairs in (((block[0], block[1]), (block[1], block[2])),
                   ((block[1], block[2]), (block[0], block[1]))):
-        m = simulator.MixerHamiltonian(1, pairs)
+        c = with_first_mixer(circuit, simulator.MixerHamiltonian(1, pairs))
         for beta in (0.3, math.pi / 2):
-            got = apply_mixer(start, m, beta)
-            assert np.array_equal(got.amps, apply_mixer(dense(start), m, beta).amps)
+            params = only_angles(c, mixer=0, beta=beta)
+            got = apply_circuit(c, params, start)
+            assert [hi - lo for lo, hi in got.support][1:] == [1] * 5  # block 1 alone grew
+            assert np.array_equal(got.amps, apply_circuit(c, params, dense(start)).amps)
 
 
 def test_engines_agree_from_random_schedules():
@@ -1312,42 +1361,87 @@ def test_apply_circuit_never_writes_its_input():
                     assert np.array_equal(got.amps, state.amps)
 
 
-def test_gates_write_the_same_bits_into_any_out():
-    """apply_mixer and apply_phase_separator give the same bytes and support
-    with out unset, with out the input's own amps (in place) and with out a
-    separate array of NaNs; a wrong out is refused."""
+def test_a_one_gate_circuit_equals_the_gate_called_on_its_own():
+    """A circuit whose only nonzero angle drives one gate, run by
+    apply_circuit on its buffer (the start's support box), against that
+    gate called on the same state (the whole basis), by np.array_equal:
+    busy, non-busy and tour shapes below GATHER_DIM (ossp224, OSSP(2,3,3),
+    the tour OSSP(1,5,5)) and past it (the ladder's tour OSSP(1,6,6) and
+    non-busy OSSP(3,3,6)), from a basis_state start, from a grown box and
+    from a dense random state. Neither route writes its input."""
     rng = np.random.default_rng(61)
-    cases = [(OSSP224, OBJ224)] + tour_and_weights(rng)
+    d = np.triu(rng.integers(1, 10, (5, 5)), 1)
+    i233, i155 = OsspInstance(2, 3, 3), OsspInstance(1, 5, 5)
+    cases = [(OSSP224, OBJ224),
+             (i233, linear_from_rows(i233, rng.integers(0, 10, (6, 3)).tolist())),
+             (i155, TspObjective(tuple(map(tuple, (d + d.T).tolist()))))] + tour_and_weights(rng)
+    sides = set()
     for inst, objective in cases:
         circuit = build_circuit(inst, objective, 1)
         start = basis_state(inst, random_schedule(inst, rng), "subspace")
-        table = circuit.phase_table_for(start.basis)
-        # a one-element box, a grown box and no support
-        grown = apply_mixer(start, circuit.mixers[0], 0.4)
-        for state in (start, grown, dense(grown)):
+        basis = start.basis
+        sides.add(basis.dim > simulator.GATHER_DIM)
+        table = circuit.phase_table_for(basis)
+        grown = apply_circuit(circuit, only_angles(circuit, mixer=0, beta=0.4), start)
+        assert grown.support not in (None, start.support)
+        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        for state in (start, grown, QuantumState(basis, amps / np.linalg.norm(amps))):
             before = state.amps.tobytes()
-            for mixer in circuit.mixers:
-                gates = [
-                    lambda st, **kw: apply_mixer(st, mixer, 0.7, **kw),
-                    lambda st, **kw: apply_phase_separator(st, table, -1.3, **kw),
-                ]
-                for gate in gates:
-                    want = gate(state)
-                    assert state.amps.tobytes() == before
-                    own = state.copy()
-                    in_place = gate(own, out=own.amps)
-                    separate = np.full(state.basis.dim, np.nan, dtype=complex)
-                    into = gate(state, out=separate)
-                    assert in_place.amps is own.amps and into.amps is separate
-                    for got in (in_place, into):
-                        assert got.amps.tobytes() == want.amps.tobytes()
-                        assert got.support == want.support
-                    assert state.amps.tobytes() == before
-        for bad in (np.zeros(start.basis.dim), np.zeros(start.basis.dim + 1, dtype=complex)):
-            with pytest.raises(DomainError, match="out must be"):
-                apply_mixer(start, circuit.mixers[0], 0.7, out=bad)
-            with pytest.raises(DomainError, match="out must be"):
-                apply_phase_separator(start, table, 0.7, out=bad)
+            gamma = rng.uniform(-2.0, 2.0)
+            runs = [(only_angles(circuit, gamma=gamma), apply_phase_separator(state, table, gamma))]
+            for k, mixer in enumerate(circuit.mixers):
+                beta = rng.uniform(0.0, math.pi / 2)
+                runs.append((only_angles(circuit, mixer=k, beta=beta),
+                             apply_mixer(state, mixer, beta)))
+            for params, alone in runs:
+                got = apply_circuit(circuit, params, state)
+                assert alone.support is None
+                assert np.array_equal(got.amps, alone.amps)
+                for out in (got, alone):
+                    assert not np.shares_memory(out.amps, state.amps)
+            assert state.amps.tobytes() == before
+    assert sides == {True, False}
+
+
+def test_no_gate_writes_a_hand_built_state_of_the_basis_shape():
+    """A caller's amplitudes of basis.shape, the shape apply_circuit's
+    buffer holds on a whole-basis box, are still the caller's: every gate
+    leaves them as they were, with or without a support, and gives the
+    result of the same state with flat amplitudes."""
+    rng = np.random.default_rng(71)
+    circuit = build_circuit(OSSP224, OBJ224, 1)
+    start = basis_state(OSSP224, Z0_224, "subspace")
+    basis = start.basis
+    assert basis.shape == (4, 4, 4, 4)
+    table = circuit.phase_table_for(basis)
+    amps = rng.normal(size=basis.shape) + 1j * rng.normal(size=basis.shape)
+    gates = [lambda st: apply_phase_separator(st, table, 0.9),
+             lambda st: apply_swap_rotation(st, circuit.mixers[0].pairs[0], 0.5)]
+    gates += [lambda st, m=m: apply_mixer(st, m, 0.7) for m in circuit.mixers]
+    for shaped, support in ((amps, None), (start.amps.reshape(basis.shape), start.support)):
+        before = shaped.tobytes()
+        for gate in gates:
+            got = gate(QuantumState(basis, shaped, support))
+            assert shaped.tobytes() == before
+            assert not np.shares_memory(got.amps, shaped)
+            want = gate(QuantumState(basis, shaped.reshape(-1), support))
+            assert np.array_equal(got.amps, want.amps)
+
+
+def test_a_phase_table_of_another_basis_is_refused():
+    """ossp133's sectors of block weights (1,1,1) and (2,2,2) both hold 27
+    strings: a table of one is refused on a state over the other, and
+    accepted on another Basis object listing the same strings."""
+    one, two = subspace_basis(OSSP133, "100010001"), subspace_basis(OSSP133, "110110110")
+    assert one.dim == two.dim == 27 and one is not two
+    table = phase_table(phase_separator(OBJ133, OSSP133, one), one)
+    with pytest.raises(DomainError, match="different basis"):
+        apply_phase_separator(basis_state(OSSP133, "110110110", two), table, 0.5)
+    want = apply_phase_separator(basis_state(OSSP133, Z0_133, one), table, 0.5)
+    got = apply_phase_separator(basis_state(OSSP133, Z0_133, fresh(one)), table, 0.5)
+    assert np.array_equal(got.amps, want.amps)
+    with pytest.raises(DomainError, match="not over a basis"):
+        phase_table(phase_separator(OBJ133, OSSP133, one)[:-1], one)
 
 
 def gate_by_gate(circuit, params, state, diag):
@@ -1399,29 +1493,6 @@ def test_apply_circuit_matches_a_gate_by_gate_reference_bit_for_bit():
             assert expectation(got, diag) == expectation(QuantumState(start.basis, want), diag)
     assert dims == {12_500, 32_768, 46_656}
     assert min(dims) < simulator.PIN_DIM < 32_768
-
-
-def test_whole_axis_box_plans_reuse_the_pair_table():
-    """On pure_state's one axis a box of the whole axis plans with views of
-    the pair table (d10 ++ p01 ++ d10), not new arrays."""
-    z = "0110100101101001"
-    state = pure_state(16, z)
-    mixer = simulator.MixerHamiltonian(1, ((3, 4), (6, 11)))
-    got = apply_mixer(state, mixer, 0.3)
-    want = state
-    for pair in mixer.pairs:
-        want = per_pair_rotation(want, pair, 0.3)
-    assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
-    basis = state.basis
-    grown, _, _, flat, steps = basis._plans[(mixer.pairs, basis.whole)]
-    assert grown == basis.whole == ((0, 1 << 16),) and not flat
-    for pair, ((sel,), (swp,)) in zip(mixer.pairs, steps):
-        _, d10, p01, _ = simulator._pair_axis(basis, pair)
-        assert isinstance(sel, np.ndarray) and isinstance(swp, np.ndarray)
-        assert np.array_equal(sel, np.concatenate([d10, p01]))
-        assert np.array_equal(swp, np.concatenate([p01, d10]))
-        for index in (sel, swp):  # views of the one array that holds d10 and p01
-            assert index.base is d10.base is p01.base
 
 
 def by_pairs(circuit, params, state, diag):
@@ -1507,7 +1578,7 @@ def test_box_route_matches_dense_starts_and_the_per_pair_reference():
                 assert np.array_equal(got.amps, by_pairs(c, params, start, diag))
                 seen.add(start.basis.dim > simulator.GATHER_DIM)
         if idle:
-            one = apply_mixer(start, circuits[-1].mixers[0], 0.7)
+            one = apply_circuit(circuits[-1], only_angles(circuits[-1], mixer=0, beta=0.7), start)
             assert math.prod(hi - lo for lo, hi in (one.support or start.basis.whole)) in (
                 1, start.basis.dim)
     assert seen == {True, False}
@@ -1524,13 +1595,13 @@ def test_box_route_reaches_each_gate_through_the_module(monkeypatch):
     assert start.basis.dim > simulator.GATHER_DIM
     calls, phases = [], []
 
-    def counted(state, mixer, beta, **kw):
+    def counted(state, mixer, beta):
         calls.append(beta)
-        return apply_mixer(state, mixer, beta, **kw)
+        return apply_mixer(state, mixer, beta)
 
-    def counted_phase(state, table, gamma, **kw):
+    def counted_phase(state, table, gamma):
         phases.append(gamma)
-        return apply_phase_separator(state, table, gamma, **kw)
+        return apply_phase_separator(state, table, gamma)
 
     for params in [random_params(circuit, rng) for _ in range(6)]:
         want = round_by_round(circuit, params, start)
