@@ -313,8 +313,7 @@ def cmd_simulate(args) -> int:
         gamma = [0.0] * circuit.n_gamma
     params = ParameterVector(beta, gamma)
     state = apply_circuit(circuit, params, basis_state(instance, initial, engine))
-    diag = circuit.phase_for(state.basis)
-    rows = annotate_rows(instance, state, diag, shots, np.random.SeedSequence(seed))
+    rows = annotate_rows(circuit, state, shots, np.random.SeedSequence(seed))
     record = {
         "instance": instance_to_dict(instance, objective),
         "depth": depth,
@@ -323,7 +322,7 @@ def cmd_simulate(args) -> int:
         "shots": shots,
         "seed": seed,
         "params": {"beta": beta, "gamma": gamma},
-        "expectation": expectation(state, diag),
+        "expectation": expectation(state, circuit.phase_for(state.basis)),
         "feasible_mass": feasible_mass(instance, state),
         "mode": rows[0]["bitstring"],
         "histogram": rows,

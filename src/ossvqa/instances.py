@@ -281,11 +281,31 @@ def _add(total: np.ndarray, term: np.ndarray) -> np.ndarray:
     return total + term
 
 
+def block_axes(instance: OsspInstance, masks) -> list[int]:
+    """The amplitude axis of each position block: the index of the mask in
+    masks (disjoint, together the bits of a basis) that holds all the
+    block's bits. DomainError when the masks do not cover exactly the
+    instance's n_bits bits, or when a position block does not lie on one
+    axis: an instance read on a basis of other blocks would pair bits
+    wrongly."""
+    n = instance.n_bits
+    if sum(masks) != (1 << n) - 1:
+        raise DomainError(f"a basis of {sum(masks).bit_length()} bits is not over {n} bits")
+    owner = []
+    for block in position_blocks(instance):
+        block_mask = sum(1 << (n - i) for i in block)
+        owner.append(next((a for a, m in enumerate(masks) if m & block_mask == block_mask), None))
+        if owner[-1] is None:
+            raise DomainError(f"position block {block} does not lie on one axis")
+    return owner
+
+
 def tensor_objective_values(obj: Objective, instance: OsspInstance, sectors, masks) -> np.ndarray:
     """f over the tensor product of sectors, flattened in C order: axis k
     holds the bit patterns sectors[k] (integers, bit 1 = MSB) on the bits
     of masks[k], a string is the sum of one pattern per axis, and each
-    position block lies on one axis.
+    position block lies on one axis: block_axes raises DomainError when
+    the masks are not over the instance's bits or a block spans two.
 
     Every element is the left-to-right float sum of the objective's terms,
     starting at +0.0, as objective_values adds them string by string: w *
@@ -316,12 +336,7 @@ def tensor_objective_values(obj: Objective, instance: OsspInstance, sectors, mas
     lead = (-1,) + (1,) * len(shape)  # a leading term axis
     cols = [as_int64(s, n).reshape([-1 if k == a else 1 for k in range(len(shape))])
             for a, s in enumerate(sectors)]
-    owner = []  # the axis of each position block
-    for block in position_blocks(instance):
-        block_mask = sum(1 << (n - i) for i in block)
-        owner.append(next((a for a, m in enumerate(masks) if m & block_mask == block_mask), None))
-        if owner[-1] is None:
-            raise DomainError(f"position block {block} does not lie on one axis")
+    owner = block_axes(instance, masks)
 
     def bits(p, js):
         """Bit j of position block p, for the 0-based jobs js, stacked."""

@@ -73,6 +73,7 @@ from .instances import (
     OsspInstance,
     as_int64,
     bits_to_int,
+    block_axes,
     check_bitstring,
     feasibility_mask,
     int_to_bits,
@@ -548,23 +549,39 @@ def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) 
 
 
 class PhaseTable(NamedTuple):
-    """A phase diagonal over basis as its distinct values: levels
-    ascending, and diag == levels[inverse]. Integer weights leave few
-    levels (tens on 46,656 amplitudes), so the phase layer exponentiates
-    only those."""
+    """f over basis, the one handle every reader of the objective takes:
+    diag holds f(z) per basis state in amplitude order (read-only), levels
+    its distinct values ascending and inverse their index per state, so
+    diag equals levels[inverse] up to the sign of zeros (np.unique keeps
+    one of 0.0 and -0.0, so values are read from diag). Integer weights
+    leave few levels (tens on 46,656 amplitudes), so the phase layer
+    exponentiates only those. basis is the one it was built on: the phase
+    layer and diag_for, which expectation and annotate_rows read through,
+    refuse a state over any other (_same_basis)."""
 
+    diag: np.ndarray
     levels: np.ndarray
     inverse: np.ndarray
     basis: Basis
 
+    def diag_for(self, state: QuantumState) -> np.ndarray:
+        """diag, once state is over this table's basis: DomainError when
+        it is not (_same_basis)."""
+        if not _same_basis(self.basis, state.basis):
+            raise DomainError("the phase table was built for a different basis")
+        return self.diag
+
 
 def phase_table(diag: np.ndarray, basis: Basis) -> PhaseTable:
-    """The PhaseTable of diag, a diagonal over basis; DomainError when its
-    length is not basis.dim."""
+    """The PhaseTable of diag, a diagonal over basis, holding a read-only
+    view of diag itself. Only the length is checked: DomainError when it is
+    not basis.dim."""
     if len(diag) != basis.dim:
         raise DomainError(
             f"a diagonal of {len(diag)} entries is not over a basis of {basis.dim} strings")
-    return PhaseTable(*np.unique(diag, return_inverse=True), basis)
+    diag = np.asarray(diag).view()
+    diag.setflags(write=False)
+    return PhaseTable(diag, *np.unique(diag, return_inverse=True), basis)
 
 
 def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float) -> QuantumState:
@@ -649,14 +666,11 @@ def _born(state: QuantumState) -> np.ndarray:
     return (state.amps.conj() * state.amps).real
 
 
-def expectation(state: QuantumState, diag: np.ndarray) -> float:
-    """<state| f |state> = sum_z f(z) |amp(z)|^2, f given as the phase
-    diagonal. Only the diagonal's length is checked against the
-    amplitudes', not the basis it was built on: DomainError when they
-    differ."""
-    if len(diag) != len(state.amps):
-        raise DomainError("diagonal was built for a different basis")
-    return float(_born(state) @ diag)
+def expectation(state: QuantumState, table: PhaseTable) -> float:
+    """<state| f |state> = sum_z f(z) |amp(z)|^2, f read from the table's
+    diag. DomainError when the table was built on another basis (neither
+    state.basis nor one listing the same strings, _same_basis)."""
+    return float(_born(state) @ table.diag_for(state))
 
 
 def readout(state: QuantumState, shots: int = 0, seed=None) -> tuple[np.ndarray, np.ndarray]:
@@ -701,7 +715,10 @@ def sample(state: QuantumState, shots: int, seed) -> dict[str, int]:
 
 
 def feasible_mass(instance: OsspInstance, state: QuantumState) -> float:
-    """Total Born probability carried by feasible strings."""
+    """Total Born probability carried by feasible strings of instance.
+    DomainError when the state's basis is not over the instance's bits or
+    a position block of the instance spans two of its axes (block_axes)."""
+    block_axes(instance, state.basis.masks)
     mask = feasibility_mask(instance, state.basis.values())
     return float(_born(state)[mask].sum())
 
@@ -736,19 +753,15 @@ class Circuit:
     def n_gamma(self) -> int:
         return self.depth
 
-    def phase_for(self, basis: Basis) -> np.ndarray:
-        """The phase diagonal over basis, built once per basis together
-        with its PhaseTable."""
+    def phase_for(self, basis: Basis) -> PhaseTable:
+        """The PhaseTable of the objective over basis, which the phase
+        layer, scores and record rows read: built once per basis object
+        from phase_separator's diagonal, whose check (block_axes) refuses a
+        basis that is not over this instance's blocks."""
         if basis not in self._sep_cache:  # bases hash by identity
             diag = phase_separator(self.objective, self.instance, basis)
-            self._sep_cache[basis] = diag, phase_table(diag, basis)
-        return self._sep_cache[basis][0]
-
-    def phase_table_for(self, basis: Basis) -> PhaseTable:
-        """The PhaseTable of phase_for(basis), which the phase layer reads;
-        phase_for builds and caches both."""
-        self.phase_for(basis)
-        return self._sep_cache[basis][1]
+            self._sep_cache[basis] = phase_table(diag, basis)
+        return self._sep_cache[basis]
 
 
 @dataclass(eq=False)
@@ -809,10 +822,9 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     finite by the phase layer.
 
     A gate whose angle is exactly 0 (beta after clamping, gamma as given) is
-    the identity e^{i 0 H} = I and is skipped; the phase diagonal and its
-    PhaseTable are built on the first round with nonzero gamma. Running a
-    skipped gate would change at most the sign of zero real or imaginary
-    parts.
+    the identity e^{i 0 H} = I and is skipped; the PhaseTable is built on the
+    first round with nonzero gamma. Running a skipped gate would change at
+    most the sign of zero real or imaginary parts.
 
     When some gate runs, the start's support box (the whole basis when its
     support is None) is copied out once into the private buffer, a
@@ -844,7 +856,7 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     for gamma, row in zip(gammas, grid):
         if gamma != 0.0:
             if table is None:
-                table = circuit.phase_table_for(basis)
+                table = circuit.phase_for(basis)
             buf = apply_phase_separator(buf, table, gamma)
         for mixer, beta in zip(circuit.mixers, row[::-1]):
             if beta != 0.0:

@@ -173,16 +173,18 @@ def objective_value(circuit, params, state, shots=0, seed=None) -> float:
     """Expectation of the objective after the circuit; exact when shots = 0,
     otherwise the empirical mean over a seeded measurement sample.
 
+    Both read f from the circuit's PhaseTable for the final state's basis
+    (circuit.phase_for), the table annotate_rows reads a row's value from.
     A sample is scored on basis indices: each sampled index's count times
-    its entry in the circuit's phase diagonal, so no bit string is built.
-    The terms are summed in readout order, the order of the record's
-    histogram, which fixes the rounding of the sum."""
+    its entry in the table's diag, so no bit string is built. The terms
+    are summed in readout order, the order of the record's histogram,
+    which fixes the rounding of the sum."""
     final = apply_circuit(circuit, params, state)
-    diag = circuit.phase_for(final.basis)
+    table = circuit.phase_for(final.basis)
     if shots == 0:
-        return expectation(final, diag)
+        return expectation(final, table)
     counts, order = readout(final, shots, seed)
-    return sum((counts[order] * diag[order]).tolist()) / shots
+    return sum((counts[order] * table.diag[order]).tolist()) / shots
 
 
 def trust_region_minimize(fun, x0, lower, upper, max_iters, rhobeg, tol):
@@ -417,12 +419,15 @@ def compile_reach(instance: OsspInstance, source: str, target: str) -> ReachPlan
 # Experiment orchestration
 
 
-def annotate_rows(instance: OsspInstance, state: QuantumState, diag: np.ndarray,
-                  shots: int = 0, seed=None) -> list[dict]:
+def annotate_rows(circuit: Circuit, state: QuantumState, shots: int = 0, seed=None) -> list[dict]:
     """The readout of state as record rows: bit string, probability (shots =
-    0) or count, value from the phase diagonal diag, feasibility and Hamming
-    distance to the first row, the mode. Rows are built from basis indices;
-    a record's bit strings are made here and nowhere else."""
+    0) or count, value, feasibility and Hamming distance to the first row,
+    the mode. A value is the entry of the circuit's PhaseTable for the
+    state's basis (circuit.phase_for), read through diag_for, which raises
+    DomainError unless the table is over that basis; feasibility is read
+    against circuit.instance. Rows are built from basis indices; a
+    record's bit strings are made here and nowhere else."""
+    diag = circuit.phase_for(state.basis).diag_for(state)
     weights, order = readout(state, shots, seed)
     values = state.basis.values()[order]
     key = "count" if shots else "probability"
@@ -437,7 +442,7 @@ def annotate_rows(instance: OsspInstance, state: QuantumState, diag: np.ndarray,
         }
         for v, w, f, ok in zip(
             values.tolist(), weights[order].tolist(), diag[order].tolist(),
-            feasibility_mask(instance, values).tolist(),
+            feasibility_mask(circuit.instance, values).tolist(),
         )
     ]
 
@@ -471,7 +476,7 @@ def run_experiment(instance: OsspInstance, objective, *, depth: int,
     def histogram(params: dict, stream) -> list[dict]:
         pv = ParameterVector(params["beta"], params["gamma"])
         final = apply_circuit(circuit, pv, state)
-        return annotate_rows(instance, final, circuit.phase_for(final.basis), shots, stream)
+        return annotate_rows(circuit, final, shots, stream)
 
     rows = record.histogram = histogram(record.best_params,
                                         _stream(config.seed, _STREAM_FINAL_HIST))

@@ -558,3 +558,31 @@ def test_scipy_optimize_is_loaded_by_cobyla_only():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_verify_path_stays_free_of_scipy():
+    """Reach plans, group checks and enumeration import neither
+    scipy.optimize nor scipy.linalg: importing scipy.optimize alone raises
+    a process's peak RSS by tens of MB. The first trust_region_minimize
+    call loads scipy.optimize."""
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import numpy as np
+        import ossvqa
+        from ossvqa import cli
+        instance, _, _ = ossvqa.resolve_preset("ossp224")
+        source, target = ossvqa.enumerate_solutions(instance)[:2]
+        assert ossvqa.compile_reach(instance, source, target).fidelity > 1 - 1e-10
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["group-check", "--preset", "ossp224"]) == 0
+            assert cli.main(["enumerate", "--preset", "ossp133"]) == 0
+        loaded = {"scipy.optimize", "scipy.linalg"} & set(sys.modules)
+        assert not loaded, f"loaded on the verify path: {sorted(loaded)}"
+        from ossvqa.vqa import trust_region_minimize
+        best = trust_region_minimize(lambda x: float(x @ x), np.ones(2), -2 * np.ones(2),
+                                     2 * np.ones(2), max_iters=10, rhobeg=0.5, tol=1e-6)[1]
+        assert best < 2.0 and "scipy.optimize" in sys.modules
+    """)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -772,14 +772,14 @@ def test_non_finite_mixer_angles_raise(bad):
 
 def test_expectation():
     sub = subspace_basis(OSSP133, Z0_133)
-    sep = phase_separator(OBJ133, OSSP133, sub)
+    sep = phase_table(phase_separator(OBJ133, OSSP133, sub), sub)
     assert expectation(basis_state(OSSP133, "001010100", sub), sep) == pytest.approx(5.0)
     sols = enumerate_solutions(OSSP133)
     mean = expectation(superposition(OSSP133, sols, "subspace"), sep)
     assert mean == pytest.approx((5 + 6 + 6 + 7 + 8 + 8) / 6)
-    zero = phase_separator(
+    zero = phase_table(phase_separator(
         linear_from_rows(OSSP133, [[0] * 3] * 3), OSSP133, sub
-    )
+    ), sub)
     rng = np.random.default_rng(13)
     amps = rng.normal(size=sub.dim) + 1j * rng.normal(size=sub.dim)
     state = QuantumState(sub, amps / np.linalg.norm(amps))
@@ -788,7 +788,7 @@ def test_expectation():
     with pytest.raises(DomainError):
         expectation(full, sep)
     with pytest.raises(DomainError):
-        apply_phase_separator(full, phase_table(sep, sub), 0.5)
+        apply_phase_separator(full, sep, 0.5)
 
 
 def test_sample():
@@ -973,7 +973,7 @@ def round_by_round(circuit, params, state):
     i = J-1, ..., 1."""
     jobs = circuit.instance.jobs
     beta = simulator.clamp_beta(params.beta)
-    table = circuit.phase_table_for(state.basis)
+    table = circuit.phase_for(state.basis)
     for r in range(circuit.depth):
         state = apply_phase_separator(state, table, params.gamma[r])
         for i in range(jobs - 1, 0, -1):
@@ -1217,7 +1217,7 @@ def test_support_box_matches_the_dense_kernel_bit_for_bit():
         circuit = build_circuit(inst, objective, depth)
         start = basis_state(inst, z, engine)
         assert start.basis.dim > simulator.GATHER_DIM
-        diag = circuit.phase_for(start.basis)
+        table = circuit.phase_for(start.basis)
         # the first mixer in application order, cut to the pairs with equal
         # bits at the start: it leaves a one-element box, so its later pairs
         # phase one amplitude (the in-place trap that _swap steps around)
@@ -1237,7 +1237,7 @@ def test_support_box_matches_the_dense_kernel_bit_for_bit():
                 want = apply_circuit(c, params, dense(start))
                 assert want.support is None
                 assert np.array_equal(got.amps, want.amps)
-                assert expectation(got, diag) == expectation(want, diag)
+                assert expectation(got, table) == expectation(want, table)
                 # the support's claim: exact zeros outside the box
                 outside = np.ones(start.basis.shape, dtype=bool)
                 outside[tuple(slice(lo, hi) for lo, hi in got.support or ())] = False
@@ -1381,7 +1381,7 @@ def test_a_one_gate_circuit_equals_the_gate_called_on_its_own():
         start = basis_state(inst, random_schedule(inst, rng), "subspace")
         basis = start.basis
         sides.add(basis.dim > simulator.GATHER_DIM)
-        table = circuit.phase_table_for(basis)
+        table = circuit.phase_for(basis)
         grown = apply_circuit(circuit, only_angles(circuit, mixer=0, beta=0.4), start)
         assert grown.support not in (None, start.support)
         amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
@@ -1413,7 +1413,7 @@ def test_no_gate_writes_a_hand_built_state_of_the_basis_shape():
     start = basis_state(OSSP224, Z0_224, "subspace")
     basis = start.basis
     assert basis.shape == (4, 4, 4, 4)
-    table = circuit.phase_table_for(basis)
+    table = circuit.phase_for(basis)
     amps = rng.normal(size=basis.shape) + 1j * rng.normal(size=basis.shape)
     gates = [lambda st: apply_phase_separator(st, table, 0.9),
              lambda st: apply_swap_rotation(st, circuit.mixers[0].pairs[0], 0.5)]
@@ -1442,6 +1442,61 @@ def test_a_phase_table_of_another_basis_is_refused():
     assert np.array_equal(got.amps, want.amps)
     with pytest.raises(DomainError, match="not over a basis"):
         phase_table(phase_separator(OBJ133, OSSP133, one)[:-1], one)
+
+
+def test_expectation_reads_the_circuit_table_of_the_state_basis(monkeypatch):
+    """On ossp133's two 27-string sectors, (1,1,1) and (2,2,2), each state
+    reads its own table and refuses the other's, which the bare diagonal
+    read silently: the (2,2,2) state scored 6.0 there. A table holds
+    phase_separator's own array, read-only."""
+    built = []
+
+    def spy(*args):
+        built.append(phase_separator(*args))
+        return built[-1]
+
+    monkeypatch.setattr(simulator, "phase_separator", spy)
+    circuit = build_circuit(OSSP133, OBJ133, 1)
+    one = basis_state(OSSP133, "100010001", "subspace")
+    two = basis_state(OSSP133, "110110110", "subspace")
+    assert one.basis.dim == two.basis.dim == 27 and one.basis is not two.basis
+    t_one, t_two = circuit.phase_for(one.basis), circuit.phase_for(two.basis)
+    assert circuit.phase_for(one.basis) is t_one and len(built) == 2
+    assert float(simulator._born(two) @ t_one.diag) == 6.0
+    for state, other in ((one, t_two), (two, t_one)):
+        with pytest.raises(DomainError, match="different basis"):
+            expectation(state, other)
+    assert expectation(one, t_one) == 8.0 and expectation(two, t_two) == 12.0
+    for table, diag in zip((t_one, t_two), built):
+        assert isinstance(table, simulator.PhaseTable)
+        assert np.shares_memory(table.diag, diag) and table.diag.tobytes() == diag.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            circuit.phase_for(table.basis).diag[0] = 1.0
+    # a table keeps the sign of a zero that levels[inverse] would lose
+    signed = phase_table(np.array([-0.0, 0.0]), full_basis(1))
+    assert np.signbit(signed.diag).tolist() == [True, False]
+
+
+def test_an_instance_of_other_blocks_is_refused_by_one_rule():
+    """OSSP(1,6,2) and OSSP(1,4,3) both have 12 bits, in blocks of 2 and of
+    3: a schedule state of the first is refused by the second (it read a
+    feasible mass of 0.0), as is a state of another bit count, by
+    feasible_mass and phase_separator alike (instances.block_axes)."""
+    own, other = OsspInstance(1, 6, 2), OsspInstance(1, 4, 3)
+    assert own.n_bits == other.n_bits == 12
+    weights = linear_from_rows(other, [[1, 2, 3]] * 4)
+    for engine in ("subspace", "full"):
+        state = basis_state(own, "10" "01" + "00" * 4, engine)
+        assert feasible_mass(own, state) == 1.0
+        with pytest.raises(DomainError, match="does not lie on one axis"):
+            feasible_mass(other, state)
+        with pytest.raises(DomainError, match="does not lie on one axis"):
+            phase_separator(weights, other, state.basis)
+    wide = basis_state(OSSP224, Z0_224)
+    with pytest.raises(DomainError, match="16 bits is not over 9 bits"):
+        feasible_mass(OSSP133, wide)
+    with pytest.raises(DomainError, match="16 bits is not over 9 bits"):
+        phase_separator(OBJ133, OSSP133, wide.basis)
 
 
 def gate_by_gate(circuit, params, state, diag):
@@ -1483,14 +1538,14 @@ def test_apply_circuit_matches_a_gate_by_gate_reference_bit_for_bit():
         start = basis_state(inst, z, engine)
         assert math.prod(hi - lo for lo, hi in start.support) == 1
         dims.add(start.basis.dim)
-        diag = circuit.phase_for(start.basis)
+        table = circuit.phase_for(start.basis)
         for _ in range(4):
             params = ParameterVector(rng.uniform(0.0, math.pi / 2, circuit.n_beta),
                                      rng.uniform(-2.0, 2.0, circuit.n_gamma))
             got = apply_circuit(circuit, params, start)
-            want = gate_by_gate(circuit, params, start, diag)
+            want = gate_by_gate(circuit, params, start, table.diag)
             assert np.array_equal(got.amps, want)
-            assert expectation(got, diag) == expectation(QuantumState(start.basis, want), diag)
+            assert expectation(got, table) == expectation(QuantumState(start.basis, want), table)
     assert dims == {12_500, 32_768, 46_656}
     assert min(dims) < simulator.PIN_DIM < 32_768
 
@@ -1560,7 +1615,7 @@ def test_box_route_matches_dense_starts_and_the_per_pair_reference():
         circuit = build_circuit(inst, objective, int(rng.integers(1, 4)))
         if shared is not None:
             circuit = dataclasses.replace(circuit, mixers=(shared,) + circuit.mixers[1:])
-        diag = circuit.phase_for(start.basis)
+        diag = circuit.phase_for(start.basis).diag
         circuits = [circuit]
         z = int_to_bits(int(start.basis.values()[np.flatnonzero(start.amps)[0]]), inst.n_bits)
         first = circuit.mixers[0]

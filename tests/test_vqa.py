@@ -560,3 +560,26 @@ def test_simulate_readout_matches_string_keyed_annotation(shots, tmp_path, monke
     want = string_keyed_readout(instance, objective, final, shots, np.random.SeedSequence(6))
     assert same(doc["histogram"], want["histogram"])
     assert doc["mode"] == want["mode"]
+
+
+def test_annotate_rows_reads_the_circuit_table_of_the_state_basis(monkeypatch):
+    """On ossp133's two 27-string sectors, (1,1,1) and (2,2,2), a row's
+    value is the entry of the circuit's table for the state's basis, bit
+    for bit, and a table of the other sector is refused."""
+    circuit = build_circuit(OSSP133, OBJ133, 1)
+    params = ParameterVector([0.4, 1.1], [0.7])
+    tables = {}
+    for z, mode_value in (("100010001", 8.0), ("110110110", 12.0)):
+        start = basis_state(OSSP133, z, "subspace")
+        assert vqa.annotate_rows(circuit, start)[0]["value"] == mode_value
+        state = apply_circuit(circuit, params, start)
+        table = tables[z] = circuit.phase_for(state.basis)
+        for shots in (0, 256):
+            rows = vqa.annotate_rows(circuit, state, shots, 5)
+            _, order = simulator.readout(state, shots, 5)
+            assert len(rows) > 1
+            assert np.array([row["value"] for row in rows]).tobytes() == table.diag[order].tobytes()
+    state = basis_state(OSSP133, "110110110", "subspace")
+    monkeypatch.setattr(circuit, "phase_for", lambda basis: tables["100010001"])
+    with pytest.raises(DomainError, match="different basis"):
+        vqa.annotate_rows(circuit, state)
