@@ -105,6 +105,17 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return out.getvalue()
 
 
+def _write(path, text: str) -> None:
+    """Write text to path; DomainError (exit 2) when the file cannot be
+    written, such as a directory or a missing parent."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None
+    _say(f"wrote {path}")
+
+
 def _emit(record: dict, args, csv_rows: list[dict] | None = None) -> None:
     """Write the JSON record to --out or stdout; .csv targets get the
     tabular rendering instead."""
@@ -118,9 +129,7 @@ def _emit(record: dict, args, csv_rows: list[dict] | None = None) -> None:
         text = _rows_to_csv(csv_rows)
     else:
         text = json.dumps(record, indent=2) + "\n"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _say(f"wrote {out}")
+    _write(out, text)
 
 
 def _parse_floats(text: str | None, what: str) -> list[float]:
@@ -161,11 +170,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_graph(args) -> int:
     """The constraint graph as its block cliques, listing edges up to N = 32.
-    A job and a position block share one bit, so no edge lies in two cliques
-    and the edge count is the closed form P*C(J,2) + J*C(P,2)."""
+    The graph is read from the blocks (ConstraintGraph), so no adjacency
+    matrix is built and no size is refused; its edge count is the closed
+    form P*C(J,2) + J*C(P,2)."""
     instance, objective, _ = _resolve_inputs(args)
-    p, j = instance.positions, instance.jobs
-    edge_count = p * j * (j - 1) // 2 + j * p * (p - 1) // 2
+    edge_count = build_constraint_graph(instance).edge_count()
     jblocks, pblocks = job_blocks(instance), position_blocks(instance)
     record = {
         "instance": instance_to_dict(instance, objective),
@@ -405,9 +414,7 @@ def cmd_report(args) -> int:
             f"{args.record} is not a run record: {type(exc).__name__}: {exc}"
         ) from None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _say(f"wrote {args.out}")
+        _write(args.out, text)
     else:
         print(text, end="")
     return 0
@@ -497,9 +504,6 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         _say(f"capability exceeded: {exc}")
         return 4
-    except FileNotFoundError as exc:
-        _say(f"error: {exc}")
-        return 2
 
 
 def console_main() -> None:

@@ -3,7 +3,8 @@
 The constraint graph has one vertex per bit and is the union of the job-block
 and position-block cliques: two bits are adjacent iff they share a job or a
 position (same machine and time), so the feasible strings are exactly the
-independent sets of size J.
+independent sets of size J. The graph is read from the blocks themselves:
+no adjacency matrix is built, and no size is refused.
 
 The group that maps solutions to solutions is generated by job permutations,
 position permutations, and (in the busy case P = J) a transposer exchanging
@@ -39,7 +40,7 @@ from .instances import (
 )
 
 BRUTE_FORCE_VERTEX_CAP = 10
-GROUP_CLOSURE_CAP = 1_000_000  # closure elements; also dense adjacency entries
+GROUP_CLOSURE_CAP = 1_000_000  # closure elements
 
 
 # ---------------------------------------------------------------------------
@@ -183,48 +184,55 @@ def apply_group_element(instance: OsspInstance, g: GroupElement, z: str) -> str:
 
 @dataclass(eq=False)
 class ConstraintGraph:
-    n_vertices: int
-    adjacency: np.ndarray  # boolean, symmetric, zero diagonal
+    """The constraint graph of an instance, read from its blocks: one vertex
+    per bit, and two bits adjacent iff they share a job block or a
+    position block. It holds the instance alone, no adjacency matrix, so
+    a graph of any size is built at once."""
+
+    instance: OsspInstance
+
+    @property
+    def n_vertices(self) -> int:
+        return self.instance.n_bits
 
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        """P*C(J,2) + J*C(P,2): a job block and a position block share one
+        bit, so no edge lies in two blocks."""
+        p, j = self.instance.positions, self.instance.jobs
+        return p * math.comb(j, 2) + j * math.comb(p, 2)
 
 
 def build_constraint_graph(instance: OsspInstance) -> ConstraintGraph:
     """Vertices are bits; edges are the union of the job- and position-block
-    cliques. The adjacency is a dense N x N matrix, so past
-    GROUP_CLOSURE_CAP entries it raises CapabilityError before allocating;
-    `ossvqa graph` lists block cliques instead and has no such bound."""
-    n = instance.n_bits
-    if n * n > GROUP_CLOSURE_CAP:
-        raise CapabilityError(
-            f"constraint graph of {n} vertices would need {n * n} adjacency entries, "
-            f"past the cap of {GROUP_CLOSURE_CAP}"
-        )
-    adj = np.zeros((n, n), dtype=bool)
-    for block in job_blocks(instance) + position_blocks(instance):
-        vertices = np.asarray(block) - 1
-        adj[np.ix_(vertices, vertices)] = True
-    np.fill_diagonal(adj, False)
-    return ConstraintGraph(n, adj)
+    cliques, read from the blocks when asked, so nothing of size N^2 is
+    allocated and no size is refused."""
+    return ConstraintGraph(instance)
 
 
 def is_independent_set(graph: ConstraintGraph, vertices) -> bool:
-    """No two of the given vertices (1-based labels) are adjacent."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not (1 <= v <= graph.n_vertices):
-            raise DomainError(f"vertex {v} out of range 1..{graph.n_vertices}")
-    for a, b in itertools.combinations(vs, 2):
-        if graph.adjacency[a - 1, b - 1]:
-            return False
-    return True
+    """No two of the given vertices (1-based labels) lie in one block."""
+    z = bitstring_from_indices(graph.n_vertices, vertices)
+    blocks = job_blocks(graph.instance) + position_blocks(graph.instance)
+    return all(sum(z[v - 1] == "1" for v in b) <= 1 for b in blocks)
 
 
 def is_automorphism(graph: ConstraintGraph, perm) -> bool:
-    """True iff the 0-based vertex permutation preserves adjacency both ways."""
-    p = np.asarray(_check_perm(perm, graph.n_vertices))
-    return bool(np.array_equal(graph.adjacency[np.ix_(p, p)], graph.adjacency))
+    """True iff the 0-based vertex permutation preserves adjacency both
+    ways: iff it maps every block inside one block. Every edge, and every
+    clique of three or more bits, lies in one block, so such a map keeps
+    every edge, and a bijection that keeps every edge keeps every
+    non-edge."""
+    p = _check_perm(perm, graph.n_vertices)
+    blocks = [frozenset(b) for b in job_blocks(graph.instance) + position_blocks(graph.instance)]
+    home = collections.defaultdict(list)  # vertex -> its job block and its position block
+    for b in blocks:
+        for v in b:
+            home[v].append(b)
+    for b in blocks:
+        image = {p[v - 1] + 1 for v in b}
+        if not any(image <= c for c in home[min(image)]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,15 @@ A start is one basis state and a swap moves amplitude only between
 partner patterns along one block's axis, so amplitude spreads one block
 pattern at a time. A state therefore carries a support: per amplitude
 axis, the [lo, hi) index range outside which every amplitude is exactly
-zero, and None is the whole basis. basis_state sets it, and apply_circuit
-alone reads it: it copies its start's box out once into its private
-buffer (_BoxBuffer), one C-contiguous array of the box's shape, runs
-every gate on that buffer in place (the phase layer keeps the box, a
-mixer widens it to the swap partners of the box and, when it grows,
-moves it into a zeroed array of the grown box), and writes it once into
-a zeroed full-length vector. A gate called on a caller's state never
-writes that state: it copies all the amplitudes once and runs on the
-whole basis (_gate). One kernel body applies every swap pair, reading
+zero, and None is the whole basis. basis_state sets it (the constructor
+does not take it), and apply_circuit alone reads it: it copies its
+start's box out once into its private buffer (_BoxBuffer), one
+C-contiguous array of the box's shape, runs every gate on that buffer
+in place (the phase layer keeps the box, a mixer widens it to the swap
+partners of the box and, when it grows, moves it into a zeroed array of
+the grown box), and writes it once into a zeroed full-length vector. A
+gate called on a caller's state never writes that state: it copies all
+the amplitudes once and runs on the whole basis (_gate). One kernel body applies every swap pair, reading
 one plan per mixer and input box, memoised on the basis
 (_mixer_plan): flat indices on boxes of at most GATHER_DIM amplitudes,
 per-axis indices or slices on larger ones. Results equal those of the
@@ -186,34 +186,46 @@ class Basis:
 class QuantumState:
     """Amplitudes over a basis, in its order.
 
-    support is derived, not a setting: one [lo, hi) index range per
-    amplitude axis (basis.shape) outside which every amplitude is exactly
-    zero, and None is the whole basis. basis_state sets it to the start's
-    index on each axis, and apply_circuit computes only that box and
-    returns the box amplitude has reached. Whoever builds a state by hand
-    and gives it a support vouches for the zeros. amps is full-length, in
-    basis order, and no gate writes it (see _gate)."""
+    support is derived, not a setting, so the constructor does not take
+    it: one [lo, hi) index range per amplitude axis (basis.shape) outside
+    which every amplitude is exactly zero, and None is the whole basis.
+    basis_state sets it to the start's index on each axis, apply_circuit
+    computes only that box and returns the box amplitude has reached, and
+    copy keeps it; a state built by hand has support None and runs on the
+    whole basis. amps is full-length, in basis order, and no gate writes
+    it (see _gate)."""
 
     basis: Basis
     amps: np.ndarray
-    support: tuple[tuple[int, int], ...] | None = None
+    support: tuple[tuple[int, int], ...] | None = field(default=None, init=False)
 
     @property
     def engine(self) -> str:
         return self.basis.engine
 
     def copy(self) -> "QuantumState":
-        return QuantumState(self.basis, self.amps.copy(), self.support)
+        return _with_support(QuantumState(self.basis, self.amps.copy()), self.support)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
 
+def _with_support(state: QuantumState, support) -> QuantumState:
+    """state, its support set: the one route to a support outside
+    apply_circuit's buffer, taken by basis_state, copy and apply_circuit."""
+    state.support = support
+    return state
+
+
+@dataclass(eq=False)
 class _BoxBuffer(QuantumState):
     """apply_circuit's private state: amps is the support box alone (the
     whole basis when support is None), one C-contiguous complex128 array of
     the box's shape, which every gate rewrites in place (see _gate). Only
-    apply_circuit builds one, and none leaves it."""
+    apply_circuit builds one, and none leaves it; its constructor takes
+    the support."""
+
+    support: tuple[tuple[int, int], ...] | None = None
 
 
 @functools.lru_cache(maxsize=64)
@@ -284,7 +296,7 @@ def basis_state(instance: OsspInstance, z: str, engine="full") -> QuantumState:
     pos = basis.position_of(bits_to_int(z))
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps.reshape(basis.shape)[pos] = 1.0
-    return QuantumState(basis, amps, tuple((i, i + 1) for i in pos))
+    return _with_support(QuantumState(basis, amps), tuple((i, i + 1) for i in pos))
 
 
 def pure_state(n_bits: int, z: str) -> QuantumState:
@@ -826,19 +838,19 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     first round with nonzero gamma. Running a skipped gate would change at
     most the sign of zero real or imaginary parts.
 
-    When some gate runs, the start's support box (the whole basis when its
-    support is None) is copied out once into the private buffer, a
-    _BoxBuffer holding a C-contiguous array of the box's shape, and every
-    gate runs on that buffer in place: each is still called as the
-    module's apply_phase_separator or apply_mixer, which tell the buffer
-    by its type (see _gate). A mixer that widens the box moves it into a
-    zeroed array of the grown box. At the end the box is written once into
-    a zeroed full-length vector, so the start is never written, the buffer
-    never leaves, and the result shares no memory with the start; when
-    every gate was skipped the result is the start itself. The result's support
-    is the box amplitude has reached, None when that is the whole basis.
-    Its amplitudes, expectation and samples do not depend on the start's
-    support: a support changes at most the sign of zeros."""
+    The start's support box (the whole basis when its support is None) is
+    copied out once into the private buffer, a _BoxBuffer holding a
+    C-contiguous array of the box's shape, and every gate runs on that
+    buffer in place: each is still called as the module's
+    apply_phase_separator or apply_mixer, which tell the buffer by its
+    type (see _gate). A mixer that widens the box moves it into a zeroed
+    array of the grown box. At the end the box is written once into a
+    zeroed full-length vector, so the start is never written, the buffer
+    never leaves, and the result shares no memory with the start, also
+    when every gate was skipped. The result's support is the box amplitude
+    has reached, None when that is the whole basis. Its amplitudes,
+    expectation and samples do not depend on the start's support: a
+    support changes at most the sign of zeros."""
     if len(params.beta) != circuit.n_beta or len(params.gamma) != circuit.n_gamma:
         raise DomainError(
             f"parameter shape ({len(params.beta)} beta, {len(params.gamma)} gamma) "
@@ -848,8 +860,6 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     # cheaper to walk and test than numpy scalars
     grid = clamp_beta(params.beta).reshape(circuit.depth, circuit.instance.jobs - 1).tolist()
     gammas = params.gamma.tolist()
-    if not (any(gammas) or any(map(any, grid))):
-        return state  # every gate is skipped
     basis, table = state.basis, None
     box = state.amps.reshape(basis.shape)[_slices(state.support or basis.whole)]
     buf = _BoxBuffer(basis, np.array(box, dtype=COMPLEX, order="C"), state.support)
@@ -865,4 +875,4 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
         return QuantumState(basis, buf.amps.reshape(-1))
     amps = np.zeros(basis.dim, dtype=COMPLEX)
     amps.reshape(basis.shape)[_slices(buf.support)] = buf.amps
-    return QuantumState(basis, amps, buf.support)
+    return _with_support(QuantumState(basis, amps), buf.support)

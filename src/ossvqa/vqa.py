@@ -37,6 +37,8 @@ from .instances import (
     optimal_solutions,
 )
 from .simulator import (
+    BETA_HI,
+    BETA_LO,
     Circuit,
     ParameterVector,
     QuantumState,
@@ -143,10 +145,11 @@ class RunRecord:
 
 
 def parameter_bounds(circuit: Circuit, config: OptimizerConfig):
-    """Componentwise box: beta in [0, pi/2], gamma in config.gamma_box."""
+    """Componentwise box: beta in [BETA_LO, BETA_HI] = [0, pi/2] (the box
+    clamp_beta keeps), gamma in config.gamma_box."""
     lo, hi = config.gamma_box
-    lower = np.array([0.0] * circuit.n_beta + [lo] * circuit.n_gamma)
-    upper = np.array([math.pi / 2] * circuit.n_beta + [hi] * circuit.n_gamma)
+    lower = np.array([BETA_LO] * circuit.n_beta + [lo] * circuit.n_gamma)
+    upper = np.array([BETA_HI] * circuit.n_beta + [hi] * circuit.n_gamma)
     return lower, upper
 
 

@@ -55,10 +55,10 @@ def zero_instance(tmp_path, machines, slots, jobs):
     })
 
 
-def run_capped(argv, limit_mb, timeout=120):
-    """(exit code, stderr) of `python -m ossvqa.cli argv` in a subprocess
-    whose address space is capped at limit_mb, so a run that would allocate
-    more fails instead of taking the machine's memory."""
+def run_capped(argv, limit_mb, timeout=120, entry=("-m", "ossvqa.cli")):
+    """(exit code, stderr) of `python entry argv`, the CLI by default, in a
+    subprocess whose address space is capped at limit_mb, so a run that
+    would allocate more fails instead of taking the machine's memory."""
     if resource is None:
         pytest.skip("the resource module is needed to cap the address space")
     limit = limit_mb << 20
@@ -67,7 +67,7 @@ def run_capped(argv, limit_mb, timeout=120):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-m", "ossvqa.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, *entry, *argv], env=env,
                           preexec_fn=cap, capture_output=True, text=True, timeout=timeout)
     return done.returncode, done.stderr
 
@@ -188,6 +188,24 @@ def test_unreadable_documents_exit_2(tmp_path, capsys):
         assert main(["enumerate", "--instance", str(path)]) == 2
         assert main(["report", "--record", str(path)]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_an_unwritable_out_exits_2(tmp_path, capsys):
+    # --out naming a directory, or a file under a missing one: exit 2 with
+    # one stderr line and nothing written, for _emit and for report alike
+    record = tmp_path / "run.json"
+    assert main(["optimize", "--preset", "ossp133-restricted", "--seed", "0",
+                 "--max-iters", "1", "--out", str(record)]) == 0
+    capsys.readouterr()
+    target = tmp_path / "out"
+    target.mkdir()
+    for out in (target, target / "missing" / "x.json"):
+        for argv in (["enumerate", "--preset", "ossp133"], ["report", "--record", str(record)]):
+            assert main(argv + ["--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot write")
+    assert list(target.iterdir()) == []
 
 
 def test_report_refuses_documents_that_are_not_records(tmp_path, capsys):

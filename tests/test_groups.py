@@ -3,9 +3,11 @@
 import collections.abc
 import itertools
 import json
-import math
+import textwrap
 
+import numpy as np
 import pytest
+from test_cli import run_capped
 
 from ossvqa import groups, instances
 from ossvqa.errors import CapabilityError, DomainError
@@ -76,37 +78,68 @@ def test_graph_counts():
     assert g111.n_vertices == 1 and g111.edge_count() == 0
 
 
-def test_constraint_graph_cap_refuses_before_allocating(monkeypatch):
-    import numpy as np
+def test_constraint_graph_of_90000_bits_builds_without_a_matrix():
+    # OSSP(1,300,300): 90,000 bits, whose dense adjacency would take 7.5 GiB
+    script = textwrap.dedent("""
+        from ossvqa.groups import (build_constraint_graph, is_automorphism,
+            job_transposition_element, position_transposition_element, vertex_permutation)
+        from ossvqa.instances import OsspInstance
+        inst = OsspInstance(1, 300, 300)
+        graph = build_constraint_graph(inst)
+        assert graph.n_vertices == 90_000
+        assert graph.edge_count() == 26_910_000
+        for g in (job_transposition_element(inst, 1), position_transposition_element(inst, 1)):
+            assert is_automorphism(graph, vertex_permutation(inst, g))
+        # bits 1 and 302 share neither a job nor a position
+        swap = list(range(inst.n_bits))
+        swap[0], swap[301] = 301, 0
+        assert not is_automorphism(graph, swap)
+    """)
+    code, err = run_capped([], limit_mb=1024, entry=("-c", script))
+    assert code == 0, err
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("adjacency allocated before the size check")
 
-    monkeypatch.setattr(np, "zeros", refuse)
-    # OSSP(1,300,300): 90,000 bits, a 7.5 GiB dense adjacency
-    with pytest.raises(CapabilityError, match="adjacency"):
-        build_constraint_graph(OsspInstance(1, 300, 300))
-    # the largest square under the cap still passes the check
-    side = math.isqrt(groups.GROUP_CLOSURE_CAP)
-    with pytest.raises(AssertionError, match="before the size check"):
-        build_constraint_graph(OsspInstance(1, side // 10, 10))
-    with pytest.raises(CapabilityError):
-        build_constraint_graph(OsspInstance(1, side // 10 + 1, 10))
+def dense_adjacency(inst):
+    """The reference graph: bits are adjacent iff they share a position or a
+    job, read off their coordinates."""
+    coords = [index_to_coordinate(inst, i) for i in range(1, inst.n_bits + 1)]
+    return np.array([
+        [u != v and (cu[:2] == cv[:2] or cu[2] == cv[2]) for v, cv in enumerate(coords)]
+        for u, cu in enumerate(coords)
+    ])
+
+
+GRAPH_SHAPES = (
+    (1, 1, 1), (1, 2, 1), (1, 5, 1), (2, 3, 1),  # J = 1 (and P = 1)
+    (1, 2, 2), (2, 1, 2), (1, 3, 3),  # busy
+    (1, 3, 2), (1, 4, 2), (1, 4, 3), (2, 3, 2), (3, 2, 2), (1, 6, 2),  # not busy
+)
 
 
 def test_graph_matches_coordinate_rule():
-    # reference: bits are adjacent iff they share a position or a job
-    import numpy as np
-
-    for shape in ((1, 1, 1), (1, 3, 2), (1, 3, 3), (2, 2, 4), (2, 3, 4), (3, 2, 2)):
+    # is_automorphism and is_independent_set, read from the blocks, against
+    # a dense adjacency matrix built here: every permutation up to 8 bits,
+    # 500 random ones past that, every group generator, random vertex sets
+    rng = np.random.default_rng(12)
+    for shape in GRAPH_SHAPES:
         inst = OsspInstance(*shape)
         n = inst.n_bits
-        coords = [index_to_coordinate(inst, i) for i in range(1, n + 1)]
-        want = np.array([
-            [u != v and (cu[:2] == cv[:2] or cu[2] == cv[2]) for v, cv in enumerate(coords)]
-            for u, cu in enumerate(coords)
-        ])
-        assert np.array_equal(build_constraint_graph(inst).adjacency, want)
+        adj = dense_adjacency(inst)
+        graph = build_constraint_graph(inst)
+        assert graph.n_vertices == n and graph.edge_count() == int(adj.sum()) // 2
+        if n <= 8:
+            perms = list(itertools.permutations(range(n)))
+        else:
+            perms = [tuple(rng.permutation(n).tolist()) for _ in range(500)]
+        gens = [vertex_permutation(inst, g) for g in group_generators(inst)]
+        p = np.array(perms + gens)
+        want = (adj[p[:, :, None], p[:, None, :]] == adj).all(axis=(1, 2))
+        assert [is_automorphism(graph, q) for q in perms + gens] == want.tolist()
+        assert want[len(perms):].all()  # every generator keeps the graph
+        for _ in range(200):
+            vs = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+            want = not adj[np.ix_(vs, vs)].any()
+            assert is_independent_set(graph, (vs + 1).tolist()) == want
 
 
 def test_edge_count_formula():
@@ -129,8 +162,6 @@ def test_independent_sets():
     # feasible strings are exactly the J-element independent sets
     for z in enumerate_solutions(OSSP224):
         assert is_independent_set(g224, indices_of_ones(z))
-    import numpy as np
-
     rng = np.random.default_rng(3)
     for _ in range(100):
         vs = tuple(sorted(rng.choice(16, size=4, replace=False) + 1))
@@ -159,8 +190,6 @@ def test_group_action_goldens():
 
 
 def test_action_preserves_solutions():
-    import numpy as np
-
     for inst in (OSSP224, OSSP133, OSSP132):
         sols = set(enumerate_solutions(inst))
         gens = group_generators(inst)
@@ -395,8 +424,6 @@ def test_decompose_recompose_exhaustive():
 
 
 def test_decompose_random_s6():
-    import numpy as np
-
     rng = np.random.default_rng(5)
     for _ in range(100):
         tau = tuple(int(x) for x in rng.permutation(6))

@@ -505,10 +505,10 @@ def test_swap_memo_holds_only_the_plan_its_kernel_reads():
 
 
 def test_a_state_without_support_runs_as_the_whole_basis_box():
-    # apply_circuit's buffer from a start without a support and from one
-    # whose support is the whole basis: a 46,656-amplitude sector with a
-    # hand-made mixer whose pairs share block 1, and a 15-bit full basis,
-    # whose pairs all share its one axis
+    # apply_circuit's buffer from a start without a support against the
+    # mixer called on the same state, which runs on the whole basis: a
+    # 46,656-amplitude sector with a hand-made mixer whose pairs share
+    # block 1, and a 15-bit full basis, whose pairs all share its one axis
     rng = np.random.default_rng(5)
     i166, i153 = OsspInstance(1, 6, 6), OsspInstance(1, 5, 3)
     block = position_blocks(i166)[0]
@@ -518,13 +518,12 @@ def test_a_state_without_support_runs_as_the_whole_basis_box():
         assert basis.dim > simulator.GATHER_DIM
         amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         amps /= np.linalg.norm(amps)
-        whole = tuple((0, n) for n in basis.shape)
         circuit = build_circuit(inst, linear_from_rows(inst, [[1] * inst.jobs] * inst.positions), 1)
         for m in family:
             c = with_first_mixer(circuit, m)
-            params = only_angles(c, mixer=0, beta=rng.uniform(0.0, math.pi / 2))
-            got = apply_circuit(c, params, QuantumState(basis, amps, None))
-            want = apply_circuit(c, params, QuantumState(basis, amps, whole))
+            beta = rng.uniform(0.0, math.pi / 2)
+            got = apply_circuit(c, only_angles(c, mixer=0, beta=beta), QuantumState(basis, amps))
+            want = apply_mixer(QuantumState(basis, amps), m, beta)
             assert got.support is None and want.support is None
             assert got.amps.tobytes() == want.amps.tobytes()
 
@@ -1129,7 +1128,7 @@ def random_schedule(inst, rng):
 
 def dense(state):
     """The same state without a support: every gate runs on the whole array."""
-    return QuantumState(state.basis, state.amps, None)
+    return QuantumState(state.basis, state.amps)
 
 
 def only_angles(circuit, gamma=0.0, mixer=None, beta=0.0):
@@ -1344,7 +1343,7 @@ def tour_and_weights(rng):
 def test_apply_circuit_never_writes_its_input():
     """On a basis of at most GATHER_DIM amplitudes (ossp224) and past it,
     with and without a support: the start's bytes stay put, and the result
-    shares no memory with the start unless every gate was skipped."""
+    shares no memory with the start, also when every gate was skipped."""
     rng = np.random.default_rng(59)
     for inst, objective in [(OSSP224, OBJ224)] + tour_and_weights(rng):
         circuit = build_circuit(inst, objective, 2)
@@ -1355,10 +1354,53 @@ def test_apply_circuit_never_writes_its_input():
             for params in [random_params(circuit, rng) for _ in range(3)] + [zero_params(circuit)]:
                 got = apply_circuit(circuit, params, state)
                 assert state.amps.tobytes() == before
-                if np.any(params.beta) or np.any(params.gamma):
-                    assert not np.shares_memory(got.amps, state.amps)
-                else:
-                    assert np.array_equal(got.amps, state.amps)
+                assert not np.shares_memory(got.amps, state.amps)
+
+
+def test_an_all_zero_circuit_returns_a_fresh_state(monkeypatch):
+    """Every angle zero: no gate runs and no PhaseTable is built, and the
+    result is a new state with the start's amplitudes and support."""
+    calls = []
+
+    def counted(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for name in ("apply_mixer", "apply_phase_separator"):
+        monkeypatch.setattr(simulator, name, counted(name))
+    monkeypatch.setattr(simulator.Circuit, "phase_for", counted("phase_for"))
+    circuit = build_circuit(OSSP224, OBJ224, 2)
+    start = basis_state(OSSP224, Z0_224, "subspace")
+    for state in (start, dense(superposition(OSSP224, [Z0_224, "0100100000010010"]))):
+        got = apply_circuit(circuit, zero_params(circuit), state)
+        assert got is not state
+        assert not np.shares_memory(got.amps, state.amps)
+        assert np.array_equal(got.amps, state.amps)
+        assert got.support == state.support
+    assert calls == []
+
+
+def test_a_hand_built_state_runs_on_the_whole_basis():
+    """The constructor takes no support, so a state built by hand has
+    support None and apply_circuit runs it on the whole basis. ossp224 at
+    depth 1 from a normalised random state: when the one-amplitude support
+    of basis_state could be given by hand and was taken on trust, this
+    state came out with norm 0.046. Now the result keeps norm 1 and equals
+    the gates called one by one."""
+    start = basis_state(OSSP224, Z0_224, "subspace")
+    with pytest.raises(TypeError):
+        QuantumState(start.basis, start.amps, start.support)
+    rng = np.random.default_rng(83)
+    amps = rng.normal(size=start.basis.dim) + 1j * rng.normal(size=start.basis.dim)
+    state = QuantumState(start.basis, amps / np.linalg.norm(amps))
+    assert state.support is None
+    circuit = build_circuit(OSSP224, OBJ224, 1)
+    params = ParameterVector([0.3, 0.4, 0.5], [0.2])
+    got = apply_circuit(circuit, params, state)
+    assert got.norm() == pytest.approx(1.0, abs=1e-12)
+    want = apply_phase_separator(state, circuit.phase_for(state.basis), 0.2)
+    for mixer, beta in zip(circuit.mixers, [0.5, 0.4, 0.3]):  # B_3, B_2, B_1
+        want = apply_mixer(want, mixer, beta)
+    assert np.array_equal(got.amps, want.amps)
 
 
 def test_a_one_gate_circuit_equals_the_gate_called_on_its_own():
@@ -1406,8 +1448,8 @@ def test_a_one_gate_circuit_equals_the_gate_called_on_its_own():
 def test_no_gate_writes_a_hand_built_state_of_the_basis_shape():
     """A caller's amplitudes of basis.shape, the shape apply_circuit's
     buffer holds on a whole-basis box, are still the caller's: every gate
-    leaves them as they were, with or without a support, and gives the
-    result of the same state with flat amplitudes."""
+    leaves them as they were and gives the result of the same state with
+    flat amplitudes."""
     rng = np.random.default_rng(71)
     circuit = build_circuit(OSSP224, OBJ224, 1)
     start = basis_state(OSSP224, Z0_224, "subspace")
@@ -1418,13 +1460,13 @@ def test_no_gate_writes_a_hand_built_state_of_the_basis_shape():
     gates = [lambda st: apply_phase_separator(st, table, 0.9),
              lambda st: apply_swap_rotation(st, circuit.mixers[0].pairs[0], 0.5)]
     gates += [lambda st, m=m: apply_mixer(st, m, 0.7) for m in circuit.mixers]
-    for shaped, support in ((amps, None), (start.amps.reshape(basis.shape), start.support)):
+    for shaped in (amps, start.amps.reshape(basis.shape)):
         before = shaped.tobytes()
         for gate in gates:
-            got = gate(QuantumState(basis, shaped, support))
+            got = gate(QuantumState(basis, shaped))
             assert shaped.tobytes() == before
             assert not np.shares_memory(got.amps, shaped)
-            want = gate(QuantumState(basis, shaped.reshape(-1), support))
+            want = gate(QuantumState(basis, shaped.reshape(-1)))
             assert np.array_equal(got.amps, want.amps)
 
 
