@@ -33,6 +33,7 @@ from .instances import (
     OsspInstance,
     bitstring_from_indices,
     check_bitstring,
+    index_to_coordinate,
     is_feasible,
     job_blocks,
     position_blocks,
@@ -210,10 +211,10 @@ def build_constraint_graph(instance: OsspInstance) -> ConstraintGraph:
 
 
 def is_independent_set(graph: ConstraintGraph, vertices) -> bool:
-    """No two of the given vertices (1-based labels) lie in one block."""
-    z = bitstring_from_indices(graph.n_vertices, vertices)
-    blocks = job_blocks(graph.instance) + position_blocks(graph.instance)
-    return all(sum(z[v - 1] == "1" for v in b) <= 1 for b in blocks)
+    """No two of the given vertices (1-based labels) lie in one block: no
+    two share a position (m, t) or a job. Reads only the given vertices."""
+    coords = [index_to_coordinate(graph.instance, v) for v in set(vertices)]
+    return len({c[:2] for c in coords}) == len(coords) == len({c[2] for c in coords})
 
 
 def is_automorphism(graph: ConstraintGraph, perm) -> bool:

@@ -36,15 +36,16 @@ A start is one basis state and a swap moves amplitude only between
 partner patterns along one block's axis, so amplitude spreads one block
 pattern at a time. A state therefore carries a support: per amplitude
 axis, the [lo, hi) index range outside which every amplitude is exactly
-zero, and None is the whole basis. basis_state sets it (the constructor
-does not take it), and apply_circuit alone reads it: it copies its
-start's box out once into its private buffer (_BoxBuffer), one
-C-contiguous array of the box's shape, runs every gate on that buffer
-in place (the phase layer keeps the box, a mixer widens it to the swap
-partners of the box and, when it grows, moves it into a zeroed array of
-the grown box), and writes it once into a zeroed full-length vector. A
-gate called on a caller's state never writes that state: it copies all
-the amplitudes once and runs on the whole basis (_gate). One kernel body applies every swap pair, reading
+zero, and None is the whole basis. basis_state sets it (it is
+read-only, and the constructor does not take it), and apply_circuit
+alone reads it: it copies its start's box out once into its private
+buffer (_BoxBuffer), one C-contiguous array of the box's shape, runs
+every gate on that buffer in place (the phase layer keeps the box, a
+mixer widens it to the swap partners of the box and, when it grows,
+moves it into a zeroed array of the grown box), and writes it once into
+a zeroed full-length vector. A gate called on a caller's state never
+writes that state: it copies all the amplitudes once and runs on the
+whole basis (_gate). One kernel body applies every swap pair, reading
 one plan per mixer and input box, memoised on the basis
 (_mixer_plan): flat indices on boxes of at most GATHER_DIM amplitudes,
 per-axis indices or slices on larger ones. Results equal those of the
@@ -186,35 +187,33 @@ class Basis:
 class QuantumState:
     """Amplitudes over a basis, in its order.
 
-    support is derived, not a setting, so the constructor does not take
-    it: one [lo, hi) index range per amplitude axis (basis.shape) outside
-    which every amplitude is exactly zero, and None is the whole basis.
-    basis_state sets it to the start's index on each axis, apply_circuit
-    computes only that box and returns the box amplitude has reached, and
-    copy keeps it; a state built by hand has support None and runs on the
-    whole basis. amps is full-length, in basis order, and no gate writes
-    it (see _gate)."""
+    support is derived, not a setting, so it is read-only and only this
+    module sets it, through the private keyword _support: one [lo, hi)
+    index range per amplitude axis (basis.shape) outside which every
+    amplitude is exactly zero, and None is the whole basis. basis_state
+    sets it to the start's index on each axis, apply_circuit computes only
+    that box and returns the box amplitude has reached, and copy keeps it;
+    a state built by hand has support None and runs on the whole basis.
+    amps is full-length, in basis order, and no gate writes it (see
+    _gate)."""
 
     basis: Basis
     amps: np.ndarray
-    support: tuple[tuple[int, int], ...] | None = field(default=None, init=False)
+    _support: tuple[tuple[int, int], ...] | None = field(default=None, kw_only=True, repr=False)
+
+    @property
+    def support(self) -> tuple[tuple[int, int], ...] | None:
+        return self._support
 
     @property
     def engine(self) -> str:
         return self.basis.engine
 
     def copy(self) -> "QuantumState":
-        return _with_support(QuantumState(self.basis, self.amps.copy()), self.support)
+        return QuantumState(self.basis, self.amps.copy(), _support=self.support)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-
-def _with_support(state: QuantumState, support) -> QuantumState:
-    """state, its support set: the one route to a support outside
-    apply_circuit's buffer, taken by basis_state, copy and apply_circuit."""
-    state.support = support
-    return state
 
 
 @dataclass(eq=False)
@@ -223,9 +222,9 @@ class _BoxBuffer(QuantumState):
     whole basis when support is None), one C-contiguous complex128 array of
     the box's shape, which every gate rewrites in place (see _gate). Only
     apply_circuit builds one, and none leaves it; its constructor takes
-    the support."""
+    the support as its third argument."""
 
-    support: tuple[tuple[int, int], ...] | None = None
+    _support: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -296,7 +295,7 @@ def basis_state(instance: OsspInstance, z: str, engine="full") -> QuantumState:
     pos = basis.position_of(bits_to_int(z))
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps.reshape(basis.shape)[pos] = 1.0
-    return _with_support(QuantumState(basis, amps), tuple((i, i + 1) for i in pos))
+    return QuantumState(basis, amps, _support=tuple((i, i + 1) for i in pos))
 
 
 def pure_state(n_bits: int, z: str) -> QuantumState:
@@ -451,7 +450,7 @@ def _gate(state: QuantumState, kernel, *args) -> QuantumState:
     that copy, flat, with support None."""
     basis = state.basis
     if isinstance(state, _BoxBuffer):
-        x, box = kernel(basis, state.amps, state.support or basis.whole, *args)
+        x, box = kernel(basis, state.amps, state._support or basis.whole, *args)
         return _BoxBuffer(basis, x, None if box == basis.whole else box)
     x = np.array(state.amps.reshape(basis.shape), dtype=COMPLEX, order="C")
     return QuantumState(basis, kernel(basis, x, basis.whole, *args)[0].reshape(-1))
@@ -861,8 +860,8 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
     grid = clamp_beta(params.beta).reshape(circuit.depth, circuit.instance.jobs - 1).tolist()
     gammas = params.gamma.tolist()
     basis, table = state.basis, None
-    box = state.amps.reshape(basis.shape)[_slices(state.support or basis.whole)]
-    buf = _BoxBuffer(basis, np.array(box, dtype=COMPLEX, order="C"), state.support)
+    box = state.amps.reshape(basis.shape)[_slices(state._support or basis.whole)]
+    buf = _BoxBuffer(basis, np.array(box, dtype=COMPLEX, order="C"), state._support)
     for gamma, row in zip(gammas, grid):
         if gamma != 0.0:
             if table is None:
@@ -871,8 +870,8 @@ def apply_circuit(circuit: Circuit, params: ParameterVector, state: QuantumState
         for mixer, beta in zip(circuit.mixers, row[::-1]):
             if beta != 0.0:
                 buf = apply_mixer(buf, mixer, beta)
-    if buf.support is None:  # the box is the whole basis
+    if buf._support is None:  # the box is the whole basis
         return QuantumState(basis, buf.amps.reshape(-1))
     amps = np.zeros(basis.dim, dtype=COMPLEX)
-    amps.reshape(basis.shape)[_slices(buf.support)] = buf.amps
-    return _with_support(QuantumState(basis, amps), buf.support)
+    amps.reshape(basis.shape)[_slices(buf._support)] = buf.amps
+    return QuantumState(basis, amps, _support=buf._support)

@@ -14,11 +14,6 @@ import pytest
 from ossvqa import cli, instances
 from ossvqa.cli import SEED_ENV_VAR, main
 
-try:
-    import resource
-except ImportError:  # not on every platform
-    resource = None
-
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SCORES_224 = {
@@ -53,23 +48,6 @@ def zero_instance(tmp_path, machines, slots, jobs):
         "machines": machines, "time_slots": slots, "jobs": jobs,
         "objective": {"linear": {"weights": [[0] * jobs] * (machines * slots)}},
     })
-
-
-def run_capped(argv, limit_mb, timeout=120, entry=("-m", "ossvqa.cli")):
-    """(exit code, stderr) of `python entry argv`, the CLI by default, in a
-    subprocess whose address space is capped at limit_mb, so a run that
-    would allocate more fails instead of taking the machine's memory."""
-    if resource is None:
-        pytest.skip("the resource module is needed to cap the address space")
-    limit = limit_mb << 20
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, *entry, *argv], env=env,
-                          preexec_fn=cap, capture_output=True, text=True, timeout=timeout)
-    return done.returncode, done.stderr
 
 
 def test_enumerate_published_tables(tmp_path):
@@ -278,7 +256,7 @@ def test_graph_edges_match_dense_reference(tmp_path, shape):
     assert doc["edge_count"] == doc["expected_edge_count"] == int(adjacency.sum()) // 2
 
 
-def test_graph_of_a_large_instance_builds_no_matrix(tmp_path):
+def test_graph_of_a_large_instance_builds_no_matrix(tmp_path, run_capped):
     # OSSP(1,200,200): 40,000 bits, so a dense adjacency would take 1.5 GiB
     out = tmp_path / "graph.json"
     code, err = run_capped(["graph", "--instance", zero_instance(tmp_path, 1, 200, 200),
@@ -289,7 +267,7 @@ def test_graph_of_a_large_instance_builds_no_matrix(tmp_path):
     assert doc["edge_count"] == 2 * 200 * (200 * 199 // 2)
 
 
-def test_oversize_sector_exits_4_before_listing_patterns(tmp_path):
+def test_oversize_sector_exits_4_before_listing_patterns(tmp_path, run_capped):
     # OSSP(1,40,40) with weight 20 in block 1: C(40,20) ~ 1.4e11 patterns
     z = "1" * 20 + "0" * 20 + ("1" + "0" * 39) * 39
     code, err = run_capped(["simulate", "--instance", zero_instance(tmp_path, 1, 40, 40),
@@ -299,7 +277,7 @@ def test_oversize_sector_exits_4_before_listing_patterns(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize"])
-def test_huge_depth_exits_4_before_allocating(command):
+def test_huge_depth_exits_4_before_allocating(command, run_capped):
     # 10^8 rounds of ossp224 would take 4 * 10^8 angle slots, gigabytes
     # as Python lists; the circuit is refused before any is listed
     code, err = run_capped([command, "--preset", "ossp224", "--depth", "100000000"],

@@ -7,7 +7,6 @@ import textwrap
 
 import numpy as np
 import pytest
-from test_cli import run_capped
 
 from ossvqa import groups, instances
 from ossvqa.errors import CapabilityError, DomainError
@@ -78,7 +77,7 @@ def test_graph_counts():
     assert g111.n_vertices == 1 and g111.edge_count() == 0
 
 
-def test_constraint_graph_of_90000_bits_builds_without_a_matrix():
+def test_constraint_graph_of_90000_bits_builds_without_a_matrix(run_capped):
     # OSSP(1,300,300): 90,000 bits, whose dense adjacency would take 7.5 GiB
     script = textwrap.dedent("""
         from ossvqa.groups import (build_constraint_graph, is_automorphism,

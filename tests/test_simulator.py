@@ -1380,18 +1380,20 @@ def test_an_all_zero_circuit_returns_a_fresh_state(monkeypatch):
 
 
 def test_a_hand_built_state_runs_on_the_whole_basis():
-    """The constructor takes no support, so a state built by hand has
-    support None and apply_circuit runs it on the whole basis. ossp224 at
-    depth 1 from a normalised random state: when the one-amplitude support
-    of basis_state could be given by hand and was taken on trust, this
-    state came out with norm 0.046. Now the result keeps norm 1 and equals
-    the gates called one by one."""
+    """support is read-only and the constructor takes none, so a state
+    built by hand has support None and apply_circuit runs it on the whole
+    basis. ossp224 at depth 1 from a normalised random state: when the
+    one-amplitude support of basis_state could be given by hand and was
+    taken on trust, this state came out with norm 0.046. Now the result
+    keeps norm 1 and equals the gates called one by one."""
     start = basis_state(OSSP224, Z0_224, "subspace")
     with pytest.raises(TypeError):
         QuantumState(start.basis, start.amps, start.support)
     rng = np.random.default_rng(83)
     amps = rng.normal(size=start.basis.dim) + 1j * rng.normal(size=start.basis.dim)
     state = QuantumState(start.basis, amps / np.linalg.norm(amps))
+    with pytest.raises(AttributeError):
+        state.support = start.support
     assert state.support is None
     circuit = build_circuit(OSSP224, OBJ224, 1)
     params = ParameterVector([0.3, 0.4, 0.5], [0.2])

@@ -1,14 +1,13 @@
-"""Count code lines in the package: lines holding a token of code, not
+"""Count code lines in the package src/ossvqa: lines holding a token of code, not
 counting docstrings, comments or blank lines.
 
 A line counts when some token other than a comment or a line break
 starts or spans it, unless every such token on it belongs to a
 docstring (a string literal that is the first statement of a module,
 class or function, found with ast). Prints one line per module and the
-total.
+total:
 
-    python tools/code_lines.py            # src/ossvqa
-    python tools/code_lines.py DIR ...    # other directories
+    python tools/code_lines.py
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import ast
 import io
 import pathlib
-import sys
 import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -46,17 +44,15 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
-def main(argv: list[str]) -> int:
-    dirs = [pathlib.Path(d) for d in argv] or [ROOT / "src" / "ossvqa"]
+def main() -> int:
     total = 0
-    for d in dirs:
-        for path in sorted(d.glob("*.py")):
-            n = code_lines(path.read_text(encoding="utf-8"))
-            total += n
-            print(f"{n:6d}  {path.name}")
+    for path in sorted((ROOT / "src" / "ossvqa").glob("*.py")):
+        n = code_lines(path.read_text(encoding="utf-8"))
+        total += n
+        print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
