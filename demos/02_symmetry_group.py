@@ -13,7 +13,6 @@ from ossvqa import (
     bruteforce_feasibility_preservers,
     enumerate_solutions,
     generate_group,
-    generated_group_order,
     group_generators,
     group_order,
     job_blocks,
@@ -29,8 +28,9 @@ print(f"constraint graph: {graph.n_vertices} vertices, "
       f"{graph.edge_count()} edges")
 
 gens = group_generators(instance)
+generated = generate_group([vertex_permutation(instance, g) for g in gens])
 print(f"{len(gens)} generators; claimed order {group_order(instance)}, "
-      f"generated order {generated_group_order(instance)}")
+      f"generated order {len(generated)}")
 
 # transitivity: one orbit sweeps out every valid schedule
 solutions = enumerate_solutions(instance)
@@ -48,7 +48,6 @@ print("position blocks preserved:",
 
 # independent check: scan all 9! bit permutations for feasibility
 # preservers and compare with the generated closure
-generated = generate_group([vertex_permutation(instance, g) for g in gens])
 scanned = bruteforce_feasibility_preservers(graph, solutions)
 print(f"enumerated closure: {len(generated)} elements; "
       f"9!-scan found {len(scanned)}; equal: {scanned == generated}")

@@ -11,7 +11,6 @@ from .groups import (
     check_mixing_family,
     decompose_job_permutation,
     generate_group,
-    generated_group_order,
     group_generators,
     group_order,
     orbit,
@@ -62,7 +61,6 @@ from .simulator import (
     pure_state,
     sample,
     subspace_basis,
-    zero_params,
 )
 from .vqa import (
     OptimizerConfig,
@@ -79,75 +77,8 @@ from .vqa import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapabilityError",
-    "Circuit",
-    "ConstraintGraph",
-    "DomainError",
-    "GroupElement",
-    "LinearObjective",
-    "MixerHamiltonian",
-    "OptimizerConfig",
-    "OsspInstance",
-    "ParameterVector",
-    "PhaseTable",
-    "QuantumState",
-    "ReachPlan",
-    "RunRecord",
-    "TspObjective",
-    "VerificationError",
-    "amplitude",
-    "apply_circuit",
-    "apply_mixer",
-    "apply_phase_separator",
-    "apply_simultaneous_mixer",
-    "apply_swap_rotation",
-    "basis_state",
-    "build_circuit",
-    "build_constraint_graph",
-    "bruteforce_feasibility_preservers",
-    "check_mixing_family",
-    "compile_reach",
-    "decompose_job_permutation",
-    "enumerate_solutions",
-    "evaluate_objective",
-    "expectation",
-    "feasible_mass",
-    "fidelity",
-    "full_basis",
-    "generate_group",
-    "generated_group_order",
-    "group_generators",
-    "group_order",
-    "initial_parameters",
-    "instance_to_dict",
-    "is_feasible",
-    "job_blocks",
-    "linear_from_rows",
-    "list_presets",
-    "load_instance",
-    "load_instance_dict",
-    "load_preset",
-    "mixer_hamiltonian",
-    "mixers",
-    "objective_value",
-    "optimal_solutions",
-    "orbit",
-    "phase_separator",
-    "phase_table",
-    "position_blocks",
-    "probabilities",
-    "pure_state",
-    "resolve_preset",
-    "run_experiment",
-    "run_optimizer",
-    "sample",
-    "sgd_minimize",
-    "solution_count",
-    "solution_values",
-    "subspace_basis",
-    "trust_region_minimize",
-    "verify_block_system",
-    "vertex_permutation",
-    "zero_params",
-]
+# the functions and classes imported above, not the submodules they bind
+__all__ = sorted(
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(f"{__name__}.")
+)

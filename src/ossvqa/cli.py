@@ -32,6 +32,7 @@ from .groups import (
     generate_group,
     group_generators,
     group_order,
+    identity_perm,
     orbit,
     verify_block_system,
     vertex_permutation,
@@ -180,7 +181,6 @@ def cmd_graph(args) -> int:
         "instance": instance_to_dict(instance, objective),
         "n_vertices": instance.n_bits,
         "edge_count": edge_count,
-        "expected_edge_count": edge_count,
         "job_blocks": [list(b) for b in jblocks],
         "position_blocks": [list(b) for b in pblocks],
         "vertices": [
@@ -202,9 +202,7 @@ def _describe_element(instance, g) -> str:
         return "position/job transposer"
     if g.job_perm != tuple(range(instance.jobs)):
         return f"job transposition {cycle_notation(g.job_perm)}"
-    if g.position_perm != tuple(range(instance.positions)):
-        return f"position transposition {cycle_notation(g.position_perm)}"
-    return "identity"
+    return f"position transposition {cycle_notation(g.position_perm)}"
 
 
 def cmd_group_check(args) -> int:
@@ -213,7 +211,8 @@ def cmd_group_check(args) -> int:
     generators = group_generators(instance)
     perms = [vertex_permutation(instance, g) for g in generators]
     claimed = group_order(instance)
-    group = generate_group(perms)
+    # the group acts on n_bits points, also when no generator names them
+    group = generate_group(perms or [identity_perm(instance.n_bits)])
     generated = len(group)
     order_match = generated == claimed
 

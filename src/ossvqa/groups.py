@@ -32,7 +32,6 @@ from .errors import CapabilityError, DomainError
 from .instances import (
     OsspInstance,
     bitstring_from_indices,
-    check_bitstring,
     index_to_coordinate,
     is_feasible,
     job_blocks,
@@ -50,11 +49,6 @@ GROUP_CLOSURE_CAP = 1_000_000  # closure elements
 
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
-
-
-def compose_perms(a, b) -> tuple[int, ...]:
-    """a after b: (a o b)[x] = a[b[x]]."""
-    return tuple(a[x] for x in b)
 
 
 def invert_perm(p) -> tuple[int, ...]:
@@ -111,10 +105,6 @@ class GroupElement:
         object.__setattr__(self, "job_perm", tuple(self.job_perm))
 
 
-def identity_element(instance: OsspInstance) -> GroupElement:
-    return GroupElement(identity_perm(instance.positions), identity_perm(instance.jobs))
-
-
 def _adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
     """Swap of (i, i+1) in 1-based labels over 0..n-1."""
     if not (1 <= i <= n - 1):
@@ -164,19 +154,6 @@ def vertex_permutation(instance: OsspInstance, g: GroupElement) -> tuple[int, ..
             p2, j2 = j2, p2
         out.append(jobs * p2 + j2)
     return tuple(out)
-
-
-def apply_vertex_permutation(perm, z: str) -> str:
-    """Move the bit at vertex n to vertex perm[n]."""
-    chars = ["0"] * len(z)
-    for n, c in enumerate(z):
-        chars[perm[n]] = c
-    return "".join(chars)
-
-
-def apply_group_element(instance: OsspInstance, g: GroupElement, z: str) -> str:
-    check_bitstring(z, instance.n_bits)
-    return apply_vertex_permutation(vertex_permutation(instance, g), z)
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +368,6 @@ def _string_closure(instance: OsspInstance, z: str, generators) -> set[bytes]:
     return _closure(np.frombuffer(z.encode("ascii"), dtype=np.uint8), inverses)
 
 
-def generated_group_order(instance: OsspInstance) -> int:
-    perms = [vertex_permutation(instance, g) for g in group_generators(instance)]
-    if not perms:
-        return 1
-    return len(generate_group(perms))
-
-
 def orbit(instance: OsspInstance, z: str, generators) -> set[str]:
     """Breadth-first closure of {z} under the given group elements."""
     if not is_feasible(instance, z):
@@ -453,14 +423,6 @@ def decompose_job_permutation(tau) -> list[int]:
                 word.append(k + 1)
                 changed = True
     return word
-
-
-def recompose_word(word, n: int) -> tuple[int, ...]:
-    """Multiply out a word: first listed transposition acts first."""
-    e = identity_perm(n)
-    for i in word:
-        e = compose_perms(_adjacent_transposition(n, i), e)
-    return e
 
 
 # ---------------------------------------------------------------------------

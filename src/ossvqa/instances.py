@@ -115,17 +115,6 @@ def check_bitstring(z: str, n_bits: int) -> str:
     return z
 
 
-def hamming_distance(a: str, b: str) -> int:
-    if len(a) != len(b):
-        raise DomainError("bit strings differ in length")
-    return sum(x != y for x, y in zip(a, b))
-
-
-def indices_of_ones(z: str) -> tuple[int, ...]:
-    """1-based indices of the set bits."""
-    return tuple(i + 1 for i, c in enumerate(z) if c == "1")
-
-
 def bitstring_from_indices(n_bits: int, indices) -> str:
     chars = ["0"] * n_bits
     for i in indices:

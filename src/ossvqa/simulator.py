@@ -330,10 +330,6 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     return float(abs(np.vdot(a.amps, b.amps)))
 
 
-def basis_strings(basis: Basis) -> list[str]:
-    return [int_to_bits(int(v), basis.n_bits) for v in basis.values()]
-
-
 # ---------------------------------------------------------------------------
 # gates
 
@@ -783,10 +779,6 @@ class ParameterVector:
     def __post_init__(self) -> None:
         self.beta = np.asarray(self.beta, dtype=float)
         self.gamma = np.asarray(self.gamma, dtype=float)
-
-
-def zero_params(circuit: Circuit) -> ParameterVector:
-    return ParameterVector(np.zeros(circuit.n_beta), np.zeros(circuit.n_gamma))
 
 
 def build_circuit(instance: OsspInstance, objective: Objective, depth: int) -> Circuit:

@@ -1,6 +1,8 @@
 """End-to-end command-line tests: outputs, exit codes, determinism."""
 
+import collections
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -13,6 +15,7 @@ import pytest
 
 from ossvqa import cli, instances
 from ossvqa.cli import SEED_ENV_VAR, main
+from ossvqa.groups import BRUTE_FORCE_VERTEX_CAP
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -230,7 +233,7 @@ def test_graph_record(tmp_path):
     assert main(["graph", "--preset", "ossp133", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["n_vertices"] == 9
-    assert doc["edge_count"] == doc["expected_edge_count"] == 18
+    assert doc["edge_count"] == 18
     assert doc["job_blocks"] == [[1, 4, 7], [2, 5, 8], [3, 6, 9]]
     assert doc["position_blocks"] == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     assert len(doc["edges"]) == 18
@@ -253,7 +256,7 @@ def test_graph_edges_match_dense_reference(tmp_path, shape):
     assert main(["graph", "--instance", zero_instance(tmp_path, *shape), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["edges"] == [[a + 1, b + 1] for a, b in zip(rows.tolist(), cols.tolist())]
-    assert doc["edge_count"] == doc["expected_edge_count"] == int(adjacency.sum()) // 2
+    assert doc["edge_count"] == len(doc["edges"]) == int(adjacency.sum()) // 2
 
 
 def test_graph_of_a_large_instance_builds_no_matrix(tmp_path, run_capped):
@@ -308,6 +311,18 @@ def test_group_check_instances(tmp_path):
     assert doc["generated_order"] == 1152
     assert doc["bruteforce_match"] is None
     assert "skipped" in doc["notice"]
+
+
+def test_group_check_of_the_single_bit_instance(tmp_path):
+    # no generators, so the group is the identity on the one bit, which is
+    # also the one permutation the brute-force scan keeps
+    out = tmp_path / "gc.json"
+    assert main(["group-check", "--instance", zero_instance(tmp_path, 1, 1, 1),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["generators"] == []
+    assert doc["claimed_order"] == doc["generated_order"] == 1
+    assert doc["transitive"] is True and doc["bruteforce_match"] is True
 
 
 def test_group_check_mismatch_exits_3(monkeypatch, tmp_path):
@@ -582,3 +597,103 @@ def test_the_verify_path_stays_free_of_scipy():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+SUBCOMMANDS = ("enumerate", "graph", "group-check", "reach", "simulate", "optimize", "report")
+FUZZ_SHAPES = [(m, t, j) for m, t, j in itertools.product(range(1, 15), repeat=3) if m * t * j <= 14]
+
+
+def _fuzz_argv(rng, tmp_path, k):
+    """One random command line: a shape of at most 14 bits (mostly feasible),
+    weights or distances up to 1e300 in magnitude, random strings, angles
+    and budgets, each now and then invalid, and sometimes an --out under
+    tmp_path."""
+    def pick(valid, invalid):
+        return str(invalid if rng.random() < 0.1 else valid)
+
+    command = str(rng.choice(SUBCOMMANDS))
+    shapes = FUZZ_SHAPES
+    if command == "group-check":  # past the factorial scan; smaller shapes are swept
+        shapes = [s for s in shapes if s[0] * s[1] * s[2] > BRUTE_FORCE_VERTEX_CAP]
+    elif command == "reach" and rng.random() < 0.7:  # reach plans need P = J
+        shapes = [s for s in shapes if s[0] * s[1] == s[2]]
+    m, t, j = shapes[rng.integers(len(shapes))]
+    while j > m * t and rng.random() < 0.8:
+        m, t, j = shapes[rng.integers(len(shapes))]
+    n = m * t * j
+    scale = 10.0 ** int(rng.integers(0, 301))
+    if m == 1 and t == j and rng.random() < 0.3:
+        d = rng.uniform(0, scale, (j, j))
+        objective = {"tsp": {"distances": (d + d.T).tolist()}}
+    else:
+        weights = rng.uniform(-scale, scale, (m * t, j))
+        if rng.random() < 0.5:
+            weights = np.round(weights)
+        objective = {"linear": {"weights": weights.tolist()}}
+    path = write_instance(tmp_path, f"fuzz{k}.json",
+                          {"machines": m, "time_slots": t, "jobs": j, "objective": objective})
+
+    def string():
+        if j <= m * t and rng.random() < 0.8:  # a schedule: job i at position p
+            bits = ["0"] * n
+            for i, p in enumerate(rng.permutation(m * t)[:j].tolist()):
+                bits[p * j + i] = "1"
+            return "".join(bits)
+        return "".join(rng.choice(["0", "1"], size=n))
+
+    def angles(count):
+        values = rng.uniform(-10, 10, count) * 10.0 ** rng.integers(0, 4, count)
+        return ",".join(repr(float(v)) for v in values)
+
+    argv = [command, "--instance", path]
+    if command == "reach":
+        argv += ["--source", string(), "--target", string()]
+    elif command in ("simulate", "optimize"):
+        depth = int(rng.integers(1, 4))
+        argv += ["--initial", string(), "--depth", str(depth),
+                 "--engine", str(rng.choice(["full", "subspace"])),
+                 "--shots", pick(rng.choice([0, 1, 64]), -1),
+                 "--seed", pick(rng.integers(1000), -1)]
+        if command == "simulate" and rng.random() < 0.8:
+            slots = depth * (j - 1) + int(rng.random() < 0.1)
+            argv += [f"--beta={angles(slots)}", f"--gamma={angles(depth)}"]
+        if command == "optimize":
+            argv += ["--optimizer", str(rng.choice(["tr", "sgd"])),
+                     "--max-iters", pick(rng.choice([0, depth * j + 2]), rng.integers(1, 3)),
+                     "--sgd-samples", pick(rng.integers(1, 4), 0),
+                     "--sgd-radius", pick(rng.uniform(0.1, 2.0), -1.0)]
+    elif command == "report":  # a record, another command's output or a stray document
+        records = sorted(tmp_path.glob("out*.json")) + [tmp_path / "stray.json"]
+        argv = ["report", "--record", str(records[rng.integers(len(records))]),
+                "--format", str(rng.choice(["table", "csv"]))]
+    if rng.random() < 0.5:
+        argv += ["--out", pick(tmp_path / f"out{k}{rng.choice(['.json', '.csv'])}",
+                               rng.choice([tmp_path, tmp_path / "missing" / "out.json"]))]
+    return argv
+
+
+def test_seeded_cli_fuzz(tmp_path, capsys):
+    # every documented exit code, never an uncaught exception
+    def run(argv):
+        try:
+            code = main(argv)
+        except Exception as exc:
+            raise AssertionError(f"uncaught {type(exc).__name__} from {argv}") from exc
+        capsys.readouterr()
+        return code
+
+    # group-check exits 0 on every shape of at most 8 bits
+    for m, t, j in itertools.product(range(1, 9), repeat=3):
+        if m * t * j <= 8 and j <= m * t:
+            argv = ["group-check", "--instance", zero_instance(tmp_path, m, t, j)]
+            assert run(argv) == 0, argv
+    (tmp_path / "stray.json").write_text(json.dumps({"histogram": [{"bitstring": "01"}]}))
+    rng = np.random.default_rng(26)
+    codes = collections.Counter()
+    for k in range(300):
+        argv = _fuzz_argv(rng, tmp_path, k)
+        code = run(argv)
+        assert code in (0, 2, 3, 4), (code, argv)
+        codes[argv[0], code] += 1
+    # every subcommand ran to success at least once
+    assert {command for command, code in codes if code == 0} == set(SUBCOMMANDS)

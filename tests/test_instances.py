@@ -19,9 +19,7 @@ from ossvqa.instances import (
     enumerate_solutions,
     evaluate_objective,
     feasibility_mask,
-    hamming_distance,
     index_to_coordinate,
-    indices_of_ones,
     instance_to_dict,
     int_to_bits,
     is_feasible,
@@ -555,9 +553,7 @@ def test_tsp_four_cities_distinguishes_tours():
 
 
 def test_bitstring_helpers():
-    assert indices_of_ones("0101") == (2, 4)
     assert bitstring_from_indices(4, (2, 4)) == "0101"
-    assert hamming_distance("0101", "0110") == 2
     assert bits_to_int("0101") == 5
 
 

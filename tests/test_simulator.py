@@ -29,7 +29,6 @@ from ossvqa.simulator import (
     apply_simultaneous_mixer,
     apply_swap_rotation,
     basis_state,
-    basis_strings,
     build_circuit,
     expectation,
     feasible_mass,
@@ -44,7 +43,6 @@ from ossvqa.simulator import (
     readout,
     sample,
     subspace_basis,
-    zero_params,
 )
 from ossvqa.presets import resolve_preset
 
@@ -238,7 +236,7 @@ def test_subspace_basis_contents():
     assert sub224.dim == 256  # 4 choices per position block
     sub133 = subspace_basis(OSSP133, Z0_133)
     assert sub133.dim == 27
-    strings = basis_strings(sub133)
+    strings = [int_to_bits(v, sub133.n_bits) for v in sub133.values().tolist()]
     assert set(enumerate_solutions(OSSP133)) <= set(strings)
     for z in strings:
         assert [z[k : k + 3].count("1") for k in (0, 3, 6)] == [1, 1, 1]
@@ -246,7 +244,7 @@ def test_subspace_basis_contents():
     inst = OsspInstance(1, 3, 2)
     sub = subspace_basis(inst, "100100")  # block weights 1, 1, 0
     assert sub.dim == 4
-    assert all(z[4:6] == "00" for z in basis_strings(sub))
+    assert all(int_to_bits(v, 6)[4:6] == "00" for v in sub.values().tolist())
     # a string outside an explicit restricted basis is rejected
     with pytest.raises(DomainError):
         basis_state(OSSP133, "110000000", sub133)
@@ -864,7 +862,8 @@ def test_apply_circuit_goldens():
     for engine in ("full", "subspace"):
         circuit = build_circuit(OSSP133, OBJ133, 1)
         start = basis_state(OSSP133, Z0_133, engine)
-        still = apply_circuit(circuit, zero_params(circuit), start)
+        zeros = ParameterVector(np.zeros(circuit.n_beta), np.zeros(circuit.n_gamma))
+        still = apply_circuit(circuit, zeros, start)
         assert fidelity(still, start) == pytest.approx(1.0)
         one = apply_circuit(
             circuit,
@@ -989,7 +988,7 @@ def test_zero_angle_layers_are_skipped_exactly(name, engine, monkeypatch):
     circuit = build_circuit(instance, objective, preset["depth"])
     start = basis_state(instance, preset["initial_state"], engine)
     rng = np.random.default_rng(11)
-    cases = [zero_params(circuit)]
+    cases = [ParameterVector(np.zeros(circuit.n_beta), np.zeros(circuit.n_gamma))]
     for _ in range(6):
         beta = rng.uniform(0.0, math.pi / 2, circuit.n_beta)
         gamma = rng.uniform(-1.0, 2.0, circuit.n_gamma)
@@ -1135,7 +1134,7 @@ def only_angles(circuit, gamma=0.0, mixer=None, beta=0.0):
     """Parameters whose only nonzero angles are round 1's gamma and the
     beta of circuit.mixers[mixer], so that apply_circuit runs just those
     gates, on its buffer."""
-    params = zero_params(circuit)
+    params = ParameterVector(np.zeros(circuit.n_beta), np.zeros(circuit.n_gamma))
     params.gamma[0] = gamma
     if mixer is not None:
         params.beta[circuit.instance.jobs - 2 - mixer] = beta
@@ -1347,11 +1346,12 @@ def test_apply_circuit_never_writes_its_input():
     rng = np.random.default_rng(59)
     for inst, objective in [(OSSP224, OBJ224)] + tour_and_weights(rng):
         circuit = build_circuit(inst, objective, 2)
+        zeros = ParameterVector(np.zeros(circuit.n_beta), np.zeros(circuit.n_gamma))
         start = basis_state(inst, random_schedule(inst, rng), "subspace")
         assert (start.basis.dim <= simulator.GATHER_DIM) == (inst is OSSP224)
         for state in (start, dense(start)):
             before = state.amps.tobytes()
-            for params in [random_params(circuit, rng) for _ in range(3)] + [zero_params(circuit)]:
+            for params in [random_params(circuit, rng) for _ in range(3)] + [zeros]:
                 got = apply_circuit(circuit, params, state)
                 assert state.amps.tobytes() == before
                 assert not np.shares_memory(got.amps, state.amps)
@@ -1369,9 +1369,10 @@ def test_an_all_zero_circuit_returns_a_fresh_state(monkeypatch):
         monkeypatch.setattr(simulator, name, counted(name))
     monkeypatch.setattr(simulator.Circuit, "phase_for", counted("phase_for"))
     circuit = build_circuit(OSSP224, OBJ224, 2)
+    zeros = ParameterVector(np.zeros(circuit.n_beta), np.zeros(circuit.n_gamma))
     start = basis_state(OSSP224, Z0_224, "subspace")
     for state in (start, dense(superposition(OSSP224, [Z0_224, "0100100000010010"]))):
-        got = apply_circuit(circuit, zero_params(circuit), state)
+        got = apply_circuit(circuit, zeros, state)
         assert got is not state
         assert not np.shares_memory(got.amps, state.amps)
         assert np.array_equal(got.amps, state.amps)
