@@ -268,10 +268,9 @@ def _closure(start: np.ndarray, perms) -> set[bytes]:
     Rows are compact integer arrays (start's dtype: uint8 when the labels
     fit), so one step is one column gather frontier[:, p] per p over the
     whole frontier, and new rows are found through the set of row bytes.
-    That set is returned as it is: generate_group wraps it in a
-    PermutationGroup and orbits decode it, so no row becomes a tuple here.
-    Raises CapabilityError as soon as the closure would hold more than
-    GROUP_CLOSURE_CAP rows.
+    That set is returned as it is, for orbits and mixing verdicts to read;
+    no row becomes a tuple here. Raises CapabilityError as soon as the
+    closure would hold more than GROUP_CLOSURE_CAP rows.
     """
     gathers = [np.asarray(p, dtype=np.intp) for p in perms]
     row = np.dtype((np.void, start.nbytes))
@@ -294,48 +293,142 @@ def _closure(start: np.ndarray, perms) -> set[bytes]:
     return seen
 
 
-class PermutationGroup(collections.abc.Set):
-    """A read-only set of permutations of 0..n-1, held as the closure's row
-    bytes (one row of n labels in dtype per element) rather than as tuples.
+def _compose(a, b) -> tuple[int, ...]:
+    """a o b, the permutation that applies b first: (a o b)[x] = a[b[x]]."""
+    return tuple(map(a.__getitem__, b))
 
-    len, in and == need no tuples: a query is encoded as one row and looked
-    up, and == against a plain set looks up each of its elements. in takes
-    any sequence of integers and answers False for a wrong length, a label
-    out of range or a non-integer entry. Iteration decodes the rows a chunk
-    at a time into tuples of Python ints, in no fixed order. Set operations
-    (&, |, -, ^) return plain sets of tuples. Unhashable, like set."""
+
+def _sift(g, base, inverses, level: int = 0):
+    """g stripped one base point at a time, from base[level], by the
+    inverse transversal element for the point g takes it to, as far as
+    that point lies in the basic orbit; returns what is left and the level
+    where it stopped (len(base) when it went through). g is an element iff
+    it goes through and leaves the identity."""
+    for i in range(level, len(base)):
+        inverse = inverses[i].get(g[base[i]])
+        if inverse is None:
+            return g, i
+        g = _compose(inverse, g)
+    return g, len(base)
+
+
+def _schreier_sims(perms, n: int):
+    """A base and strong generating set of the group that the given 0-based
+    permutations of 0..n-1 generate, by deterministic Schreier-Sims (Sims
+    1970; Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    ch. 4).
+
+    Returns (base, inverses, order). inverses[i] maps each point of the
+    orbit of base[i] under the pointwise stabiliser of base[:i] to the
+    inverse of an element of that stabiliser taking base[i] there, and the
+    order is the product of the orbit lengths. No element is listed.
+    """
+    identity = identity_perm(n)
+    base: list[int] = []
+    gens: list[list[tuple[int, ...]]] = []  # gens[i]: strong generators fixing base[:i]
+    transversals: list[dict[int, tuple[int, ...]]] = []  # [i][beta] takes base[i] to beta
+    inverses: list[dict[int, tuple[int, ...]]] = []
+
+    def add(g, low: int, top: int) -> None:
+        """g fixes base[:top] and moves base[top], or, when top is
+        len(base), a point that becomes a new base point: make it a
+        generator of levels low..top and refill their orbits."""
+        if top == len(base):
+            base.append(next(x for x in range(n) if g[x] != x))
+            gens.append([])
+            transversals.append({})
+            inverses.append({})
+        for i in range(low, top + 1):
+            gens[i].append(g)
+            reps = transversals[i] = {base[i]: identity}
+            queue = [base[i]]
+            for beta in queue:
+                for s in gens[i]:
+                    gamma = s[beta]
+                    if gamma not in reps:
+                        reps[gamma] = _compose(s, reps[beta])
+                        queue.append(gamma)
+            inverses[i] = {beta: invert_perm(u) for beta, u in reps.items()}
+
+    def residue(level: int):
+        """(residue, level where it stopped) of the first Schreier
+        generator u_gamma^-1 s u_beta of level that does not sift to the
+        identity through the deeper levels, or None when all do."""
+        for u in transversals[level].values():
+            for s in gens[level]:
+                su = _compose(s, u)
+                gamma = su[base[level]]
+                if su != transversals[level][gamma]:
+                    g, top = _sift(_compose(inverses[level][gamma], su), base, inverses, level + 1)
+                    if g != identity:
+                        return g, top
+        return None
+
+    for p in perms:
+        g, top = _sift(tuple(p), base, inverses)
+        if g != identity:
+            add(g, 0, top)
+    # the levels deeper than `level` are complete: at each of them the
+    # stabiliser of the base point is generated by the next level's
+    # generators. A residue becomes a generator of the levels from
+    # level + 1 to the one where it stopped, and the check resumes there.
+    level = len(base) - 1
+    while level >= 0:
+        found = residue(level)
+        if found is None:
+            level -= 1
+        else:
+            g, top = found
+            add(g, level + 1, top)
+            level = top
+    return base, inverses, math.prod(map(len, inverses))
+
+
+class PermutationGroup(collections.abc.Set):
+    """A read-only set of permutations of 0..n-1, held as a base with its
+    inverse transversals and as the rows of its elements (one row of n
+    labels in dtype per element) rather than as tuples.
+
+    len is the order, the product of the basic orbit lengths. in and ==
+    need no hashing: a query is sifted through the transversals (see
+    _sift), and == against a plain set sifts each of its elements. in
+    takes any sequence of integers and answers False for a wrong length, a
+    label out of range or a non-integer entry. Iteration decodes the rows
+    a chunk at a time into tuples of Python ints, in no fixed order. Set
+    operations (&, |, -, ^) return plain sets of tuples. Unhashable, like
+    set."""
 
     _CHUNK = 4096  # rows decoded per numpy call while iterating
 
-    def __init__(self, n: int, dtype: np.dtype, rows: set[bytes]) -> None:
-        self._n, self._dtype, self._rows = n, dtype, rows
+    def __init__(self, n: int, dtype: np.dtype, base, inverses, order: int) -> None:
+        """base, inverses and order as _schreier_sims returns them."""
+        self._n, self._base, self._inverses, self._order = n, base, inverses, order
+        # G^(i) = G^(i+1) V_i, for V_i the inverse transversal of base[i]:
+        # one column gather per base point, from the last, lists G
+        rows = np.arange(n, dtype=dtype)[None, :]
+        for table in reversed(inverses):
+            rows = rows[:, np.array(list(table.values()), dtype=dtype)].reshape(-1, n)
+        self._rows = rows
 
     @classmethod
     def _from_iterable(cls, it) -> set:
         return set(it)
 
-    def _row(self, perm) -> bytes | None:
-        """perm encoded as a row, or None when it cannot be an element."""
-        try:
-            labels = [operator.index(x) for x in perm]
-        except TypeError:
-            return None
-        if len(labels) != self._n or not all(0 <= x < self._n for x in labels):
-            return None
-        return np.array(labels, dtype=self._dtype).tobytes()
-
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._order
 
     def __contains__(self, perm) -> bool:
-        return self._row(perm) in self._rows
+        try:
+            labels = tuple(operator.index(x) for x in perm)
+        except TypeError:
+            return False
+        if len(labels) != self._n or not all(0 <= x < self._n for x in labels):
+            return False
+        return _sift(labels, self._base, self._inverses)[0] == identity_perm(self._n)
 
     def __iter__(self):
-        rows = list(self._rows)
-        for k in range(0, len(rows), self._CHUNK):
-            chunk = rows[k:k + self._CHUNK]
-            labels = np.frombuffer(b"".join(chunk), dtype=self._dtype)
-            yield from map(tuple, labels.reshape(len(chunk), self._n).tolist())
+        for k in range(0, len(self._rows), self._CHUNK):
+            yield from map(tuple, self._rows[k:k + self._CHUNK].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, collections.abc.Set):
@@ -344,20 +437,26 @@ class PermutationGroup(collections.abc.Set):
 
 
 def generate_group(perms) -> PermutationGroup:
-    """Closure of the given 0-based permutations under composition: the
-    closure of the identity under x -> x o p, which is the same group.
+    """The group the given 0-based permutations generate under composition,
+    from a base and strong generating set (deterministic Schreier-Sims).
 
     Every generator must be a permutation of 0..n-1 for one n, the length
-    of the first; anything else raises DomainError before the closure
-    runs. No generators give the trivial group {()}. The group comes back
-    as a PermutationGroup over the closure's rows (uint8 labels up to 256
-    points), which compares equal to the plain set of its tuples."""
+    of the first; anything else raises DomainError. The order is the
+    product of the basic orbit lengths, and a group of order past
+    GROUP_CLOSURE_CAP raises CapabilityError before any element is listed.
+    No generators give the trivial group {()}. The group comes back as a
+    PermutationGroup (uint8 labels up to 256 points), which sifts a
+    membership query through its transversals and compares equal to the
+    plain set of its tuples."""
     perms = [tuple(p) for p in perms]
     n = len(perms[0]) if perms else 0
     perms = [_check_perm(p, n) for p in perms]
-    dtype = np.min_scalar_type(max(n - 1, 0))
-    start = np.arange(n, dtype=dtype)
-    return PermutationGroup(n, dtype, _closure(start, perms) if perms else {start.tobytes()})
+    base, inverses, order = _schreier_sims(perms, n)
+    if order > GROUP_CLOSURE_CAP:
+        raise CapabilityError(
+            f"group order {order} exceeds the closure cap of {GROUP_CLOSURE_CAP} elements"
+        )
+    return PermutationGroup(n, np.min_scalar_type(max(n - 1, 0)), base, inverses, order)
 
 
 def _string_closure(instance: OsspInstance, z: str, generators) -> set[bytes]:

@@ -3,7 +3,10 @@
 import collections.abc
 import itertools
 import json
+import math
+import random
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,9 +277,10 @@ def test_generate_group_basics(monkeypatch):
         generate_group([(1, 0, 2), (0, 2, 1)])
 
 
-def _tuple_closure(start, perms, act):
-    """Reference: the breadth-first search on tuples and strings that the
-    array closure replaced."""
+def _tuple_closure(start, perms, act, limit=None):
+    """Reference: a breadth-first search on tuples and strings that calls no
+    package code. With a limit it stops once it holds more than limit
+    elements, and returns those it has."""
     seen, frontier = {start}, [start]
     while frontier:
         nxt = []
@@ -286,6 +290,8 @@ def _tuple_closure(start, perms, act):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+                    if limit is not None and len(seen) > limit:
+                        return seen
         frontier = nxt
     return seen
 
@@ -320,6 +326,114 @@ def test_closure_cap_is_exact(monkeypatch):
         generate_group(s3)
     monkeypatch.setattr(groups, "GROUP_CLOSURE_CAP", 6)
     assert len(generate_group(s3)) == 6
+
+
+# every feasible shape of at most 12 bits: busy, non-busy and single-bit
+SMALL_SHAPES = [(m, t, j) for m, t, j in itertools.product(range(1, 13), repeat=3)
+                if j <= m * t and m * t * j <= 12]
+REFERENCE_LIMIT = 2000  # elements the tuple closure lists before it stops
+
+
+def _seeded_generator_sets(rng, shape):
+    """The shape's generators, two seeded random subsets of them, no
+    generators and the identity alone; on at most 8 bits also a random
+    subset with one random permutation added."""
+    instance = OsspInstance(*shape)
+    n = instance.n_bits
+    perms = [vertex_permutation(instance, g) for g in group_generators(instance)]
+    sets = [perms, [], [tuple(range(n))]]
+    sets += [rng.sample(perms, rng.randint(1, len(perms))) for _ in range(2) if perms]
+    if n <= 8:
+        stranger = tuple(rng.sample(range(n), n))
+        sets.append(rng.sample(perms, rng.randint(0, len(perms))) + [stranger])
+    return n, sets
+
+
+def test_generate_group_matches_the_tuple_closure_on_every_small_shape():
+    rng = random.Random(28)
+    exact = 0
+    for shape in SMALL_SHAPES:
+        n, sets = _seeded_generator_sets(rng, shape)
+        for perms in sets:
+            start = tuple(range(n)) if perms else ()
+            want = _tuple_closure(start, perms, compose_perms, REFERENCE_LIMIT)
+            if len(want) <= REFERENCE_LIMIT:
+                group = generate_group(perms)
+                assert len(group) == len(want) and group == want and set(group) == want
+                exact += 1
+                continue
+            # past the reference's reach: a sample of the elements it listed
+            # is in the group, or the group is refused past the closure cap
+            try:
+                group = generate_group(perms)
+            except CapabilityError:
+                continue
+            assert len(group) > REFERENCE_LIMIT
+            assert all(p in group for p in rng.sample(sorted(want), 50))
+    assert exact > 4 * len(SMALL_SHAPES)
+
+
+def test_membership_agrees_with_the_tuple_closure():
+    rng = random.Random(29)
+    checked = 0
+    for shape in SMALL_SHAPES:
+        n, sets = _seeded_generator_sets(rng, shape)
+        if n > 8:
+            continue
+        for perms in sets:
+            start = tuple(range(n)) if perms else ()
+            want = _tuple_closure(start, perms, compose_perms, REFERENCE_LIMIT)
+            if len(want) > REFERENCE_LIMIT:
+                continue
+            group = generate_group(perms)
+            checked += 1
+            width = len(start)
+            queries = rng.sample(sorted(want), min(len(want), 10))
+            queries += [tuple(rng.sample(range(width), width)) for _ in range(10)]
+            for q in queries:
+                assert (q in group) == (q in want)
+                assert (list(q) in group) == (q in want)
+                assert (np.array(q, dtype=np.int64) in group) == (q in want)
+                assert q + (width,) not in group
+                if width:
+                    assert q[:-1] not in group
+                    k = rng.randrange(width)
+                    for bad in (width, -1, width + 256, float(q[k]), str(q[k]), None):
+                        assert q[:k] + (bad,) + q[k + 1:] not in group
+            assert None not in group and 5 not in group
+            assert ("".join(map(str, start)) in group) == (width == 0)
+    assert checked > 100
+
+
+def test_schreier_sims_order_past_the_cap_matches_group_order(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an element was listed")
+
+    monkeypatch.setattr(groups, "PermutationGroup", refuse)
+    for shape in ((1, 6, 6), (2, 3, 6), (3, 3, 3), (1, 8, 4)):
+        instance = OsspInstance(*shape)
+        perms = [vertex_permutation(instance, g) for g in group_generators(instance)]
+        base, inverses, order = groups._schreier_sims(perms, instance.n_bits)
+        assert order == group_order(instance) == math.prod(map(len, inverses))
+        assert len(base) == len(inverses)
+        if order > groups.GROUP_CLOSURE_CAP:
+            with pytest.raises(CapabilityError, match="cap of 1000000"):
+                generate_group(perms)
+
+
+def test_group_refusal_past_the_cap_peaks_below_10_mb():
+    # OSSP(1,6,6): 2*(6!)^2 = 1,036,800 elements, just past the cap; a
+    # closure listed them all before refusing
+    instance = OsspInstance(1, 6, 6)
+    perms = [vertex_permutation(instance, g) for g in group_generators(instance)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="cap of 1000000"):
+            generate_group(perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_closure_returns_python_values():
