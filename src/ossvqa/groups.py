@@ -12,6 +12,12 @@ the two roles. Its order is 2*(J!)^2 when busy, P!*J! otherwise. Only the
 job-side adjacent transpositions are ever compiled to gates; the rest exists
 for verification.
 
+A group is held as a base and strong generating set (deterministic
+Schreier-Sims), which answers its order and membership without listing an
+element. GROUP_CLOSURE_CAP bounds only what is listed: a group's rows,
+which are built on first iteration, the strings of an orbit, and the
+preservers the brute-force scan holds.
+
 Permutations are 0-based one-line tuples (perm[k] = image of k). Public bit
 and vertex labels are 1-based to match printed strings; when a permutation
 meets a 1-based label, the bridge is label - 1. cycle_notation renders
@@ -31,7 +37,6 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .instances import (
     OsspInstance,
-    bitstring_from_indices,
     index_to_coordinate,
     is_feasible,
     job_blocks,
@@ -40,7 +45,7 @@ from .instances import (
 )
 
 BRUTE_FORCE_VERTEX_CAP = 10
-GROUP_CLOSURE_CAP = 1_000_000  # closure elements
+GROUP_CLOSURE_CAP = 1_000_000  # listed group rows, orbit strings, held preservers
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +243,10 @@ def group_generators(instance: OsspInstance) -> list[GroupElement]:
     return gens
 
 
-def _order_factors(instance: OsspInstance):
-    """The factors whose product is group_order(instance)."""
-    jobs = range(2, instance.jobs + 1)
-    if not instance.is_busy:
-        return itertools.chain(range(2, instance.positions + 1), jobs)
-    return itertools.chain([2] if instance.jobs > 1 else [], jobs, jobs)
-
-
 def group_order(instance: OsspInstance) -> int:
     """2*(J!)^2 when busy, P!*J! otherwise (1 for the single-bit instance)."""
-    return math.prod(_order_factors(instance))
-
-
-def check_group_order(instance: OsspInstance) -> None:
-    """CapabilityError when the group order exceeds GROUP_CLOSURE_CAP, found
-    from partial products of its factors, so no factorial past the cap is
-    evaluated."""
-    products = itertools.accumulate(_order_factors(instance), operator.mul)
-    if any(p > GROUP_CLOSURE_CAP for p in products):
-        raise CapabilityError(
-            f"group order exceeds the closure cap of {GROUP_CLOSURE_CAP} elements"
-        )
+    order = math.factorial(instance.positions) * math.factorial(instance.jobs)
+    return 2 * order if instance.is_busy and instance.jobs > 1 else order
 
 
 def _closure(start: np.ndarray, perms) -> set[bytes]:
@@ -268,9 +255,9 @@ def _closure(start: np.ndarray, perms) -> set[bytes]:
     Rows are compact integer arrays (start's dtype: uint8 when the labels
     fit), so one step is one column gather frontier[:, p] per p over the
     whole frontier, and new rows are found through the set of row bytes.
-    That set is returned as it is, for orbits and mixing verdicts to read;
-    no row becomes a tuple here. Raises CapabilityError as soon as the
-    closure would hold more than GROUP_CLOSURE_CAP rows.
+    That set is returned as it is, for orbit to read; no row becomes a
+    tuple here. Raises CapabilityError as soon as the closure would hold
+    more than GROUP_CLOSURE_CAP rows.
     """
     gathers = [np.asarray(p, dtype=np.intp) for p in perms]
     row = np.dtype((np.void, start.nbytes))
@@ -384,38 +371,66 @@ def _schreier_sims(perms, n: int):
     return base, inverses, math.prod(map(len, inverses))
 
 
-class PermutationGroup(collections.abc.Set):
-    """A read-only set of permutations of 0..n-1, held as a base with its
-    inverse transversals and as the rows of its elements (one row of n
-    labels in dtype per element) rather than as tuples.
+def _list_elements(inverses, n: int) -> np.ndarray:
+    """One row per element of the group with these inverse transversals,
+    in uint8 labels up to 256 points. G^(i) = G^(i+1) V_i, for V_i the
+    inverse transversal of base[i], so one column gather per base point,
+    from the last, lists G."""
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    rows = np.arange(n, dtype=dtype)[None, :]
+    for table in reversed(inverses):
+        rows = rows[:, np.array(list(table.values()), dtype=dtype)].reshape(-1, n)
+    return rows
 
-    len is the order, the product of the basic orbit lengths. in and ==
-    need no hashing: a query is sifted through the transversals (see
-    _sift), and == against a plain set sifts each of its elements. in
-    takes any sequence of integers and answers False for a wrong length, a
-    label out of range or a non-integer entry. Iteration decodes the rows
-    a chunk at a time into tuples of Python ints, in no fixed order. Set
+
+class PermutationGroup(collections.abc.Set):
+    """The read-only set of permutations of 0..n-1 that the given 0-based
+    permutations generate under composition, held as a base and strong
+    generating set.
+
+    Every generator must be a permutation of 0..n-1 for one n, the length
+    of the first; anything else raises DomainError. No generators give
+    the trivial group {()}. The constructor runs deterministic
+    Schreier-Sims (see _schreier_sims) and lists no element.
+
+    order is the product of the basic orbit lengths, an int of any size;
+    len() returns it too, but Python refuses a len() past 2^63 - 1, so
+    package code reads order. in and == list nothing: a query is sifted
+    through the transversals (see _sift), == against a plain set sifts
+    each of its elements, and == against a group compares the orders and
+    sifts the other's generators. in takes any sequence of integers and
+    answers False for a wrong length, a label out of range or a
+    non-integer entry. The elements are listed as rows (see
+    _list_elements) when first iterated, and a group of order past
+    GROUP_CLOSURE_CAP raises CapabilityError then, before any row exists.
+    Iteration yields tuples of Python ints, in no fixed order. Set
     operations (&, |, -, ^) return plain sets of tuples. Unhashable, like
     set."""
 
     _CHUNK = 4096  # rows decoded per numpy call while iterating
 
-    def __init__(self, n: int, dtype: np.dtype, base, inverses, order: int) -> None:
-        """base, inverses and order as _schreier_sims returns them."""
-        self._n, self._base, self._inverses, self._order = n, base, inverses, order
-        # G^(i) = G^(i+1) V_i, for V_i the inverse transversal of base[i]:
-        # one column gather per base point, from the last, lists G
-        rows = np.arange(n, dtype=dtype)[None, :]
-        for table in reversed(inverses):
-            rows = rows[:, np.array(list(table.values()), dtype=dtype)].reshape(-1, n)
-        self._rows = rows
+    def __init__(self, perms) -> None:
+        perms = [tuple(p) for p in perms]
+        n = len(perms[0]) if perms else 0
+        self._n, self._gens = n, [_check_perm(p, n) for p in perms]
+        self._base, self._inverses, self.order = _schreier_sims(self._gens, n)
+        self._rows = None
+
+    def _listed(self) -> np.ndarray:
+        """The rows of the elements, listed on the first call."""
+        if self._rows is None:
+            if self.order > GROUP_CLOSURE_CAP:
+                raise CapabilityError(f"group order {self.order} exceeds the closure "
+                                      f"cap of {GROUP_CLOSURE_CAP} elements")
+            self._rows = _list_elements(self._inverses, self._n)
+        return self._rows
 
     @classmethod
     def _from_iterable(cls, it) -> set:
         return set(it)
 
     def __len__(self) -> int:
-        return self._order
+        return self.order
 
     def __contains__(self, perm) -> bool:
         try:
@@ -427,51 +442,38 @@ class PermutationGroup(collections.abc.Set):
         return _sift(labels, self._base, self._inverses)[0] == identity_perm(self._n)
 
     def __iter__(self):
-        for k in range(0, len(self._rows), self._CHUNK):
-            yield from map(tuple, self._rows[k:k + self._CHUNK].tolist())
+        rows = self._listed()
+        for k in range(0, len(rows), self._CHUNK):
+            yield from map(tuple, rows[k:k + self._CHUNK].tolist())
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, PermutationGroup):
+            return (self._n, self.order) == (other._n, other.order) and all(
+                g in self for g in other._gens)
         if not isinstance(other, collections.abc.Set):
             return NotImplemented
-        return len(self) == len(other) and all(x in self for x in other)
+        return self.order == len(other) and all(x in self for x in other)
 
 
 def generate_group(perms) -> PermutationGroup:
-    """The group the given 0-based permutations generate under composition,
-    from a base and strong generating set (deterministic Schreier-Sims).
-
-    Every generator must be a permutation of 0..n-1 for one n, the length
-    of the first; anything else raises DomainError. The order is the
-    product of the basic orbit lengths, and a group of order past
-    GROUP_CLOSURE_CAP raises CapabilityError before any element is listed.
-    No generators give the trivial group {()}. The group comes back as a
-    PermutationGroup (uint8 labels up to 256 points), which sifts a
-    membership query through its transversals and compares equal to the
-    plain set of its tuples."""
-    perms = [tuple(p) for p in perms]
-    n = len(perms[0]) if perms else 0
-    perms = [_check_perm(p, n) for p in perms]
-    base, inverses, order = _schreier_sims(perms, n)
-    if order > GROUP_CLOSURE_CAP:
-        raise CapabilityError(
-            f"group order {order} exceeds the closure cap of {GROUP_CLOSURE_CAP} elements"
-        )
-    return PermutationGroup(n, np.min_scalar_type(max(n - 1, 0)), base, inverses, order)
-
-
-def _string_closure(instance: OsspInstance, z: str, generators) -> set[bytes]:
-    """Closure of {z} under the generators' vertex permutations, on rows of
-    the string's ASCII bytes. Moving the bit at vertex n to perm[n] gathers
-    with the inverse permutation."""
-    inverses = [invert_perm(vertex_permutation(instance, g)) for g in generators]
-    return _closure(np.frombuffer(z.encode("ascii"), dtype=np.uint8), inverses)
+    """PermutationGroup(perms) with its elements listed: past
+    GROUP_CLOSURE_CAP it raises CapabilityError from the Schreier-Sims
+    order, before any element is listed."""
+    group = PermutationGroup(perms)
+    group._listed()
+    return group
 
 
 def orbit(instance: OsspInstance, z: str, generators) -> set[str]:
-    """Breadth-first closure of {z} under the given group elements."""
+    """Breadth-first closure of {z} under the given group elements, on rows
+    of the string's ASCII bytes; past GROUP_CLOSURE_CAP strings it raises
+    CapabilityError."""
     if not is_feasible(instance, z):
         raise DomainError(f"orbit seed {z!r} is not a feasible string")
-    return {row.decode("ascii") for row in _string_closure(instance, z, generators)}
+    # moving the bit at vertex n to perm[n] gathers with the inverse permutation
+    inverses = [invert_perm(vertex_permutation(instance, g)) for g in generators]
+    rows = _closure(np.frombuffer(z.encode("ascii"), dtype=np.uint8), inverses)
+    return {row.decode("ascii") for row in rows}
 
 
 def verify_block_system(instance: OsspInstance, blocks, generators) -> bool:
@@ -530,17 +532,18 @@ def decompose_job_permutation(tau) -> list[int]:
 
 def check_mixing_family(instance: OsspInstance, family) -> bool:
     """True iff the job transpositions {tau_i : i in family} connect all
-    solutions: iff the closure of one schedule (job j at position j; any
-    start gives the same verdict) holds all solution_count(instance) of them.
-    Past GROUP_CLOSURE_CAP solutions a connected family raises CapabilityError."""
+    solutions: iff the order of the group they generate is
+    solution_count(instance). A job relabelling moves every schedule,
+    since each job sits at its own position, so the schedules one reaches
+    from any start are as many as the group's elements. Nothing is listed
+    and no size is refused."""
     family = list(family)
     for i in family:
         if not (1 <= i <= instance.jobs - 1):
             raise DomainError(f"generator index {i} out of range 1..{instance.jobs - 1}")
-    jobs = instance.jobs
-    start = bitstring_from_indices(instance.n_bits, [jobs * j + j + 1 for j in range(jobs)])
-    family = [job_transposition_element(instance, i) for i in family]
-    return len(_string_closure(instance, start, family)) == solution_count(instance)
+    perms = [vertex_permutation(instance, job_transposition_element(instance, i))
+             for i in family]
+    return PermutationGroup(perms).order == solution_count(instance)
 
 
 def bruteforce_feasibility_preservers(graph: ConstraintGraph, solutions) -> set[tuple[int, ...]]:

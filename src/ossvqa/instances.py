@@ -115,15 +115,6 @@ def check_bitstring(z: str, n_bits: int) -> str:
     return z
 
 
-def bitstring_from_indices(n_bits: int, indices) -> str:
-    chars = ["0"] * n_bits
-    for i in indices:
-        if not (1 <= i <= n_bits):
-            raise DomainError(f"bit index {i} out of range 1..{n_bits}")
-        chars[i - 1] = "1"
-    return "".join(chars)
-
-
 def bits_to_int(z: str) -> int:
     """Integer value of the string with index-1 bit most significant."""
     return int(z, 2) if z else 0

@@ -4,16 +4,18 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ossvqa import cli, instances
+from ossvqa import cli, groups, instances
 from ossvqa.cli import SEED_ENV_VAR, main
 from ossvqa.groups import BRUTE_FORCE_VERTEX_CAP
 
@@ -209,16 +211,18 @@ def test_group_check_refuses_oversize_groups_before_building(tmp_path, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("group built")
 
-    monkeypatch.setattr(cli, "generate_group", refuse)
+    monkeypatch.setattr(cli, "PermutationGroup", refuse)
     monkeypatch.setattr(cli, "group_generators", refuse)
-    # OSSP(1,20,20): order 2*(20!)^2; OSSP(1,2000,1): order 2000!
+    monkeypatch.setattr(cli, "group_order", refuse)
+    # OSSP(1,20,20): 400 bits, order 2*(20!)^2; OSSP(1,2000,1): 2000 bits,
+    # order 2000!; both past the 63 bits that enumerate covers
     for slots, jobs in ((20, 20), (2000, 1)):
         path = write_instance(tmp_path, f"i{slots}x{jobs}.json", {
             "machines": 1, "time_slots": slots, "jobs": jobs,
             "objective": {"linear": {"weights": [[1] * jobs] * slots}},
         })
         assert main(["group-check", "--instance", path]) == 4
-        assert "closure cap" in capsys.readouterr().err
+        assert "exceed the 63-bit integer range" in capsys.readouterr().err
 
 
 def test_missing_inputs_and_unknown_preset(capsys):
@@ -323,6 +327,47 @@ def test_group_check_of_the_single_bit_instance(tmp_path):
     assert doc["generators"] == []
     assert doc["claimed_order"] == doc["generated_order"] == 1
     assert doc["transitive"] is True and doc["bruteforce_match"] is True
+
+
+@pytest.mark.parametrize("shape", [(1, 12, 1), (1, 6, 6), (2, 3, 6), (3, 3, 3), (1, 21, 3)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_group_check_past_the_closure_cap(tmp_path, shape):
+    # each order passes the 10^6 closure cap; OSSP(1,21,3)'s, 21!*3! =
+    # 306,545,653,030,256,640,000, also passes what len() can return
+    out = tmp_path / "gc.json"
+    assert main(["group-check", "--instance", zero_instance(tmp_path, *shape),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    want = groups.group_order(instances.OsspInstance(*shape))
+    assert doc["claimed_order"] == doc["generated_order"] == want > 10**6
+    assert doc["order_match"] is True and doc["transitive"] is True
+
+
+def test_group_check_skips_the_scan_past_the_closure_cap(tmp_path):
+    # OSSP(1,10,1): 10 bits, within the scan's reach, but 10! preservers
+    out = tmp_path / "gc.json"
+    assert main(["group-check", "--instance", zero_instance(tmp_path, 1, 10, 1),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["generated_order"] == math.factorial(10)
+    assert doc["order_match"] is True and doc["transitive"] is True
+    assert doc["bruteforce_match"] is None
+    assert doc["notice"] == ("exhaustive permutation scan skipped (group order 3628800 "
+                             "> cap 1000000); order and orbit checks still run")
+
+
+def test_group_check_lists_no_element(tmp_path, capsys):
+    # OSSP(1,8,4): 8!*4! = 967,680 elements, which a listed group holds as
+    # 31 MB of rows
+    path = zero_instance(tmp_path, 1, 8, 4)
+    tracemalloc.start()
+    try:
+        assert main(["group-check", "--instance", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["generated_order"] == 967_680
+    assert peak < 5 * 2**20
 
 
 def test_group_check_mismatch_exits_3(monkeypatch, tmp_path):
@@ -690,10 +735,19 @@ def test_seeded_cli_fuzz(tmp_path, capsys):
     (tmp_path / "stray.json").write_text(json.dumps({"histogram": [{"bitstring": "01"}]}))
     rng = np.random.default_rng(26)
     codes = collections.Counter()
+    checked_groups = 0
     for k in range(300):
         argv = _fuzz_argv(rng, tmp_path, k)
         code = run(argv)
         assert code in (0, 2, 3, 4), (code, argv)
         codes[argv[0], code] += 1
+        if argv[0] == "group-check":  # every feasible shape, to stdout or a JSON file
+            doc = json.loads(pathlib.Path(argv[2]).read_text())
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            if doc["jobs"] <= doc["machines"] * doc["time_slots"] and (
+                    out is None or pathlib.Path(out).parent == tmp_path and out.endswith(".json")):
+                assert code == 0, argv
+                checked_groups += 1
     # every subcommand ran to success at least once
     assert {command for command, code in codes if code == 0} == set(SUBCOMMANDS)
+    assert checked_groups > 10

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import textwrap
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from ossvqa.groups import (
     GroupElement,
     build_constraint_graph,
     bruteforce_feasibility_preservers,
-    check_group_order,
     check_mixing_family,
     cycle_notation,
     decompose_job_permutation,
@@ -255,19 +255,6 @@ def test_group_orders():
         assert len(generate_group(perms)) == group_order(inst)
 
 
-def test_check_group_order_compares_the_formula_with_the_cap():
-    # orders 7!*5! = 604,800 and 9!*2! = 725,760 are within the 10^6 cap;
-    # 9!*3! = 2,177,280 and 2*(6!)^2 = 1,036,800 are not
-    for shape in ((1, 7, 5), (1, 9, 2), (2, 2, 4), (1, 1, 1)):
-        check_group_order(OsspInstance(*shape))
-    for shape in ((1, 9, 3), (2, 3, 6)):
-        with pytest.raises(CapabilityError):
-            check_group_order(OsspInstance(*shape))
-    # P = 10^6 would take seconds to evaluate as a factorial
-    with pytest.raises(CapabilityError):
-        check_group_order(OsspInstance(1, 10**6, 1))
-
-
 def test_generate_group_basics(monkeypatch):
     assert generate_group([]) == {()}
     s3 = generate_group([(1, 0, 2), (0, 2, 1)])
@@ -409,7 +396,7 @@ def test_schreier_sims_order_past_the_cap_matches_group_order(monkeypatch):
     def refuse(*args):
         raise AssertionError("an element was listed")
 
-    monkeypatch.setattr(groups, "PermutationGroup", refuse)
+    monkeypatch.setattr(groups, "_list_elements", refuse)
     for shape in ((1, 6, 6), (2, 3, 6), (3, 3, 3), (1, 8, 4)):
         instance = OsspInstance(*shape)
         perms = [vertex_permutation(instance, g) for g in group_generators(instance)]
@@ -419,6 +406,42 @@ def test_schreier_sims_order_past_the_cap_matches_group_order(monkeypatch):
         if order > groups.GROUP_CLOSURE_CAP:
             with pytest.raises(CapabilityError, match="cap of 1000000"):
                 generate_group(perms)
+
+
+def test_schreier_sims_order_matches_group_order_on_every_shape_of_14_bits():
+    shapes = [(m, t, j) for m, t, j in itertools.product(range(1, 15), repeat=3)
+              if j <= m * t and m * t * j <= 14]
+    for shape in shapes:
+        instance = OsspInstance(*shape)
+        perms = [vertex_permutation(instance, g) for g in group_generators(instance)]
+        assert groups.PermutationGroup(perms).order == group_order(instance), shape
+    assert len(shapes) == 61
+    assert groups.PermutationGroup([]).order == 1
+    assert groups.PermutationGroup([identity_perm(14)]).order == 1
+
+
+def test_order_membership_and_equality_list_no_element(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an element was listed")
+
+    perms = [vertex_permutation(OSSP133, g) for g in group_generators(OSSP133)]
+    plain = _tuple_closure(identity_perm(9), perms, compose_perms)
+    monkeypatch.setattr(groups, "_list_elements", refuse)
+    group = groups.PermutationGroup(perms)
+    assert len(group) == group.order == 72
+    assert all(p in group for p in plain) and (1, 0) + tuple(range(2, 9)) not in group
+    assert group == plain and plain == group
+    assert group == groups.PermutationGroup(list(reversed(perms)))
+    assert group != groups.PermutationGroup(perms[:1])
+    assert groups.PermutationGroup([]) != groups.PermutationGroup([(0,)])
+    # OSSP(1,6,6): 2*(6!)^2 = 1,036,800 elements, past the cap
+    instance = OsspInstance(1, 6, 6)
+    big = groups.PermutationGroup(
+        [vertex_permutation(instance, g) for g in group_generators(instance)])
+    assert big.order == group_order(instance) and big == groups.PermutationGroup(big._gens)
+    for listing in (lambda g: next(iter(g)), list, set, sorted):
+        with pytest.raises(CapabilityError, match="cap of 1000000"):
+            listing(big)
 
 
 def test_group_refusal_past_the_cap_peaks_below_10_mb():
@@ -607,6 +630,43 @@ def test_mixing_family(instance, family, connected):
     assert (su_orbit_count(instance, family) == 1) == connected
 
 
+def test_mixing_verdict_matches_the_tuple_closure_on_every_small_shape():
+    # the reference builds its own transpositions and start: job i at
+    # position i, so bit (p, i) is bit p*J + i
+    covered = set()
+    for m, t, j in SMALL_SHAPES:
+        instance, positions = OsspInstance(m, t, j), m * t
+        start = "".join("1" if n // j == n % j else "0" for n in range(positions * j))
+        swaps = {}
+        for i in range(1, j):
+            perm = list(range(positions * j))
+            for p in range(positions):
+                perm[p * j + i - 1], perm[p * j + i] = p * j + i, p * j + i - 1
+            swaps[i] = tuple(perm)
+        for r in range(j):
+            for family in itertools.combinations(range(1, j), r):
+                reached = _tuple_closure(start, [swaps[i] for i in family], permute_string)
+                want = len(reached) == math.perm(positions, j)
+                assert check_mixing_family(instance, family) is want, (instance, family)
+                covered.add((positions == j, j == 1, positions == 1, want))
+    assert {busy for busy, *_ in covered} == {True, False}
+    assert any(c[1] for c in covered) and any(c[2] for c in covered)
+    assert {c[3] for c in covered if c[0]} == {True, False}
+
+
+def test_mixing_verdict_past_the_closure_cap():
+    # OSSP(1,12,12): 12! = 479,001,600 schedules, all connected
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        assert check_mixing_family(OsspInstance(1, 12, 12), range(1, 12)) is True
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 5 * 2**20
+
+
 def test_mixing_family_validation():
     with pytest.raises(DomainError):
         check_mixing_family(OSSP133, [3])
@@ -623,10 +683,6 @@ def test_mixing_verdict_lists_no_solutions(monkeypatch):
     assert check_mixing_family(OSSP132, [1]) is False
     # OSSP(1,11,11): 11! = 39,916,800 schedules; one transposition reaches two
     assert check_mixing_family(OsspInstance(1, 11, 11), [1]) is False
-    # a connected family whose closure passes the cap is refused
-    monkeypatch.setattr(groups, "GROUP_CLOSURE_CAP", 100)
-    with pytest.raises(CapabilityError, match="cap of 100"):
-        check_mixing_family(OsspInstance(1, 5, 5), [1, 2, 3, 4])
 
 
 def test_bruteforce_preservers_small():

@@ -14,7 +14,6 @@ from ossvqa.instances import (
     OsspInstance,
     TspObjective,
     bits_to_int,
-    bitstring_from_indices,
     coordinate_to_index,
     enumerate_solutions,
     evaluate_objective,
@@ -553,7 +552,6 @@ def test_tsp_four_cities_distinguishes_tours():
 
 
 def test_bitstring_helpers():
-    assert bitstring_from_indices(4, (2, 4)) == "0101"
     assert bits_to_int("0101") == 5
 
 
