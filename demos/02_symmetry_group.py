@@ -9,8 +9,8 @@ and has order 2*(J!)^2.
 
 from ossvqa import (
     OsspInstance,
-    build_constraint_graph,
     bruteforce_feasibility_preservers,
+    edge_count,
     enumerate_solutions,
     generate_group,
     group_generators,
@@ -23,9 +23,8 @@ from ossvqa import (
 )
 
 instance = OsspInstance(machines=1, time_slots=3, jobs=3)
-graph = build_constraint_graph(instance)
-print(f"constraint graph: {graph.n_vertices} vertices, "
-      f"{graph.edge_count()} edges")
+print(f"constraint graph: {instance.n_bits} vertices, "
+      f"{edge_count(instance)} edges")
 
 gens = group_generators(instance)
 generated = generate_group([vertex_permutation(instance, g) for g in gens])
@@ -48,6 +47,6 @@ print("position blocks preserved:",
 
 # independent check: scan all 9! bit permutations for feasibility
 # preservers and compare with the generated closure
-scanned = bruteforce_feasibility_preservers(graph, solutions)
+scanned = bruteforce_feasibility_preservers(instance, solutions)
 print(f"enumerated closure: {len(generated)} elements; "
       f"9!-scan found {len(scanned)}; equal: {scanned == generated}")

@@ -4,12 +4,11 @@ noiseless simulator, and seeded variational optimization."""
 
 from .errors import CapabilityError, DomainError, VerificationError
 from .groups import (
-    ConstraintGraph,
     GroupElement,
-    build_constraint_graph,
     bruteforce_feasibility_preservers,
     check_mixing_family,
     decompose_job_permutation,
+    edge_count,
     generate_group,
     group_generators,
     group_order,

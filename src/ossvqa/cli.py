@@ -17,7 +17,6 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,8 +27,8 @@ from .groups import (
     GROUP_CLOSURE_CAP,
     PermutationGroup,
     bruteforce_feasibility_preservers,
-    build_constraint_graph,
     cycle_notation,
+    edge_count,
     group_generators,
     group_order,
     identity_perm,
@@ -60,9 +59,6 @@ from .simulator import (
 )
 from .vqa import OptimizerConfig, annotate_rows, compile_reach, run_experiment
 
-SEED_ENV_VAR = "OSSVQA_SEED"
-
-
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -82,16 +78,8 @@ def _resolve_inputs(args):
 
 
 def _resolve_seed(args) -> int:
-    """--seed, else the OSSVQA_SEED environment variable, else 0."""
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise DomainError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
+    """--seed (default 0), refused when negative."""
+    seed = args.seed
     if seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     return seed
@@ -171,16 +159,15 @@ def cmd_enumerate(args) -> int:
 
 def cmd_graph(args) -> int:
     """The constraint graph as its block cliques, listing edges up to N = 32.
-    The graph is read from the blocks (ConstraintGraph), so no adjacency
-    matrix is built and no size is refused; its edge count is the closed
-    form P*C(J,2) + J*C(P,2)."""
+    The graph is read from the instance's blocks, so no adjacency matrix is
+    built and no size is refused; its edge count is the closed form
+    P*C(J,2) + J*C(P,2) (edge_count)."""
     instance, objective, _ = _resolve_inputs(args)
-    edge_count = build_constraint_graph(instance).edge_count()
     jblocks, pblocks = job_blocks(instance), position_blocks(instance)
     record = {
         "instance": instance_to_dict(instance, objective),
         "n_vertices": instance.n_bits,
-        "edge_count": edge_count,
+        "edge_count": edge_count(instance),
         "job_blocks": [list(b) for b in jblocks],
         "position_blocks": [list(b) for b in pblocks],
         "vertices": [
@@ -246,9 +233,7 @@ def cmd_group_check(args) -> int:
             f"> cap {GROUP_CLOSURE_CAP}); order and orbit checks still run"
         )
     else:
-        preservers = bruteforce_feasibility_preservers(
-            build_constraint_graph(instance), solutions
-        )
+        preservers = bruteforce_feasibility_preservers(instance, solutions)
         brute_match = preservers == group
 
     record = {
@@ -446,7 +431,7 @@ def _add_circuit_args(sub):
     sub.add_argument("--initial", help="initial basis bit string")
     sub.add_argument("--engine", choices=["full", "subspace"], default=None)
     sub.add_argument("--shots", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

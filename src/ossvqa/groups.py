@@ -1,10 +1,11 @@
-"""Constraint graphs and the feasibility-preserving permutation group.
+"""The constraint graph and the feasibility-preserving permutation group.
 
-The constraint graph has one vertex per bit and is the union of the job-block
-and position-block cliques: two bits are adjacent iff they share a job or a
-position (same machine and time), so the feasible strings are exactly the
-independent sets of size J. The graph is read from the blocks themselves:
-no adjacency matrix is built, and no size is refused.
+The constraint graph of an instance has one vertex per bit and is the union
+of the job-block and position-block cliques: two bits are adjacent iff they
+share a job or a position (same machine and time), so the feasible strings
+are exactly the independent sets of size J. The graph is the instance
+itself: its questions (edge_count, is_independent_set, is_automorphism) are
+read from the blocks, no adjacency matrix is built, and no size is refused.
 
 The group that maps solutions to solutions is generated by job permutations,
 position permutations, and (in the busy case P = J) a transposer exchanging
@@ -165,48 +166,28 @@ def vertex_permutation(instance: OsspInstance, g: GroupElement) -> tuple[int, ..
 # constraint graph
 
 
-@dataclass(eq=False)
-class ConstraintGraph:
-    """The constraint graph of an instance, read from its blocks: one vertex
-    per bit, and two bits adjacent iff they share a job block or a
-    position block. It holds the instance alone, no adjacency matrix, so
-    a graph of any size is built at once."""
-
-    instance: OsspInstance
-
-    @property
-    def n_vertices(self) -> int:
-        return self.instance.n_bits
-
-    def edge_count(self) -> int:
-        """P*C(J,2) + J*C(P,2): a job block and a position block share one
-        bit, so no edge lies in two blocks."""
-        p, j = self.instance.positions, self.instance.jobs
-        return p * math.comb(j, 2) + j * math.comb(p, 2)
+def edge_count(instance: OsspInstance) -> int:
+    """P*C(J,2) + J*C(P,2): a job block and a position block share one bit,
+    so no edge lies in two blocks."""
+    p, j = instance.positions, instance.jobs
+    return p * math.comb(j, 2) + j * math.comb(p, 2)
 
 
-def build_constraint_graph(instance: OsspInstance) -> ConstraintGraph:
-    """Vertices are bits; edges are the union of the job- and position-block
-    cliques, read from the blocks when asked, so nothing of size N^2 is
-    allocated and no size is refused."""
-    return ConstraintGraph(instance)
-
-
-def is_independent_set(graph: ConstraintGraph, vertices) -> bool:
+def is_independent_set(instance: OsspInstance, vertices) -> bool:
     """No two of the given vertices (1-based labels) lie in one block: no
     two share a position (m, t) or a job. Reads only the given vertices."""
-    coords = [index_to_coordinate(graph.instance, v) for v in set(vertices)]
+    coords = [index_to_coordinate(instance, v) for v in set(vertices)]
     return len({c[:2] for c in coords}) == len(coords) == len({c[2] for c in coords})
 
 
-def is_automorphism(graph: ConstraintGraph, perm) -> bool:
+def is_automorphism(instance: OsspInstance, perm) -> bool:
     """True iff the 0-based vertex permutation preserves adjacency both
     ways: iff it maps every block inside one block. Every edge, and every
     clique of three or more bits, lies in one block, so such a map keeps
     every edge, and a bijection that keeps every edge keeps every
     non-edge."""
-    p = _check_perm(perm, graph.n_vertices)
-    blocks = [frozenset(b) for b in job_blocks(graph.instance) + position_blocks(graph.instance)]
+    p = _check_perm(perm, instance.n_bits)
+    blocks = [frozenset(b) for b in job_blocks(instance) + position_blocks(instance)]
     home = collections.defaultdict(list)  # vertex -> its job block and its position block
     for b in blocks:
         for v in b:
@@ -383,8 +364,8 @@ def _list_elements(inverses, n: int) -> np.ndarray:
     return rows
 
 
-class PermutationGroup(collections.abc.Set):
-    """The read-only set of permutations of 0..n-1 that the given 0-based
+class PermutationGroup:
+    """The group of permutations of 0..n-1 that the given 0-based
     permutations generate under composition, held as a base and strong
     generating set.
 
@@ -395,7 +376,8 @@ class PermutationGroup(collections.abc.Set):
 
     order is the product of the basic orbit lengths, an int of any size;
     len() returns it too, but Python refuses a len() past 2^63 - 1, so
-    package code reads order. in and == list nothing: a query is sifted
+    package code reads order. A group is never empty, so its truth value
+    is True without a len(). in and == list nothing: a query is sifted
     through the transversals (see _sift), == against a plain set sifts
     each of its elements, and == against a group compares the orders and
     sifts the other's generators. in takes any sequence of integers and
@@ -403,9 +385,9 @@ class PermutationGroup(collections.abc.Set):
     non-integer entry. The elements are listed as rows (see
     _list_elements) when first iterated, and a group of order past
     GROUP_CLOSURE_CAP raises CapabilityError then, before any row exists.
-    Iteration yields tuples of Python ints, in no fixed order. Set
-    operations (&, |, -, ^) return plain sets of tuples. Unhashable, like
-    set."""
+    Iteration yields tuples of Python ints, in no fixed order. It is not
+    a collections.abc.Set: no set operations, no subset comparisons.
+    Unhashable, like set."""
 
     _CHUNK = 4096  # rows decoded per numpy call while iterating
 
@@ -425,12 +407,11 @@ class PermutationGroup(collections.abc.Set):
             self._rows = _list_elements(self._inverses, self._n)
         return self._rows
 
-    @classmethod
-    def _from_iterable(cls, it) -> set:
-        return set(it)
-
     def __len__(self) -> int:
         return self.order
+
+    def __bool__(self) -> bool:
+        return True
 
     def __contains__(self, perm) -> bool:
         try:
@@ -467,12 +448,24 @@ def generate_group(perms) -> PermutationGroup:
 def orbit(instance: OsspInstance, z: str, generators) -> set[str]:
     """Breadth-first closure of {z} under the given group elements, on rows
     of the string's ASCII bytes; past GROUP_CLOSURE_CAP strings it raises
-    CapabilityError."""
+    CapabilityError.
+
+    When the schedules outnumber the cap, the orbit is first bounded from
+    below: the full group G acts transitively on the schedules S, so z's
+    stabiliser in the generated group H has at most |G|/|S| elements, and
+    its orbit at least |H||S|/|G|, read from H's Schreier-Sims order. Past
+    the cap it refuses before the walk."""
     if not is_feasible(instance, z):
         raise DomainError(f"orbit seed {z!r} is not a feasible string")
+    perms = [vertex_permutation(instance, g) for g in generators]
+    count = solution_count(instance)
+    if count > GROUP_CLOSURE_CAP:
+        bound = -(-PermutationGroup(perms).order * count // group_order(instance))
+        if bound > GROUP_CLOSURE_CAP:
+            raise CapabilityError(f"an orbit of at least {bound} strings exceeds the "
+                                  f"closure cap of {GROUP_CLOSURE_CAP} elements")
     # moving the bit at vertex n to perm[n] gathers with the inverse permutation
-    inverses = [invert_perm(vertex_permutation(instance, g)) for g in generators]
-    rows = _closure(np.frombuffer(z.encode("ascii"), dtype=np.uint8), inverses)
+    rows = _closure(np.frombuffer(z.encode("ascii"), dtype=np.uint8), map(invert_perm, perms))
     return {row.decode("ascii") for row in rows}
 
 
@@ -546,12 +539,12 @@ def check_mixing_family(instance: OsspInstance, family) -> bool:
     return PermutationGroup(perms).order == solution_count(instance)
 
 
-def bruteforce_feasibility_preservers(graph: ConstraintGraph, solutions) -> set[tuple[int, ...]]:
+def bruteforce_feasibility_preservers(instance: OsspInstance, solutions) -> set[tuple[int, ...]]:
     """All N! vertex permutations mapping every solution to a solution.
 
     Guarded at N <= 10; beyond that the factorial scan is refused.
     """
-    n = graph.n_vertices
+    n = instance.n_bits
     if n > BRUTE_FORCE_VERTEX_CAP:
         raise CapabilityError(
             f"brute-force permutation scan refused for N = {n} > {BRUTE_FORCE_VERTEX_CAP}"

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ossvqa import cli, groups, instances
-from ossvqa.cli import SEED_ENV_VAR, main
+from ossvqa.cli import main
 from ossvqa.groups import BRUTE_FORCE_VERTEX_CAP
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -572,23 +572,6 @@ def test_optimize_byte_identical_modulo_sidecar(tmp_path):
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
     da.pop("sidecar"), db.pop("sidecar")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
-
-
-def test_seed_from_environment(tmp_path, monkeypatch):
-    out = tmp_path / "run.json"
-    monkeypatch.setenv(SEED_ENV_VAR, "41")
-    assert main(["optimize", "--preset", "ossp133-restricted",
-                 "--max-iters", "1", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["seed"] == 41
-    assert main(["optimize", "--preset", "ossp133-restricted", "--seed", "5",
-                 "--max-iters", "1", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["seed"] == 5
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    assert main(["optimize", "--preset", "ossp133-restricted",
-                 "--max-iters", "1", "--out", str(out)]) == 2
-    monkeypatch.setenv(SEED_ENV_VAR, "-4")
-    assert main(["optimize", "--preset", "ossp133-restricted",
-                 "--max-iters", "1", "--out", str(out)]) == 2
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -4,6 +4,7 @@ import collections.abc
 import itertools
 import json
 import math
+import operator
 import random
 import textwrap
 import time
@@ -16,11 +17,11 @@ from ossvqa import groups, instances
 from ossvqa.errors import CapabilityError, DomainError
 from ossvqa.groups import (
     GroupElement,
-    build_constraint_graph,
     bruteforce_feasibility_preservers,
     check_mixing_family,
     cycle_notation,
     decompose_job_permutation,
+    edge_count,
     generate_group,
     group_generators,
     group_order,
@@ -89,30 +90,26 @@ def test_perm_primitives():
 
 
 def test_graph_counts():
-    g224 = build_constraint_graph(OSSP224)
-    assert g224.n_vertices == 16 and g224.edge_count() == 48
-    g133 = build_constraint_graph(OSSP133)
-    assert g133.n_vertices == 9 and g133.edge_count() == 18
-    g111 = build_constraint_graph(OSSP111)
-    assert g111.n_vertices == 1 and g111.edge_count() == 0
+    assert OSSP224.n_bits == 16 and edge_count(OSSP224) == 48
+    assert OSSP133.n_bits == 9 and edge_count(OSSP133) == 18
+    assert OSSP111.n_bits == 1 and edge_count(OSSP111) == 0
 
 
 def test_constraint_graph_of_90000_bits_builds_without_a_matrix(run_capped):
     # OSSP(1,300,300): 90,000 bits, whose dense adjacency would take 7.5 GiB
     script = textwrap.dedent("""
-        from ossvqa.groups import (build_constraint_graph, is_automorphism,
+        from ossvqa.groups import (edge_count, is_automorphism,
             job_transposition_element, position_transposition_element, vertex_permutation)
         from ossvqa.instances import OsspInstance
         inst = OsspInstance(1, 300, 300)
-        graph = build_constraint_graph(inst)
-        assert graph.n_vertices == 90_000
-        assert graph.edge_count() == 26_910_000
+        assert inst.n_bits == 90_000
+        assert edge_count(inst) == 26_910_000
         for g in (job_transposition_element(inst, 1), position_transposition_element(inst, 1)):
-            assert is_automorphism(graph, vertex_permutation(inst, g))
+            assert is_automorphism(inst, vertex_permutation(inst, g))
         # bits 1 and 302 share neither a job nor a position
         swap = list(range(inst.n_bits))
         swap[0], swap[301] = 301, 0
-        assert not is_automorphism(graph, swap)
+        assert not is_automorphism(inst, swap)
     """)
     code, err = run_capped([], limit_mb=1024, entry=("-c", script))
     assert code == 0, err
@@ -144,8 +141,7 @@ def test_graph_matches_coordinate_rule():
         inst = OsspInstance(*shape)
         n = inst.n_bits
         adj = dense_adjacency(inst)
-        graph = build_constraint_graph(inst)
-        assert graph.n_vertices == n and graph.edge_count() == int(adj.sum()) // 2
+        assert edge_count(inst) == int(adj.sum()) // 2
         if n <= 8:
             perms = list(itertools.permutations(range(n)))
         else:
@@ -153,43 +149,40 @@ def test_graph_matches_coordinate_rule():
         gens = [vertex_permutation(inst, g) for g in group_generators(inst)]
         p = np.array(perms + gens)
         want = (adj[p[:, :, None], p[:, None, :]] == adj).all(axis=(1, 2))
-        assert [is_automorphism(graph, q) for q in perms + gens] == want.tolist()
+        assert [is_automorphism(inst, q) for q in perms + gens] == want.tolist()
         assert want[len(perms):].all()  # every generator keeps the graph
         for _ in range(200):
             vs = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
             want = not adj[np.ix_(vs, vs)].any()
-            assert is_independent_set(graph, (vs + 1).tolist()) == want
+            assert is_independent_set(inst, (vs + 1).tolist()) == want
 
 
 def test_edge_count_formula():
     # P*C(J,2) same-position edges plus J*C(P,2) same-job edges, disjoint families
     for inst in (OSSP224, OSSP133, OSSP132, OsspInstance(2, 3, 4), OsspInstance(2, 2, 2)):
-        g = build_constraint_graph(inst)
         p, j = inst.positions, inst.jobs
         expected = p * (j * (j - 1) // 2) + j * (p * (p - 1) // 2)
-        assert g.edge_count() == expected
+        assert edge_count(inst) == expected
 
 
 def test_independent_sets():
-    g224 = build_constraint_graph(OSSP224)
     # the drawn example solution: jobs 1..4 at (1,1), (2,2), (2,1), (1,2)
-    assert is_independent_set(g224, {1, 8, 11, 14})
-    assert is_independent_set(g224, set())
-    g133 = build_constraint_graph(OSSP133)
-    assert not is_independent_set(g133, {1, 2})  # same position block
-    assert not is_independent_set(g133, {1, 4})  # same job
+    assert is_independent_set(OSSP224, {1, 8, 11, 14})
+    assert is_independent_set(OSSP224, set())
+    assert not is_independent_set(OSSP133, {1, 2})  # same position block
+    assert not is_independent_set(OSSP133, {1, 4})  # same job
     # feasible strings are exactly the J-element independent sets
     for z in enumerate_solutions(OSSP224):
-        assert is_independent_set(g224, [k + 1 for k, c in enumerate(z) if c == "1"])
+        assert is_independent_set(OSSP224, [k + 1 for k, c in enumerate(z) if c == "1"])
     rng = np.random.default_rng(3)
     for _ in range(100):
         vs = tuple(sorted(rng.choice(16, size=4, replace=False) + 1))
         chars = ["0"] * 16
         for v in vs:
             chars[v - 1] = "1"
-        assert is_independent_set(g224, vs) == is_feasible(OSSP224, "".join(chars))
+        assert is_independent_set(OSSP224, vs) == is_feasible(OSSP224, "".join(chars))
     with pytest.raises(DomainError):
-        is_independent_set(g133, {0})
+        is_independent_set(OSSP133, {0})
 
 
 def test_group_action_goldens():
@@ -444,6 +437,18 @@ def test_order_membership_and_equality_list_no_element(monkeypatch):
             listing(big)
 
 
+def test_truth_and_membership_past_63_bit_orders():
+    # OSSP(1,21,3): order 21! * 3! = 3.1e20, past what len() can return;
+    # truth and membership never ask for it
+    instance = OsspInstance(1, 21, 3)
+    gens = [vertex_permutation(instance, g) for g in group_generators(instance)]
+    group = groups.PermutationGroup(gens)
+    assert bool(group) is True and group.order == group_order(instance) > 2**63
+    assert all(g in group for g in gens)
+    with pytest.raises(OverflowError):
+        len(group)
+
+
 def test_group_refusal_past_the_cap_peaks_below_10_mb():
     # OSSP(1,6,6): 2*(6!)^2 = 1,036,800 elements, just past the cap; a
     # closure listed them all before refusing
@@ -480,12 +485,12 @@ def test_group_set_against_plain_sets():
     perms = [vertex_permutation(OSSP133, g) for g in group_generators(OSSP133)]
     group = generate_group(perms)
     plain = _tuple_closure(identity_perm(OSSP133.n_bits), perms, compose_perms)
-    assert isinstance(group, collections.abc.Set) and len(group) == len(plain) == 72
+    assert not isinstance(group, collections.abc.Set) and len(group) == len(plain) == 72
     assert group == plain and plain == group and not group != plain
     assert group == generate_group(list(reversed(perms)))
     smaller = set(plain)
     smaller.pop()
-    assert group != smaller and smaller != group and smaller < group and group >= smaller
+    assert group != smaller and smaller != group
     stranger = (1, 0) + tuple(range(2, 9))  # swaps two bits of one position block only
     assert stranger not in plain and stranger not in group
     assert group != (set(plain) - {identity_perm(9)}) | {stranger}
@@ -495,10 +500,13 @@ def test_group_set_against_plain_sets():
     assert e[:-1] not in group and e + (9,) not in group
     assert tuple(range(1, 10)) not in group and (-1,) + tuple(range(1, 9)) not in group
     assert "123456789" not in group and 5 not in group and None not in group
-    for op in (lambda a, b: a & b, lambda a, b: a | b, lambda a, b: a - b, lambda a, b: a ^ b):
+    # no set algebra: neither operations nor subset comparisons are defined
+    for op in (operator.and_, operator.or_, operator.sub, operator.xor,
+               operator.lt, operator.le, operator.gt, operator.ge):
         for pair in ((group, smaller), (smaller, group)):
-            got = op(*pair)
-            assert type(got) is set and got == op(*(set(x) for x in pair))
+            with pytest.raises(TypeError):
+                op(*pair)
+    assert not hasattr(group, "isdisjoint")
     with pytest.raises(TypeError):
         hash(group)
     assert not hasattr(group, "add") and not hasattr(group, "discard")
@@ -533,6 +541,49 @@ def test_orbit_transitivity():
     assert orbit(OSSP133, "100010001", []) == {"100010001"}
     with pytest.raises(DomainError):
         orbit(OSSP133, "110000000", job_generators(OSSP133))
+
+
+def test_orbit_refuses_from_the_order_before_it_walks():
+    # OSSP(1,10,10): 10! = 3,628,800 schedules, past the cap. The full
+    # group's orbit is all of them, which orbit-stabilizer tells from the
+    # Schreier-Sims order; a walk built a million strings before refusing
+    instance = OsspInstance(1, 10, 10)
+    z = "".join("1" if k % 11 == 0 else "0" for k in range(100))
+    t0 = time.perf_counter()
+    with pytest.raises(CapabilityError, match="at least 3628800 strings"):
+        orbit(instance, z, group_generators(instance))
+    assert time.perf_counter() - t0 < 2.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError):
+            orbit(instance, z, group_generators(instance))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    # one job transposition: the bound 2 * 10! / (2 * (10!)^2) is below one,
+    # and the walk finds the two strings
+    assert len(orbit(instance, z, [job_transposition_element(instance, 1)])) == 2
+
+
+def test_orbit_bound_refuses_only_orbits_past_the_cap(monkeypatch):
+    # with the cap below the schedule count the bound is read; against the
+    # tuple closure it never refuses an orbit that fits
+    for instance in (OSSP133, OSSP132, OSSP224):
+        sols = enumerate_solutions(instance)
+        gens = group_generators(instance)
+        z = sols[len(sols) // 2]
+        for cap in (len(sols) - 1, len(sols) // 3):
+            monkeypatch.setattr(groups, "GROUP_CLOSURE_CAP", cap)
+            for r in range(len(gens) + 1):
+                for subset in itertools.combinations(gens, r):
+                    perms = [vertex_permutation(instance, g) for g in subset]
+                    want = _tuple_closure(z, perms, permute_string)
+                    if len(want) > cap:
+                        with pytest.raises(CapabilityError):
+                            orbit(instance, z, subset)
+                    else:
+                        assert orbit(instance, z, subset) == want
 
 
 def test_block_systems():
@@ -686,40 +737,32 @@ def test_mixing_verdict_lists_no_solutions(monkeypatch):
 
 
 def test_bruteforce_preservers_small():
-    g122 = build_constraint_graph(OSSP122)
-    found = bruteforce_feasibility_preservers(g122, enumerate_solutions(OSSP122))
+    found = bruteforce_feasibility_preservers(OSSP122, enumerate_solutions(OSSP122))
     assert len(found) == 8
     gens = [vertex_permutation(OSSP122, g) for g in group_generators(OSSP122)]
     assert found == generate_group(gens)
-    assert all(is_automorphism(g122, p) for p in found)
+    assert all(is_automorphism(OSSP122, p) for p in found)
 
-    g111 = build_constraint_graph(OSSP111)
-    assert bruteforce_feasibility_preservers(g111, ["1"]) == {(0,)}
+    assert bruteforce_feasibility_preservers(OSSP111, ["1"]) == {(0,)}
 
-    g121 = build_constraint_graph(OsspInstance(1, 2, 1))
-    found121 = bruteforce_feasibility_preservers(g121, ["10", "01"])
+    found121 = bruteforce_feasibility_preservers(OsspInstance(1, 2, 1), ["10", "01"])
     assert found121 == {(0, 1), (1, 0)}
 
     with pytest.raises(CapabilityError):
-        bruteforce_feasibility_preservers(
-            build_constraint_graph(OSSP224), enumerate_solutions(OSSP224)
-        )
+        bruteforce_feasibility_preservers(OSSP224, enumerate_solutions(OSSP224))
 
 
 def test_is_automorphism():
-    g224 = build_constraint_graph(OSSP224)
-    assert is_automorphism(g224, identity_perm(16))
+    assert is_automorphism(OSSP224, identity_perm(16))
     for g in group_generators(OSSP224):
-        assert is_automorphism(g224, vertex_permutation(OSSP224, g))
-    g133 = build_constraint_graph(OSSP133)
+        assert is_automorphism(OSSP224, vertex_permutation(OSSP224, g))
     bad = list(identity_perm(9))
     bad[0], bad[4] = bad[4], bad[0]  # swap vertices 1 and 5 only
-    assert not is_automorphism(g133, tuple(bad))
+    assert not is_automorphism(OSSP133, tuple(bad))
     # all feasibility preservers of the 2x2 busy instance respect adjacency
-    g122 = build_constraint_graph(OSSP122)
     autos = {
         p
         for p in itertools.permutations(range(4))
-        if is_automorphism(g122, p)
+        if is_automorphism(OSSP122, p)
     }
-    assert autos == bruteforce_feasibility_preservers(g122, enumerate_solutions(OSSP122))
+    assert autos == bruteforce_feasibility_preservers(OSSP122, enumerate_solutions(OSSP122))
