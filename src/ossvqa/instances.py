@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,18 @@ def as_int64(ints, n_bits: int) -> np.ndarray:
     if n_bits > INT_BITS:
         raise CapabilityError(f"{n_bits}-bit strings exceed the {INT_BITS}-bit integer range")
     return np.asarray(ints, dtype=np.int64)
+
+
+def as_integer(name: str, value) -> int:
+    """value as a Python int, when operator.index accepts it and it is not
+    a bool, the rule OsspInstance keeps for its sizes; DomainError
+    otherwise, so 1.5 is refused rather than read as a count."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

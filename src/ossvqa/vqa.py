@@ -28,6 +28,7 @@ from .errors import CapabilityError, DomainError, VerificationError
 from .groups import decompose_job_permutation
 from .instances import (
     OsspInstance,
+    as_integer,
     bits_to_int,
     check_bitstring,
     feasibility_mask,
@@ -70,8 +71,10 @@ class OptimizerConfig:
     steps for kind 'sgd'.  For kind 'tr' it is 0 (one evaluation, at the
     start) or at least n + 2 for n circuit parameters, COBYLA's smallest
     budget; trust_region_minimize refuses anything in between.  shots = 0
-    evaluates the exact expectation.  Every float setting must be finite,
-    radius and rhobeg positive, tol nonnegative.
+    evaluates the exact expectation.  seed, max_iters, shots and
+    sample_size are integers (as_integer), gamma_box a pair (lo, hi).
+    Every float setting must be finite, radius and rhobeg positive, tol
+    nonnegative.
     """
 
     kind: str = "tr"
@@ -89,13 +92,18 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("tr", "sgd"):
             raise DomainError(f"unknown optimizer kind {self.kind!r}")
+        for name in ("seed", "max_iters", "shots", "sample_size"):
+            setattr(self, name, as_integer(name, getattr(self, name)))
         if self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.max_iters < 0 or self.shots < 0:
             raise DomainError("max_iters and shots must be nonnegative")
         if self.sample_size < 1:
             raise DomainError("sample_size must be at least 1")
-        lo, hi = self.gamma_box
+        try:
+            lo, hi = self.gamma_box
+        except (TypeError, ValueError):
+            raise DomainError(f"gamma_box must be a pair (lo, hi), got {self.gamma_box!r}") from None
         settings = (self.radius, self.kappa, self.min_factor, self.rhobeg, self.tol, lo, hi)
         if not all(math.isfinite(v) for v in settings):
             raise DomainError("optimizer settings must be finite")
@@ -459,8 +467,10 @@ def run_experiment(instance: OsspInstance, objective, *, depth: int,
     lives in the sidecar field only: the start time, the total seconds, and
     per stage the evaluation count, the optimizer's seconds and milliseconds
     per evaluation, the final readout's seconds and the classical oracle's
-    seconds.
+    seconds. DomainError when shots or depth is not an integer
+    (as_integer) or is out of range.
     """
+    shots = as_integer("shots", shots)
     if shots < 0:
         raise DomainError("shots must be nonnegative")
     started = datetime.now(timezone.utc).isoformat()

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -700,8 +701,17 @@ def _fuzz_argv(rng, tmp_path, k):
     return argv
 
 
+def clamped_beta(argv):
+    """True when a --beta flag of argv holds an angle more than 1e-12
+    outside [0, pi/2], the slack clamp_beta leaves without a warning."""
+    return any(not -1e-12 <= float(v) <= math.pi / 2 + 1e-12 for a in argv
+               if a.startswith("--beta=") for v in a[len("--beta="):].split(",") if v)
+
+
 def test_seeded_cli_fuzz(tmp_path, capsys):
-    # every documented exit code, never an uncaught exception
+    # every documented exit code, never an uncaught exception, and no
+    # warning but the clamp's, which a run that exits 0 gives exactly when
+    # one of its angles lies outside the box
     def run(argv):
         try:
             code = main(argv)
@@ -717,12 +727,20 @@ def test_seeded_cli_fuzz(tmp_path, capsys):
             assert run(argv) == 0, argv
     (tmp_path / "stray.json").write_text(json.dumps({"histogram": [{"bitstring": "01"}]}))
     rng = np.random.default_rng(26)
-    codes = collections.Counter()
+    codes, clamps = collections.Counter(), collections.Counter()
     checked_groups = 0
     for k in range(300):
         argv = _fuzz_argv(rng, tmp_path, k)
-        code = run(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
         assert code in (0, 2, 3, 4), (code, argv)
+        warned = [str(w.message) for w in caught]
+        assert warned in ([], ["mixer angles outside [0, pi/2] were clamped"]), (warned, argv)
+        assert clamped_beta(argv) or not warned, argv
+        if code == 0:
+            assert bool(warned) == clamped_beta(argv), argv
+            clamps[bool(warned)] += 1
         codes[argv[0], code] += 1
         if argv[0] == "group-check":  # every feasible shape, to stdout or a JSON file
             doc = json.loads(pathlib.Path(argv[2]).read_text())
@@ -731,6 +749,7 @@ def test_seeded_cli_fuzz(tmp_path, capsys):
                     out is None or pathlib.Path(out).parent == tmp_path and out.endswith(".json")):
                 assert code == 0, argv
                 checked_groups += 1
-    # every subcommand ran to success at least once
+    # every subcommand ran to success at least once, some with a clamp
     assert {command for command, code in codes if code == 0} == set(SUBCOMMANDS)
+    assert clamps[True] and clamps[False]
     assert checked_groups > 10

@@ -64,6 +64,15 @@ def superposition(instance, strings, engine="full"):
     return QuantumState(state.basis, amps / np.linalg.norm(amps))
 
 
+def unit_state(basis, z):
+    """Unit amplitude on |z> over an explicit basis, built by hand: a gate
+    reads its box from the amplitudes, so it runs as a basis_state start
+    does. DomainError when z is not in the basis."""
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[basis.index_of(bits_to_int(z))] = 1.0
+    return QuantumState(basis, amps)
+
+
 def test_basis_state():
     st = basis_state(OSSP133, Z0_133)
     assert st.engine == "full" and len(st.amps) == 512
@@ -163,7 +172,7 @@ def test_index_of_reads_the_sectors_only(monkeypatch):
                 sub.index_of(1 << sub.n_bits)
             z = int_to_bits(int(values[-1]), sub.n_bits)
             inst = OSSP224 if sub.n_bits == 16 else OSSP133
-            assert amplitude(basis_state(inst, z, sub), z) == 1.0
+            assert amplitude(unit_state(sub, z), z) == 1.0
 
 
 def searchsorted_position(basis, value):
@@ -247,10 +256,10 @@ def test_subspace_basis_contents():
     assert all(int_to_bits(v, 6)[4:6] == "00" for v in sub.values().tolist())
     # a string outside an explicit restricted basis is rejected
     with pytest.raises(DomainError):
-        basis_state(OSSP133, "110000000", sub133)
+        unit_state(sub133, "110000000")
     # and has amplitude complex zero in a state over it
     for z, want in (("110000000", 0j), (Z0_133, 1 + 0j)):
-        got = amplitude(basis_state(OSSP133, Z0_133, sub133), z)
+        got = amplitude(unit_state(sub133, Z0_133), z)
         assert type(got) is complex and got == want
 
 
@@ -457,7 +466,7 @@ def test_swap_memo_holds_only_the_plan_its_kernel_reads():
             basis = fresh(shared)
             basis._plans = WriteOnce()
             dense_state = QuantumState(basis, np.ones(basis.dim, dtype=complex) / basis.dim ** 0.5)
-            start = basis_state(inst, Z0_224 if inst is OSSP224 else schedule_string(inst), basis)
+            start = unit_state(basis, Z0_224 if inst is OSSP224 else schedule_string(inst))
             if simultaneous_first:
                 apply_simultaneous_mixer(dense_state, mixers(inst), 0.4)
             for _ in range(2):
@@ -503,8 +512,8 @@ def test_swap_memo_holds_only_the_plan_its_kernel_reads():
 
 
 def test_a_state_without_support_runs_as_the_whole_basis_box():
-    # apply_circuit's buffer from a start without a support against the
-    # mixer called on the same state, which runs on the whole basis: a
+    # a state with no zero amplitude has the whole basis as its box, and
+    # apply_circuit's buffer from it equals the mixer called on it: a
     # 46,656-amplitude sector with a hand-made mixer whose pairs share
     # block 1, and a 15-bit full basis, whose pairs all share its one axis
     rng = np.random.default_rng(5)
@@ -522,7 +531,8 @@ def test_a_state_without_support_runs_as_the_whole_basis_box():
             beta = rng.uniform(0.0, math.pi / 2)
             got = apply_circuit(c, only_angles(c, mixer=0, beta=beta), QuantumState(basis, amps))
             want = apply_mixer(QuantumState(basis, amps), m, beta)
-            assert got.support is None and want.support is None
+            assert box_of(QuantumState(basis, amps)) == whole(basis)
+            assert (m.pairs, whole(basis)) in basis._plans  # the plan of the whole box ran
             assert got.amps.tobytes() == want.amps.tobytes()
 
 
@@ -546,7 +556,7 @@ def test_phase_separator():
     diag = phase_separator(OBJ133, OSSP133, sub)
     assert diag.dtype == np.float64 and diag.shape == (sub.dim,)
     sep = phase_table(diag, sub)
-    st = basis_state(OSSP133, "001010100", sub)
+    st = unit_state(sub, "001010100")
     assert fidelity(apply_phase_separator(st, sep, 0.0), st) == pytest.approx(1.0)
     # f = 5 at gamma = pi flips the sign
     out = apply_phase_separator(st, sep, math.pi)
@@ -616,7 +626,7 @@ def test_phase_table_kernel_matches_the_direct_exponential_bit_for_bit():
 
 def test_phase_angle_overflow_is_a_domain_error():
     sub = subspace_basis(OSSP133, Z0_133)
-    state = basis_state(OSSP133, Z0_133, sub)
+    state = unit_state(sub, Z0_133)
     negative = linear_from_rows(OSSP133, (-np.array(WEIGHTS_133)).tolist())
     for obj in (OBJ133, negative):  # f(z) in [5, 9] and in [-9, -5]
         table = phase_table(phase_separator(obj, OSSP133, sub), sub)
@@ -754,11 +764,11 @@ def test_non_finite_mixer_angles_raise(bad):
     with pytest.raises(DomainError, match="mixer angles must be finite"):
         simulator.clamp_beta(np.array([0.1, bad]))
     i166 = OsspInstance(1, 6, 6)
-    # both kernels, with and without a support
+    # both kernels, from a one-element box and from the whole basis
     for inst, state in ((OSSP133, start), (OSSP133, basis_state(OSSP133, Z0_133)),
                         (i166, basis_state(i166, schedule_string(i166), "subspace"))):
         m = mixer_hamiltonian(inst, 1)
-        for st in (state, QuantumState(state.basis, state.amps)):
+        for st in (state, QuantumState(state.basis, np.ones_like(state.amps))):
             with pytest.raises(DomainError, match="mixer angles must be finite"):
                 apply_mixer(st, m, bad)
             with pytest.raises(DomainError, match="mixer angles must be finite"):
@@ -770,7 +780,7 @@ def test_non_finite_mixer_angles_raise(bad):
 def test_expectation():
     sub = subspace_basis(OSSP133, Z0_133)
     sep = phase_table(phase_separator(OBJ133, OSSP133, sub), sub)
-    assert expectation(basis_state(OSSP133, "001010100", sub), sep) == pytest.approx(5.0)
+    assert expectation(unit_state(sub, "001010100"), sep) == pytest.approx(5.0)
     sols = enumerate_solutions(OSSP133)
     mean = expectation(superposition(OSSP133, sols, "subspace"), sep)
     assert mean == pytest.approx((5 + 6 + 6 + 7 + 8 + 8) / 6)
@@ -800,6 +810,18 @@ def test_sample():
     assert sample(two, 10_000, seed=124) != hist
     with pytest.raises(DomainError):
         sample(st, 0, seed=1)
+
+
+def test_readout_takes_integer_shots():
+    """sample(state, 2.5, seed) returned counts summing to 2; shots are
+    what operator.index accepts, except a bool, in every readout."""
+    st = basis_state(OSSP133, Z0_133, "subspace")
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(DomainError, match="shots must be an integer"):
+            sample(st, bad, seed=0)
+        with pytest.raises(DomainError, match="shots must be an integer"):
+            readout(st, bad, 0)
+    assert sample(st, np.int64(3), seed=0) == {Z0_133: 3}
 
 
 def string_sorted_sample(state, shots, seed):
@@ -858,6 +880,16 @@ def test_build_circuit_slots():
         build_circuit(OSSP133, OBJ133, 0)
 
 
+def test_build_circuit_takes_an_integer_depth():
+    """depth 1.5 built a circuit of 3.0 beta and 1.5 gamma slots; a depth
+    is what operator.index accepts, except a bool, and is stored as int."""
+    for bad in (1.5, 2.0, True, "2", None):
+        with pytest.raises(DomainError, match="depth must be an integer"):
+            build_circuit(OSSP133, OBJ133, bad)
+    circuit = build_circuit(OSSP133, OBJ133, np.int64(2))
+    assert type(circuit.depth) is int and (circuit.n_beta, circuit.n_gamma) == (4, 2)
+
+
 def test_apply_circuit_goldens():
     for engine in ("full", "subspace"):
         circuit = build_circuit(OSSP133, OBJ133, 1)
@@ -870,14 +902,14 @@ def test_apply_circuit_goldens():
             ParameterVector([math.pi / 2, 0.0], [0.0]),
             basis_state(OSSP133, Z0_133, engine),
         )
-        want1 = basis_state(OSSP133, "010100001", one.basis)
+        want1 = unit_state(one.basis, "010100001")
         assert fidelity(one, want1) == pytest.approx(1.0, abs=1e-12)
         both = apply_circuit(
             circuit,
             ParameterVector([math.pi / 2, math.pi / 2], [0.0]),
             basis_state(OSSP133, Z0_133, engine),
         )
-        want2 = basis_state(OSSP133, "010001100", both.basis)
+        want2 = unit_state(both.basis, "010001100")
         assert fidelity(both, want2) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -937,7 +969,7 @@ def test_engine_equivalence_sampled():
                 rng.uniform(0, 2 * math.pi, size=circuit.n_gamma),
             )
             full = apply_circuit(circuit, params, basis_state(inst, z0, "full"))
-            restricted = apply_circuit(circuit, params, basis_state(inst, z0, sub))
+            restricted = apply_circuit(circuit, params, unit_state(sub, z0))
             aligned = full.amps[sub.values()]
             assert np.allclose(aligned, restricted.amps, atol=1e-10)
             # nothing escapes the conserved-weight subspace
@@ -1125,9 +1157,43 @@ def random_schedule(inst, rng):
                    for p in range(inst.positions) for j in range(inst.jobs))
 
 
-def dense(state):
-    """The same state without a support: every gate runs on the whole array."""
-    return QuantumState(state.basis, state.amps)
+def whole(basis):
+    """The box of the whole basis: (0, n) on every axis."""
+    return tuple((0, n) for n in basis.shape)
+
+
+def box_of(state):
+    """The box a gate reads from the state's amplitudes."""
+    return simulator._buffer(state).box
+
+
+def boxed_run(circuit, params, state):
+    """apply_circuit's result with the boxes its buffer started and ended
+    on, read off the buffer _buffer returns and the one _unbox takes."""
+    boxes = []
+    buffer, unbox = simulator._buffer, simulator._unbox
+
+    def spy_buffer(st):
+        buf = buffer(st)
+        boxes.append(buf.box)
+        return buf
+
+    def spy_unbox(buf):
+        boxes.append(buf.box)
+        return unbox(buf)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulator, "_buffer", spy_buffer)
+        m.setattr(simulator, "_unbox", spy_unbox)
+        got = apply_circuit(circuit, params, state)
+    return got, boxes[0], boxes[-1]
+
+
+def zero_outside(state, box):
+    """True when every amplitude of state outside box is exactly zero."""
+    outside = np.ones(state.basis.shape, dtype=bool)
+    outside[tuple(slice(lo, hi) for lo, hi in box)] = False
+    return not np.any(state.amps.reshape(state.basis.shape)[outside])
 
 
 def only_angles(circuit, gamma=0.0, mixer=None, beta=0.0):
@@ -1157,28 +1223,30 @@ def random_params(circuit, rng):
 
 
 def test_basis_state_support_is_the_start_and_the_phase_keeps_it():
+    """A basis_state start's box is its index on each axis, in the state
+    and in its copy, and the phase layer keeps that box."""
     inst = OsspInstance(1, 6, 6)
     start = basis_state(inst, random_schedule(inst, np.random.default_rng(3)), "subspace")
     index = np.unravel_index(int(np.flatnonzero(start.amps)[0]), start.basis.shape)
-    assert start.support == tuple((int(i), int(i) + 1) for i in index)
-    assert start.copy().support == start.support
+    assert box_of(start) == box_of(start.copy()) == tuple((int(i), int(i) + 1) for i in index)
     d = np.triu(np.ones((6, 6), dtype=int), 1)
     circuit = build_circuit(inst, TspObjective(tuple(map(tuple, (d + d.T).tolist()))), 1)
-    assert apply_circuit(circuit, only_angles(circuit, gamma=0.3), start).support == start.support
-    # a small basis runs its support box too: B_1 swaps jobs 1 and 2, so
-    # only the blocks that hold one of them grow, to both patterns
+    got, first, last = boxed_run(circuit, only_angles(circuit, gamma=0.3), start)
+    assert first == last == box_of(start)
+    # a small basis runs its box too: B_1 swaps jobs 1 and 2, so only the
+    # blocks that hold one of them grow, to both patterns
     small = basis_state(OSSP224, Z0_224, "subspace")
     c224 = build_circuit(OSSP224, OBJ224, 1)
     assert c224.mixers[-1] == mixer_hamiltonian(OSSP224, 1)
     params = only_angles(c224, mixer=len(c224.mixers) - 1, beta=0.4)
-    got = apply_circuit(c224, params, small)
+    got, first, last = boxed_run(c224, params, small)
     assert small.basis.dim <= simulator.GATHER_DIM
-    assert [hi - lo for lo, hi in got.support] == [2, 2, 1, 1]
-    want = apply_circuit(c224, params, dense(small))
-    assert want.support is None and np.array_equal(got.amps, want.amps)
-    # the gate called on its own runs on the whole basis
+    assert [hi - lo for lo, hi in last] == [2, 2, 1, 1] and zero_outside(got, last)
+    want = by_pairs(c224, params, small, c224.phase_for(small.basis).diag)
+    assert np.array_equal(got.amps, want)
+    # the gate called on its own runs on the same box
     alone = apply_mixer(small, mixer_hamiltonian(OSSP224, 1), 0.4)
-    assert alone.support is None and np.array_equal(alone.amps, got.amps)
+    assert np.array_equal(alone.amps, got.amps)
 
 
 def box_cases(rng):
@@ -1186,8 +1254,8 @@ def box_cases(rng):
     the ladder's tour shape (deep enough for a box to fill the basis) and
     non-busy shape, a start with weight-2 blocks, full engines of 15 and 16
     bits, whose boxes run per block like a sector's, and the 15-bit
-    one-block full_basis, passed as an explicit basis, whose box holds
-    every pair of a mixer on its one axis."""
+    one-block full_basis, pure_state's basis, whose box holds every pair
+    of a mixer on its one axis."""
     d = np.triu(rng.integers(1, 10, (6, 6)), 1)
     tour = TspObjective(tuple(map(tuple, (d + d.T).tolist())))
     i166, i336, i155 = OsspInstance(1, 6, 6), OsspInstance(3, 3, 6), OsspInstance(1, 5, 5)
@@ -1204,16 +1272,19 @@ def box_cases(rng):
         (i155, weights(i155), 2, pairs2, "subspace"),
         (i153, weights(i153), 2, random_schedule(i153, rng), "full"),
         (i144, weights(i144), 2, random_schedule(i144, rng), "full"),
-        (i153, weights(i153), 2, random_schedule(i153, rng), full_basis(i153.n_bits)),
+        (i153, weights(i153), 2, random_schedule(i153, rng), None),
     ]
 
 
 def test_support_box_matches_the_dense_kernel_bit_for_bit():
+    """apply_circuit on its box against by_pairs on the whole array, by
+    np.array_equal, with exact zeros outside the box the buffer ends on;
+    engine None is pure_state's one axis."""
     rng = np.random.default_rng(41)
     ends = set()
     for inst, objective, depth, z, engine in box_cases(rng):
         circuit = build_circuit(inst, objective, depth)
-        start = basis_state(inst, z, engine)
+        start = pure_state(inst.n_bits, z) if engine is None else basis_state(inst, z, engine)
         assert start.basis.dim > simulator.GATHER_DIM
         table = circuit.phase_for(start.basis)
         # the first mixer in application order, cut to the pairs with equal
@@ -1231,20 +1302,17 @@ def test_support_box_matches_the_dense_kernel_bit_for_bit():
                 params.beta[first_slot] = rng.uniform(0.1, 1.0)
                 params.beta[first_slot - 1] = 0.0
                 params.beta[-1] = math.pi / 2
-                got = apply_circuit(c, params, start)
-                want = apply_circuit(c, params, dense(start))
-                assert want.support is None
+                got, first, last = boxed_run(c, params, start)
+                want = QuantumState(start.basis, by_pairs(c, params, start, table.diag))
+                assert first == box_of(start)
                 assert np.array_equal(got.amps, want.amps)
                 assert expectation(got, table) == expectation(want, table)
-                # the support's claim: exact zeros outside the box
-                outside = np.ones(start.basis.shape, dtype=bool)
-                outside[tuple(slice(lo, hi) for lo, hi in got.support or ())] = False
-                assert not np.any(got.amps.reshape(start.basis.shape)[outside])
-                ends.add(got.support is None)
+                assert zero_outside(got, last)  # the box's claim
+                ends.add(last == whole(start.basis))
         params = only_angles(cut, mixer=0, beta=0.7)
-        one = apply_circuit(cut, params, start)
-        assert math.prod(hi - lo for lo, hi in one.support) == 1
-        assert np.array_equal(one.amps, apply_circuit(cut, params, dense(start)).amps)
+        one, _, last = boxed_run(cut, params, start)
+        assert math.prod(hi - lo for lo, hi in last) == 1
+        assert np.array_equal(one.amps, by_pairs(cut, params, start, table.diag))
     assert ends == {True, False}  # some boxes grow to the whole basis
 
 
@@ -1255,21 +1323,22 @@ def test_support_box_with_two_pairs_on_one_axis():
     start = basis_state(inst, schedule_string(inst), "subspace")
     block = position_blocks(inst)[0]
     circuit = build_circuit(inst, linear_from_rows(inst, [[1] * 6] * 6), 1)
+    diag = circuit.phase_for(start.basis).diag
     for pairs in (((block[0], block[1]), (block[1], block[2])),
                   ((block[1], block[2]), (block[0], block[1]))):
         c = with_first_mixer(circuit, simulator.MixerHamiltonian(1, pairs))
         for beta in (0.3, math.pi / 2):
             params = only_angles(c, mixer=0, beta=beta)
-            got = apply_circuit(c, params, start)
-            assert [hi - lo for lo, hi in got.support][1:] == [1] * 5  # block 1 alone grew
-            assert np.array_equal(got.amps, apply_circuit(c, params, dense(start)).amps)
+            got, first, last = boxed_run(c, params, start)
+            assert last[1:] == first[1:] and [hi - lo for lo, hi in last[1:]] == [1] * 5
+            assert last[0] != first[0] and zero_outside(got, last)  # block 1 alone grew
+            assert np.array_equal(got.amps, by_pairs(c, params, start, diag))
 
 
 def test_engines_agree_from_random_schedules():
-    """Full and subspace engines, support boxes included, and the one-block
-    full_basis passed as an explicit basis, from random schedules of random
-    small shapes and of 15- and 16-bit shapes, against a dense full-engine
-    run that never uses a support."""
+    """Full and subspace engines and pure_state's one-block full_basis,
+    from random schedules of random small shapes and of 15- and 16-bit
+    shapes, against gate_by_gate on the full engine's whole array."""
     rng = np.random.default_rng(43)
     shapes = [OsspInstance(1, 5, 3), OsspInstance(1, 4, 4)]
     while len(shapes) < 10:
@@ -1287,14 +1356,14 @@ def test_engines_agree_from_random_schedules():
         z = random_schedule(inst, rng)
         params = random_params(circuit, rng)
         full = basis_state(inst, z, "full")
-        ref = apply_circuit(circuit, params, dense(full))
+        ref = gate_by_gate(circuit, params, full, circuit.phase_for(full.basis).diag)
         sub = basis_state(inst, z, "subspace")
         sector = sub.basis.values()
-        assert np.linalg.norm(ref.amps[sector]) == pytest.approx(1.0, abs=1e-12)
-        for start in (full, sub, basis_state(inst, z, full_basis(inst.n_bits))):
+        assert np.linalg.norm(ref[sector]) == pytest.approx(1.0, abs=1e-12)
+        for start in (full, sub, pure_state(inst.n_bits, z)):
             got = apply_circuit(circuit, params, start)
             at = np.searchsorted(start.basis.values(), sector)
-            assert np.max(np.abs(got.amps[at] - ref.amps[sector])) < 1e-12
+            assert np.max(np.abs(got.amps[at] - ref[sector])) < 1e-12
 
 
 def test_per_block_full_engine_matches_the_one_block_full_basis():
@@ -1319,7 +1388,7 @@ def test_per_block_full_engine_matches_the_one_block_full_basis():
             params = random_params(circuit, rng)
             params.beta[0], params.beta[-1] = 0.0, math.pi / 2
             blocks = apply_circuit(circuit, params, basis_state(inst, z, "full"))
-            flat = apply_circuit(circuit, params, basis_state(inst, z, one))
+            flat = apply_circuit(circuit, params, unit_state(one, z))
             assert blocks.basis.shape == (2 ** inst.jobs,) * inst.positions
             assert flat.basis is one
             assert np.array_equal(blocks.amps, flat.amps)
@@ -1341,15 +1410,17 @@ def tour_and_weights(rng):
 
 def test_apply_circuit_never_writes_its_input():
     """On a basis of at most GATHER_DIM amplitudes (ossp224) and past it,
-    with and without a support: the start's bytes stay put, and the result
-    shares no memory with the start, also when every gate was skipped."""
+    from a basis_state start and from a dense random state: the start's
+    bytes stay put, and the result shares no memory with the start, also
+    when every gate was skipped."""
     rng = np.random.default_rng(59)
     for inst, objective in [(OSSP224, OBJ224)] + tour_and_weights(rng):
         circuit = build_circuit(inst, objective, 2)
         zeros = ParameterVector(np.zeros(circuit.n_beta), np.zeros(circuit.n_gamma))
         start = basis_state(inst, random_schedule(inst, rng), "subspace")
         assert (start.basis.dim <= simulator.GATHER_DIM) == (inst is OSSP224)
-        for state in (start, dense(start)):
+        amps = rng.normal(size=start.basis.dim) + 1j * rng.normal(size=start.basis.dim)
+        for state in (start, QuantumState(start.basis, amps / np.linalg.norm(amps))):
             before = state.amps.tobytes()
             for params in [random_params(circuit, rng) for _ in range(3)] + [zeros]:
                 got = apply_circuit(circuit, params, state)
@@ -1359,7 +1430,7 @@ def test_apply_circuit_never_writes_its_input():
 
 def test_an_all_zero_circuit_returns_a_fresh_state(monkeypatch):
     """Every angle zero: no gate runs and no PhaseTable is built, and the
-    result is a new state with the start's amplitudes and support."""
+    result is a new state with the start's amplitudes."""
     calls = []
 
     def counted(name):
@@ -1371,31 +1442,31 @@ def test_an_all_zero_circuit_returns_a_fresh_state(monkeypatch):
     circuit = build_circuit(OSSP224, OBJ224, 2)
     zeros = ParameterVector(np.zeros(circuit.n_beta), np.zeros(circuit.n_gamma))
     start = basis_state(OSSP224, Z0_224, "subspace")
-    for state in (start, dense(superposition(OSSP224, [Z0_224, "0100100000010010"]))):
+    for state in (start, superposition(OSSP224, [Z0_224, "0100100000010010"])):
         got = apply_circuit(circuit, zeros, state)
         assert got is not state
         assert not np.shares_memory(got.amps, state.amps)
         assert np.array_equal(got.amps, state.amps)
-        assert got.support == state.support
     assert calls == []
 
 
 def test_a_hand_built_state_runs_on_the_whole_basis():
-    """support is read-only and the constructor takes none, so a state
-    built by hand has support None and apply_circuit runs it on the whole
-    basis. ossp224 at depth 1 from a normalised random state: when the
-    one-amplitude support of basis_state could be given by hand and was
-    taken on trust, this state came out with norm 0.046. Now the result
-    keeps norm 1 and equals the gates called one by one."""
+    """A state is its basis and its amplitudes: the constructor takes no
+    box and a state stores none, so a state built by hand with no zero
+    amplitude runs on the whole basis. ossp224 at depth 1 from a
+    normalised random state: when basis_state's one-amplitude box could be
+    given by hand and was taken on trust, this state came out with norm
+    0.046. The result keeps norm 1 and equals the gates called one by one
+    and gate_by_gate."""
     start = basis_state(OSSP224, Z0_224, "subspace")
+    assert [f.name for f in dataclasses.fields(QuantumState)] == ["basis", "amps"]
     with pytest.raises(TypeError):
-        QuantumState(start.basis, start.amps, start.support)
+        QuantumState(start.basis, start.amps, box_of(start))
+    assert not hasattr(start, "support")
     rng = np.random.default_rng(83)
     amps = rng.normal(size=start.basis.dim) + 1j * rng.normal(size=start.basis.dim)
     state = QuantumState(start.basis, amps / np.linalg.norm(amps))
-    with pytest.raises(AttributeError):
-        state.support = start.support
-    assert state.support is None
+    assert box_of(state) == whole(state.basis)
     circuit = build_circuit(OSSP224, OBJ224, 1)
     params = ParameterVector([0.3, 0.4, 0.5], [0.2])
     got = apply_circuit(circuit, params, state)
@@ -1404,16 +1475,18 @@ def test_a_hand_built_state_runs_on_the_whole_basis():
     for mixer, beta in zip(circuit.mixers, [0.5, 0.4, 0.3]):  # B_3, B_2, B_1
         want = apply_mixer(want, mixer, beta)
     assert np.array_equal(got.amps, want.amps)
+    assert np.array_equal(got.amps, gate_by_gate(
+        circuit, params, state, circuit.phase_for(state.basis).diag))
 
 
 def test_a_one_gate_circuit_equals_the_gate_called_on_its_own():
     """A circuit whose only nonzero angle drives one gate, run by
-    apply_circuit on its buffer (the start's support box), against that
-    gate called on the same state (the whole basis), by np.array_equal:
-    busy, non-busy and tour shapes below GATHER_DIM (ossp224, OSSP(2,3,3),
-    the tour OSSP(1,5,5)) and past it (the ladder's tour OSSP(1,6,6) and
-    non-busy OSSP(3,3,6)), from a basis_state start, from a grown box and
-    from a dense random state. Neither route writes its input."""
+    apply_circuit on its buffer, against that gate called on the same
+    state and against by_pairs, by np.array_equal: busy, non-busy and tour
+    shapes below GATHER_DIM (ossp224, OSSP(2,3,3), the tour OSSP(1,5,5))
+    and past it (the ladder's tour OSSP(1,6,6) and non-busy OSSP(3,3,6)),
+    from a basis_state start, from a grown box and from a dense random
+    state. Neither call writes its input."""
     rng = np.random.default_rng(61)
     d = np.triu(rng.integers(1, 10, (5, 5)), 1)
     i233, i155 = OsspInstance(2, 3, 3), OsspInstance(1, 5, 5)
@@ -1428,7 +1501,7 @@ def test_a_one_gate_circuit_equals_the_gate_called_on_its_own():
         sides.add(basis.dim > simulator.GATHER_DIM)
         table = circuit.phase_for(basis)
         grown = apply_circuit(circuit, only_angles(circuit, mixer=0, beta=0.4), start)
-        assert grown.support not in (None, start.support)
+        assert box_of(grown) not in (whole(basis), box_of(start))
         amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         for state in (start, grown, QuantumState(basis, amps / np.linalg.norm(amps))):
             before = state.amps.tobytes()
@@ -1440,8 +1513,8 @@ def test_a_one_gate_circuit_equals_the_gate_called_on_its_own():
                              apply_mixer(state, mixer, beta)))
             for params, alone in runs:
                 got = apply_circuit(circuit, params, state)
-                assert alone.support is None
                 assert np.array_equal(got.amps, alone.amps)
+                assert np.array_equal(got.amps, by_pairs(circuit, params, state, table.diag))
                 for out in (got, alone):
                     assert not np.shares_memory(out.amps, state.amps)
             assert state.amps.tobytes() == before
@@ -1481,9 +1554,9 @@ def test_a_phase_table_of_another_basis_is_refused():
     assert one.dim == two.dim == 27 and one is not two
     table = phase_table(phase_separator(OBJ133, OSSP133, one), one)
     with pytest.raises(DomainError, match="different basis"):
-        apply_phase_separator(basis_state(OSSP133, "110110110", two), table, 0.5)
-    want = apply_phase_separator(basis_state(OSSP133, Z0_133, one), table, 0.5)
-    got = apply_phase_separator(basis_state(OSSP133, Z0_133, fresh(one)), table, 0.5)
+        apply_phase_separator(unit_state(two, "110110110"), table, 0.5)
+    want = apply_phase_separator(unit_state(one, Z0_133), table, 0.5)
+    got = apply_phase_separator(unit_state(fresh(one), Z0_133), table, 0.5)
     assert np.array_equal(got.amps, want.amps)
     with pytest.raises(DomainError, match="not over a basis"):
         phase_table(phase_separator(OBJ133, OSSP133, one)[:-1], one)
@@ -1581,7 +1654,7 @@ def test_apply_circuit_matches_a_gate_by_gate_reference_bit_for_bit():
     for inst, objective, depth, z, engine in cases:
         circuit = build_circuit(inst, objective, depth)
         start = basis_state(inst, z, engine)
-        assert math.prod(hi - lo for lo, hi in start.support) == 1
+        assert math.prod(hi - lo for lo, hi in box_of(start)) == 1
         dims.add(start.basis.dim)
         table = circuit.phase_for(start.basis)
         for _ in range(4):
@@ -1610,10 +1683,10 @@ def by_pairs(circuit, params, state, diag):
 
 
 def differential_cases(rng):
-    """(instance, objective, start, dense start, circuit mixers) on busy,
-    non-busy and random shapes, a start with weight-2 blocks, the full
-    engine, a tour, and pure_state's one axis with a hand-made mixer whose
-    two pairs share it."""
+    """(instance, objective, start, first mixer) on busy, non-busy and
+    random shapes, a start with weight-2 blocks, the full engine, a tour,
+    and pure_state's one axis with a hand-made first mixer whose two pairs
+    share it."""
     def weights(inst):
         return linear_from_rows(inst, rng.integers(0, 10, (inst.positions, inst.jobs)).tolist())
 
@@ -1634,29 +1707,25 @@ def differential_cases(rng):
         if j >= 2 and m * t >= j and m * t * j <= 16:
             inst = OsspInstance(m, t, j)
             shapes.append((inst, weights(inst), random_schedule(inst, rng), "subspace"))
-    cases = []
-    for inst, objective, z, engine in shapes:
-        start = basis_state(inst, z, engine)
-        cases.append((inst, objective, start, dense(start), None))
+    cases = [(inst, objective, basis_state(inst, z, engine), None)
+             for inst, objective, z, engine in shapes]
     for inst in (OSSP133, i153):  # 512 and 32,768 amplitudes on one axis
-        z = random_schedule(inst, rng)
         block = position_blocks(inst)[0]
         shared = simulator.MixerHamiltonian(1, ((block[0], block[1]), (block[1], block[2])))
-        start = basis_state(inst, z, full_basis(inst.n_bits))
-        assert np.array_equal(pure_state(inst.n_bits, z).amps, start.amps)
-        cases.append((inst, weights(inst), start, pure_state(inst.n_bits, z), shared))
+        cases.append((inst, weights(inst), pure_state(inst.n_bits, random_schedule(inst, rng)),
+                      shared))
     return cases
 
 
 def test_box_route_matches_dense_starts_and_the_per_pair_reference():
-    """apply_circuit from a basis_state start (its support box), from the
-    same start without a support, and by_pairs agree by np.array_equal,
-    with angles of exactly 0 and pi/2 among random ones, and a circuit
-    whose first mixer holds only pairs with equal bits at the start, so
-    that it phases a one-element box."""
+    """apply_circuit from a one-amplitude start (its one-element box) and
+    by_pairs on the whole array agree by np.array_equal, with angles of
+    exactly 0 and pi/2 among random ones, and a circuit whose first mixer
+    holds only pairs with equal bits at the start, so that it phases a
+    one-element box."""
     rng = np.random.default_rng(73)
     seen = set()
-    for inst, objective, start, dense_start, shared in differential_cases(rng):
+    for inst, objective, start, shared in differential_cases(rng):
         circuit = build_circuit(inst, objective, int(rng.integers(1, 4)))
         if shared is not None:
             circuit = dataclasses.replace(circuit, mixers=(shared,) + circuit.mixers[1:])
@@ -1674,13 +1743,12 @@ def test_box_route_matches_dense_starts_and_the_per_pair_reference():
                 params.gamma[0] = rng.uniform(0.1, 2.0)  # round 1 phases the one-element box
                 params.beta[inst.jobs - 2] = rng.uniform(0.1, 1.0)  # the first mixer runs
                 got = apply_circuit(c, params, start)
-                assert np.array_equal(got.amps, apply_circuit(c, params, dense_start).amps)
                 assert np.array_equal(got.amps, by_pairs(c, params, start, diag))
                 seen.add(start.basis.dim > simulator.GATHER_DIM)
         if idle:
-            one = apply_circuit(circuits[-1], only_angles(circuits[-1], mixer=0, beta=0.7), start)
-            assert math.prod(hi - lo for lo, hi in (one.support or start.basis.whole)) in (
-                1, start.basis.dim)
+            params = only_angles(circuits[-1], mixer=0, beta=0.7)
+            one, first, last = boxed_run(circuits[-1], params, start)
+            assert math.prod(hi - lo for lo, hi in first) == 1 and last == first
     assert seen == {True, False}
 
 
@@ -1728,7 +1796,7 @@ def test_repeated_parameter_vectors_add_no_plans():
         circuit = build_circuit(inst, objective, depth)
         basis = fresh(schedule_basis(inst))
         basis._plans = WriteOnce()
-        start = basis_state(inst, schedule_string(inst), basis)
+        start = unit_state(basis, schedule_string(inst))
         vectors = [ParameterVector(rng.uniform(0.0, math.pi / 2, circuit.n_beta),
                                    rng.uniform(-2.0, 2.0, circuit.n_gamma)) for _ in range(40)]
         first = [apply_circuit(circuit, p, start).amps for p in vectors]
@@ -1736,3 +1804,82 @@ def test_repeated_parameter_vectors_add_no_plans():
         again = [apply_circuit(circuit, p, start).amps for p in vectors]
         assert basis._plans == planned
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+def test_a_start_written_after_basis_state_runs_on_its_new_box():
+    """ossp133 at depth 1, beta = (0.3, 0.2), gamma = 0: the equal
+    superposition of 100010001 and 010100001 written into a basis_state
+    start, in place or into its copy, on either engine. When the start's
+    one-amplitude box was stored beside its amplitudes, the box went
+    stale and the result had norm 0.7071; a box read from the amplitudes
+    gives norm 1 and gate_by_gate's amplitudes to the bit."""
+    circuit = build_circuit(OSSP133, OBJ133, 1)
+    params = ParameterVector([0.3, 0.2], [0.0])
+    for engine in ("full", "subspace"):
+        start = basis_state(OSSP133, Z0_133, engine)
+        diag = circuit.phase_for(start.basis).diag
+        for state in (start.copy(), start):  # the copy first: start is written last
+            for z in (Z0_133, "010100001"):
+                state.amps[state.basis.index_of(bits_to_int(z))] = 2 ** -0.5
+            got = apply_circuit(circuit, params, state)
+            assert got.norm() == pytest.approx(1.0, abs=1e-12)
+            assert np.array_equal(got.amps, gate_by_gate(circuit, params, state, diag))
+
+
+def test_a_superposition_of_two_schedules_runs_on_a_proper_sub_box():
+    """A hand-built superposition of two schedules on ossp224's sector and
+    on the ladder's OSSP(1,6,6) sector starts from the per-axis hull of
+    the two schedules' indices, neither one amplitude nor the whole basis,
+    and matches gate_by_gate bit for bit with exact zeros outside the box
+    its buffer ends on."""
+    rng = np.random.default_rng(89)
+    i166 = OsspInstance(1, 6, 6)
+    d = np.triu(rng.integers(1, 10, (6, 6)), 1)
+    cases = [(OSSP224, OBJ224, [Z0_224, "0100100000010010"]),
+             (i166, TspObjective(tuple(map(tuple, (d + d.T).tolist()))),
+              [random_schedule(i166, rng) for _ in range(2)])]
+    for inst, objective, strings in cases:
+        state = superposition(inst, strings, "subspace")
+        basis = state.basis
+        corners = [basis.position_of(bits_to_int(z)) for z in strings]
+        hull = tuple((min(c), max(c) + 1) for c in zip(*corners))
+        assert hull == box_of(state)
+        assert 2 <= math.prod(hi - lo for lo, hi in hull) < basis.dim
+        for depth in (1, 2):
+            circuit = build_circuit(inst, objective, depth)
+            diag = circuit.phase_for(basis).diag
+            for _ in range(3):
+                params = random_params(circuit, rng)
+                got, first, last = boxed_run(circuit, params, state)
+                assert first == hull and zero_outside(got, last)
+                assert np.array_equal(got.amps, gate_by_gate(circuit, params, state, diag))
+
+
+def test_a_nan_amplitude_propagates_and_an_all_zero_start_stays_zero():
+    """NaN and inf count as nonzero when the box is read, so a NaN beside
+    a schedule's amplitude widens the box and spreads as gate_by_gate
+    spreads it; a state of zeros has the empty box and every gate and
+    circuit returns zeros."""
+    circuit = build_circuit(OSSP224, OBJ224, 1)
+    start = basis_state(OSSP224, Z0_224, "subspace")
+    basis, table = start.basis, circuit.phase_for(start.basis)
+    params = ParameterVector([0.3, 0.4, 0.5], [0.2])
+    far = basis.index_of(bits_to_int("0001001001001000"))
+    for bad in (math.nan, math.inf):
+        state = start.copy()
+        state.amps[far] = bad
+        corners = [basis.position_of(bits_to_int(z)) for z in (Z0_224, "0001001001001000")]
+        assert box_of(state) == tuple((min(c), max(c) + 1) for c in zip(*corners))
+        with np.errstate(invalid="ignore"):
+            got = apply_circuit(circuit, params, state)
+            want = gate_by_gate(circuit, params, state, table.diag)
+        assert np.isnan(got.amps).any()
+        assert np.array_equal(got.amps, want, equal_nan=True)
+    zeros = QuantumState(basis, np.zeros(basis.dim, dtype=complex))
+    assert box_of(zeros) == ((0, 0),) * len(basis.shape)
+    outs = [apply_circuit(circuit, params, zeros), apply_phase_separator(zeros, table, 0.7),
+            apply_mixer(zeros, circuit.mixers[0], 0.4),
+            apply_swap_rotation(zeros, circuit.mixers[0].pairs[0], 0.4)]
+    for out in outs:
+        assert out.amps.shape == (basis.dim,) and not np.any(out.amps)
+        assert not np.shares_memory(out.amps, zeros.amps)

@@ -214,6 +214,39 @@ def test_config_validation():
     OptimizerConfig(tol=0.0)  # a zero tolerance is allowed
 
 
+def test_config_integer_settings_and_gamma_box_pair():
+    """seed, max_iters, shots and sample_size take what operator.index
+    takes, except a bool, and are stored as int: seed=1.5 failed only when
+    the run started, sgd's max_iters=1.5 raised TypeError, sample_size=2.5
+    and seed=True were taken. A gamma_box that is not a pair raised
+    ValueError or TypeError."""
+    for name in ("seed", "max_iters", "shots", "sample_size"):
+        for bad in (1.5, 2.0, True, "3", None):
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                OptimizerConfig(**{name: bad})
+        config = OptimizerConfig(kind="sgd", **{name: np.int64(3)})
+        assert type(getattr(config, name)) is int and getattr(config, name) == 3
+    for bad in ((0.0,), (0.0, 1.0, 2.0), 1.0, None):
+        with pytest.raises(DomainError, match="gamma_box must be a pair"):
+            OptimizerConfig(gamma_box=bad)
+    config = OptimizerConfig(gamma_box=[0.0, 1.0])
+    assert config.to_dict() == {**OptimizerConfig().to_dict(), "gamma_box": [0.0, 1.0]}
+
+
+def test_run_experiment_takes_integer_shots_and_depth():
+    """shots=2.5 wrote counts summing to 2 and divided by 2.5
+    (dominant_fraction 0.4); depth 1.5 built 3.0 beta slots."""
+    kw = dict(initial_state=Z0_133, config=restricted_config(max_iters=0))
+    for bad in (2.5, True, "8"):
+        with pytest.raises(DomainError, match="shots must be an integer"):
+            run_experiment(OSSP133, OBJ133, depth=1, shots=bad, **kw)
+    with pytest.raises(DomainError, match="depth must be an integer"):
+        run_experiment(OSSP133, OBJ133, depth=1.5, shots=8, **kw)
+    rec = run_experiment(OSSP133, OBJ133, depth=np.int64(1), shots=np.int64(8), **kw)
+    assert type(rec.shots) is int and type(rec.depth) is int
+    assert sum(row["count"] for row in rec.histogram) == rec.shots == 8
+
+
 def test_compile_reach_golden():
     plan = compile_reach(OSSP133, "100010001", "010001100")
     assert plan.word == [2, 1]
@@ -255,7 +288,7 @@ def test_compile_reach_shares_one_circuit_per_instance():
             1.0, abs=1e-12)
         reached = apply_circuit(plan.circuit, plan.params, basis_state(OSSP224, src, "subspace"))
         assert plan.fidelity == simulator.fidelity(
-            reached, basis_state(OSSP224, tgt, reached.basis))
+            reached, basis_state(OSSP224, tgt, "subspace"))
 
 
 def test_compile_reach_errors():
