@@ -38,6 +38,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .instances import (
     OsspInstance,
+    as_integer,
     index_to_coordinate,
     is_feasible,
     job_blocks,
@@ -112,7 +113,9 @@ class GroupElement:
 
 
 def _adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
-    """Swap of (i, i+1) in 1-based labels over 0..n-1."""
+    """Swap of (i, i+1) in 1-based labels over 0..n-1; DomainError when i
+    is not an integer (as_integer) in 1..n-1."""
+    i = as_integer("adjacent transposition index", i)
     if not (1 <= i <= n - 1):
         raise DomainError(f"adjacent transposition index {i} out of range 1..{n - 1}")
     p = list(range(n))
@@ -525,17 +528,14 @@ def decompose_job_permutation(tau) -> list[int]:
 
 def check_mixing_family(instance: OsspInstance, family) -> bool:
     """True iff the job transpositions {tau_i : i in family} connect all
-    solutions: iff the order of the group they generate is
-    solution_count(instance). A job relabelling moves every schedule,
-    since each job sits at its own position, so the schedules one reaches
-    from any start are as many as the group's elements. Nothing is listed
-    and no size is refused."""
-    family = list(family)
-    for i in family:
-        if not (1 <= i <= instance.jobs - 1):
-            raise DomainError(f"generator index {i} out of range 1..{instance.jobs - 1}")
-    perms = [vertex_permutation(instance, job_transposition_element(instance, i))
-             for i in family]
+    solutions: iff the order of the group they generate on the J job
+    labels is solution_count(instance). A job relabelling acts on the bits
+    faithfully, so that order is the order of the group on the bits, and
+    it moves every schedule, since each job sits at its own position, so
+    the schedules one reaches from any start are as many as the group's
+    elements. Nothing is listed and no size is refused; DomainError when an
+    index is not an integer (as_integer) in 1..J-1."""
+    perms = [_adjacent_transposition(instance.jobs, i) for i in family]
     return PermutationGroup(perms).order == solution_count(instance)
 
 

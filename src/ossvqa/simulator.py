@@ -77,6 +77,7 @@ from .instances import (
     check_bitstring,
     feasibility_mask,
     int_to_bits,
+    is_finite_real,
     position_blocks,
     tensor_objective_values,
 )
@@ -480,9 +481,10 @@ def _swap(basis: Basis, x: np.ndarray, box, pairs, beta: float) -> tuple:
     since numpy can round a product differently when its operands are
     swapped. A one-element box takes the phase out of place: numpy runs an
     in-place product of one element as a reduction, which rounds
-    differently. DomainError when beta is not finite."""
-    if not math.isfinite(beta):
-        raise DomainError("mixer angles must be finite")
+    differently. DomainError when beta is not a finite real number
+    (is_finite_real)."""
+    if not is_finite_real(beta):
+        raise DomainError(f"mixer angles must be finite real numbers, got {beta!r}")
     grown, extent, embed, flat, steps = _mixer_plan(basis, pairs, box)
     if grown != box:
         x, old = np.zeros(extent, dtype=COMPLEX), x
@@ -520,6 +522,9 @@ class MixerHamiltonian:
 
 
 def mixer_hamiltonian(instance: OsspInstance, i: int) -> MixerHamiltonian:
+    """The mixer of adjacent jobs i and i + 1; DomainError when i is not an
+    integer (as_integer) in 1..J-1."""
+    i = as_integer("mixer index", i)
     if not (1 <= i <= instance.jobs - 1):
         raise DomainError(
             f"mixer index {i} out of range 1..{instance.jobs - 1}"
@@ -608,8 +613,8 @@ def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float) 
     the result equals amps * exp(1j * gamma * diag) to the bit, written as
     its own statement. DomainError when the table was built on another
     basis (neither state.basis nor one listing the same strings, the rule
-    of fidelity), and when some gamma * f(z) is not finite, as its phase
-    would be NaN.
+    of fidelity), when gamma is not a finite real number (is_finite_real)
+    and when some gamma * f(z) is not finite, as its phase would be NaN.
 
     A finite phase keeps a zero zero, so only the box is multiplied and
     it passes through unchanged. The product's operand order is pinned to
@@ -621,6 +626,8 @@ def apply_phase_separator(state: QuantumState, table: PhaseTable, gamma: float) 
     takes the product out of place (see _swap)."""
     if not _same_basis(table.basis, state.basis):
         raise DomainError("phase separator was built for a different basis")
+    if not is_finite_real(gamma):
+        raise DomainError(f"phase angle gamma = {gamma!r} is not finite or not real")
     # levels ascend, so the extremes bound every |gamma * f(z)|; Python
     # floats overflow to inf without a warning
     g, lo, hi = float(gamma), float(table.levels[0]), float(table.levels[-1])
@@ -650,13 +657,14 @@ def apply_simultaneous_mixer(state: QuantumState, mixer_list, beta: float) -> Qu
     commuting per-block terms and the exponential into one small matrix per
     amplitude axis: the sum of the axis's SWAP permutation matrices, read
     off the pair tables. A single-member family therefore equals apply_mixer
-    with beta -> -beta. DomainError when beta is not finite.
+    with beta -> -beta. DomainError when beta is not a finite real number
+    (is_finite_real).
     """
     basis = state.basis
     if basis.engine == "full":
         raise CapabilityError("the simultaneous mixer needs the restricted engine")
-    if not math.isfinite(beta):
-        raise DomainError("mixer angles must be finite")
+    if not is_finite_real(beta):
+        raise DomainError(f"mixer angles must be finite real numbers, got {beta!r}")
     from scipy.linalg import expm
 
     h = [np.zeros((len(s), len(s))) for s in basis.sectors]
@@ -726,7 +734,9 @@ def probabilities(state: QuantumState) -> dict[str, float]:
 def sample(state: QuantumState, shots: int, seed) -> dict[str, int]:
     """The readout's counts keyed by bit string, most frequent first (ties
     by ascending string). Records and sampled evaluations use readout
-    directly and key nothing by string."""
+    directly and key nothing by string. DomainError when shots is not an
+    integer (as_integer) or is below 1."""
+    shots = as_integer("shots", shots)
     if shots < 1:
         raise DomainError("shots must be >= 1")
     return _by_string(state, *readout(state, shots, seed))

@@ -34,6 +34,7 @@ from .instances import (
     feasibility_mask,
     instance_to_dict,
     int_to_bits,
+    is_finite_real,
     linear_from_rows,
     optimal_solutions,
 )
@@ -73,8 +74,8 @@ class OptimizerConfig:
     budget; trust_region_minimize refuses anything in between.  shots = 0
     evaluates the exact expectation.  seed, max_iters, shots and
     sample_size are integers (as_integer), gamma_box a pair (lo, hi).
-    Every float setting must be finite, radius and rhobeg positive, tol
-    nonnegative.
+    Every float setting must be a finite real number (is_finite_real), kept
+    as given, radius and rhobeg positive, tol nonnegative.
     """
 
     kind: str = "tr"
@@ -105,8 +106,8 @@ class OptimizerConfig:
         except (TypeError, ValueError):
             raise DomainError(f"gamma_box must be a pair (lo, hi), got {self.gamma_box!r}") from None
         settings = (self.radius, self.kappa, self.min_factor, self.rhobeg, self.tol, lo, hi)
-        if not all(math.isfinite(v) for v in settings):
-            raise DomainError("optimizer settings must be finite")
+        if not all(map(is_finite_real, settings)):
+            raise DomainError(f"optimizer settings must be finite real numbers, got {settings!r}")
         if not self.radius > 0:
             raise DomainError("radius must be positive")
         if not self.rhobeg > 0:

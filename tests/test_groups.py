@@ -681,9 +681,14 @@ def test_mixing_family(instance, family, connected):
     assert (su_orbit_count(instance, family) == 1) == connected
 
 
-def test_mixing_verdict_matches_the_tuple_closure_on_every_small_shape():
+def test_mixing_verdict_matches_the_tuple_closure_on_every_small_shape(monkeypatch):
     # the reference builds its own transpositions and start: job i at
-    # position i, so bit (p, i) is bit p*J + i
+    # position i, so bit (p, i) is bit p*J + i. The verdict is read on the
+    # J job labels, so no N-point vertex permutation is built
+    def refuse(instance, g):
+        raise AssertionError("vertex permutation built")
+
+    monkeypatch.setattr(groups, "vertex_permutation", refuse)
     covered = set()
     for m, t, j in SMALL_SHAPES:
         instance, positions = OsspInstance(m, t, j), m * t
@@ -721,6 +726,11 @@ def test_mixing_verdict_past_the_closure_cap():
 def test_mixing_family_validation():
     with pytest.raises(DomainError):
         check_mixing_family(OSSP133, [3])
+    # [1.0] and "12" raised TypeError: an index is read through as_integer
+    for family in ([1.0], [1.5], [True], "12", ["1"], [None]):
+        with pytest.raises(DomainError, match="index must be an integer"):
+            check_mixing_family(OSSP133, family)
+    assert check_mixing_family(OSSP133, iter([np.int64(1), np.int32(2)])) is True
 
 
 def test_mixing_verdict_lists_no_solutions(monkeypatch):

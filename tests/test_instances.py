@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ossvqa import instances
 from ossvqa.errors import CapabilityError, DomainError
 from ossvqa.instances import (
     LinearObjective,
@@ -31,6 +32,7 @@ from ossvqa.instances import (
     optimal_solutions,
     position_block,
     position_blocks,
+    scored_solutions,
     solution_count,
     solution_values,
 )
@@ -97,6 +99,29 @@ def test_instance_validation():
     inst = OsspInstance(2, 3, 4)
     assert inst.positions == 6 and inst.n_bits == 24 and not inst.is_busy
     assert OSSP224.is_busy and OSSP133.is_busy
+
+
+def test_instance_sizes_follow_the_one_integer_rule():
+    """OsspInstance(np.int64(1), 3, 3) raised DomainError though
+    build_circuit took np.int64 depths: sizes are read through as_integer
+    and stored as Python ints; a bool, a float and a string stay refused,
+    and JSON documents load and dump as before."""
+    inst = OsspInstance(np.int64(1), np.int32(3), np.uint8(3))
+    assert inst == OSSP133 and hash(inst) == hash(OSSP133)
+    assert all(type(v) is int for v in (inst.machines, inst.time_slots, inst.jobs))
+    for bad in (True, 1.0, 1.5, "1", None, np.float64(1.0)):
+        with pytest.raises(DomainError, match="machines must be an integer"):
+            OsspInstance(bad, 3, 3)
+    for bad in (0, -1, np.int64(0)):
+        with pytest.raises(DomainError, match="machines must be a positive integer"):
+            OsspInstance(bad, 3, 3)
+    rows = [[float(w) for w in row] for row in WEIGHTS_133]
+    doc = {"machines": 1, "time_slots": 3, "jobs": 3, "objective": {"linear": {"weights": rows}}}
+    loaded, obj = load_instance_dict(doc)
+    assert loaded == OSSP133 and json.dumps(instance_to_dict(loaded, obj)) == json.dumps(doc)
+    for bad in (1.0, True, "1"):
+        with pytest.raises(DomainError):
+            load_instance_dict({**doc, "machines": bad})
 
 
 def test_index_formula_goldens():
@@ -306,14 +331,35 @@ def test_tour_diagonal_matches_bit_matrix_formula():
                                   bit_matrix_tour_values(obj, inst, ints))
 
 
-def test_feasibility_mask_matches_is_feasible():
-    from ossvqa.simulator import full_basis
+FEASIBLE_SHAPES_12 = [(m, t, j) for m, t, j in itertools.product(range(1, 13), repeat=3)
+                      if j <= m * t and m * t * j <= 12]
 
-    values = full_basis(OSSP133.n_bits).values()
-    mask = feasibility_mask(OSSP133, values)
-    strings = [format(int(v), "09b") for v in values]
-    assert mask.tolist() == [is_feasible(OSSP133, z) for z in strings]
-    assert mask.sum() == len(enumerate_solutions(OSSP133))
+
+def test_feasibility_mask_matches_is_feasible():
+    """The one pass over position blocks against the string-level
+    reference: every string of every feasible shape of at most 12 bits
+    (busy, non-busy, J = 1, P = J), then seeded integers on three 63-bit
+    shapes, mixed with schedules and schedules with one bit flipped, where
+    random integers are almost never feasible."""
+    kinds = set()
+    for shape in FEASIBLE_SHAPES_12:
+        inst = OsspInstance(*shape)
+        n = inst.n_bits
+        mask = feasibility_mask(inst, np.arange(1 << n))
+        assert mask.tolist() == [is_feasible(inst, int_to_bits(v, n)) for v in range(1 << n)]
+        assert mask.sum() == solution_count(inst)
+        kinds.add((inst.is_busy, inst.jobs == 1))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    rng = np.random.default_rng(71)
+    for shape in ((7, 9, 1), (1, 9, 7), (3, 3, 7)):
+        inst = OsspInstance(*shape)
+        n = inst.n_bits
+        schedules = rng.choice(solution_values(inst), 300)
+        flipped = schedules ^ (np.int64(1) << rng.integers(0, n, 300))
+        ints = np.concatenate([rng.integers(0, 1 << n, 1000), schedules, flipped])
+        mask = feasibility_mask(inst, ints)
+        assert mask.tolist() == [is_feasible(inst, int_to_bits(v, n)) for v in ints.tolist()]
+        assert mask[1000:1300].all() and not mask[1300:].any()
 
 
 def test_feasible_mass_reads_bits_without_a_bit_matrix():
@@ -439,11 +485,28 @@ def test_phase_diagonal_matches_the_per_string_reference(monkeypatch):
 
 
 def test_solution_values_follow_itertools_permutations():
-    # J = 1, P = J and P > J
+    """The schedule table, its values and its linear scores against the
+    itertools.permutations reference, on J = 1, P = J and P > J: row k
+    places job j at position perm_k[j] and leaves J at an empty position,
+    and a score equals the per-bit sum to the bit, -0.0 weights included."""
+    rng = np.random.default_rng(29)
     for shape in ((1, 1, 1), (1, 4, 1), (3, 2, 1), (1, 3, 3), (2, 2, 4), (1, 5, 5),
                   (1, 3, 2), (2, 3, 4), (3, 3, 2), (2, 4, 3)):
         inst = OsspInstance(*shape)
+        perms = list(itertools.permutations(range(inst.positions), inst.jobs))
+        want = np.full((len(perms), inst.positions), inst.jobs)
+        for k, perm in enumerate(perms):
+            want[k, list(perm)] = range(inst.jobs)
+        table = instances._schedules(inst)
+        assert table.dtype == np.uint8 and table.tolist() == want.tolist()
         assert solution_values(inst).tolist() == permutation_values(inst)
+        w = rng.uniform(-2, 2, inst.n_bits)
+        w[rng.random(inst.n_bits) < 0.4] = -0.0
+        obj = LinearObjective(tuple(w.tolist()))
+        values, scores = scored_solutions(inst, obj)
+        strings = [int_to_bits(v, inst.n_bits) for v in permutation_values(inst)]
+        assert values.tolist() == permutation_values(inst)
+        assert scores.tobytes() == np.array([per_bit_value(obj, inst, z) for z in strings]).tobytes()
 
 
 def test_oracle_matches_per_bit_brute_force():

@@ -631,7 +631,9 @@ def test_phase_angle_overflow_is_a_domain_error():
     for obj in (OBJ133, negative):  # f(z) in [5, 9] and in [-9, -5]
         table = phase_table(phase_separator(obj, OSSP133, sub), sub)
         # 3e307 overflows at |f(z)| = 9 only, at one end of the table
-        for gamma in (3e307, -3e307, np.float64(1e308), math.nan, math.inf):
+        # "0.3" passed a float() check and failed in the product
+        for gamma in (3e307, -3e307, np.float64(1e308), math.nan, math.inf,
+                      "0.3", None, 0.3j, True, [0.3], 10 ** 400):
             with pytest.raises(DomainError, match="not finite"):
                 apply_phase_separator(state, table, gamma)
         # 1e307 * f(z) is finite for every f(z) of ossp133, however large
@@ -777,6 +779,31 @@ def test_non_finite_mixer_angles_raise(bad):
         apply_simultaneous_mixer(start, mixers(OSSP133), bad)
 
 
+def test_mixer_angles_must_be_real_numbers():
+    """apply_mixer and apply_swap_rotation raised TypeError on an angle
+    that is not a real number: every mixer angle is checked by
+    is_finite_real."""
+    start = basis_state(OSSP133, Z0_133, "subspace")
+    m = mixer_hamiltonian(OSSP133, 1)
+    for bad in ("0.3", None, 0.3j, True, 10 ** 400):
+        for gate in (lambda: apply_mixer(start, m, bad),
+                     lambda: apply_swap_rotation(start, m.pairs[0], bad),
+                     lambda: apply_simultaneous_mixer(start, [m], bad)):
+            with pytest.raises(DomainError, match="mixer angles must be finite real numbers"):
+                gate()
+    assert apply_mixer(start, m, 1).amps.tobytes() == apply_mixer(start, m, 1.0).amps.tobytes()
+
+
+def test_mixer_index_is_an_integer():
+    """mixer_hamiltonian(inst, 1.5) passed the range check and then
+    indexed a tuple, and "1" raised TypeError: the index is read through
+    as_integer."""
+    for bad in (1.5, 1.0, "1", True, None):
+        with pytest.raises(DomainError, match="mixer index must be an integer"):
+            mixer_hamiltonian(OSSP133, bad)
+    assert mixer_hamiltonian(OSSP133, np.int64(2)) == mixer_hamiltonian(OSSP133, 2)
+
+
 def test_expectation():
     sub = subspace_basis(OSSP133, Z0_133)
     sep = phase_table(phase_separator(OBJ133, OSSP133, sub), sub)
@@ -814,9 +841,10 @@ def test_sample():
 
 def test_readout_takes_integer_shots():
     """sample(state, 2.5, seed) returned counts summing to 2; shots are
-    what operator.index accepts, except a bool, in every readout."""
+    what operator.index accepts, except a bool, in every readout; sample
+    compared "3" with 1 before reading it, and raised TypeError."""
     st = basis_state(OSSP133, Z0_133, "subspace")
-    for bad in (2.5, 2.0, True):
+    for bad in (2.5, 2.0, True, "3", None):
         with pytest.raises(DomainError, match="shots must be an integer"):
             sample(st, bad, seed=0)
         with pytest.raises(DomainError, match="shots must be an integer"):

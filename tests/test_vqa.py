@@ -212,6 +212,15 @@ def test_config_validation():
         with pytest.raises(DomainError):
             OptimizerConfig(**bad)
     OptimizerConfig(tol=0.0)  # a zero tolerance is allowed
+    # radius="a", gamma_box=("a", "b") and tol=None raised TypeError from
+    # math.isfinite; a valid int or numpy setting is kept as given
+    for bad in (dict(radius="a"), dict(gamma_box=("a", "b")), dict(tol=None), dict(kappa=0.5j),
+                dict(rhobeg=True), dict(min_factor=[0.5]), dict(gamma_box=(0.0, 10 ** 400))):
+        with pytest.raises(DomainError, match="optimizer settings must be finite real numbers"):
+            OptimizerConfig(**bad)
+    config = OptimizerConfig(radius=1, tol=0, gamma_box=(0, 3), rhobeg=np.float64(0.5))
+    assert (type(config.radius), type(config.tol), type(config.rhobeg)) == (int, int, np.float64)
+    assert config.to_dict()["gamma_box"] == [0, 3]
 
 
 def test_config_integer_settings_and_gamma_box_pair():
