@@ -66,7 +66,9 @@ def invert_perm(p) -> tuple[int, ...]:
 
 
 def _check_perm(p, n: int) -> tuple[int, ...]:
-    p = tuple(p)
+    """p as a tuple of Python ints, each label read through as_integer;
+    DomainError unless it lists 0..n-1 once each."""
+    p = tuple(as_integer("permutation label", x) for x in p)
     if len(p) != n or sorted(p) != list(range(n)):
         raise DomainError(f"not a permutation of 0..{n - 1}: {p!r}")
     return p
@@ -149,7 +151,10 @@ def transposer_element(instance: OsspInstance) -> GroupElement:
 
 
 def vertex_permutation(instance: OsspInstance, g: GroupElement) -> tuple[int, ...]:
-    """The induced 0-based permutation of the N bit positions."""
+    """The induced 0-based permutation of the N bit positions; DomainError
+    when g is not a GroupElement."""
+    if not isinstance(g, GroupElement):
+        raise DomainError(f"not a group element: {g!r}")
     if g.swap_roles and not instance.is_busy:
         raise DomainError("swap_roles is only valid on busy instances (P = J)")
     jobs = instance.jobs
@@ -474,7 +479,7 @@ def orbit(instance: OsspInstance, z: str, generators) -> set[str]:
 
 def verify_block_system(instance: OsspInstance, blocks, generators) -> bool:
     """True iff every generator maps every block onto a block of the partition."""
-    block_sets = [frozenset(b) for b in blocks]
+    block_sets = [frozenset(as_integer("vertex", v) for v in b) for b in blocks]
     all_vertices = set()
     for b in block_sets:
         if not b:

@@ -65,7 +65,7 @@ class OsspInstance:
 
 def coordinate_to_index(instance: OsspInstance, coord: Coordinate) -> int:
     """Map (m, t, j) to its 1-based bit index J*(T*(m-1) + (t-1)) + j."""
-    m, t, j = coord
+    m, t, j = (as_integer("coordinate", c) for c in coord)
     if not (1 <= m <= instance.machines and 1 <= t <= instance.time_slots and 1 <= j <= instance.jobs):
         raise DomainError(f"coordinate {coord} out of bounds for {instance}")
     return instance.jobs * (instance.time_slots * (m - 1) + (t - 1)) + j
@@ -73,6 +73,7 @@ def coordinate_to_index(instance: OsspInstance, coord: Coordinate) -> int:
 
 def index_to_coordinate(instance: OsspInstance, index: int) -> Coordinate:
     """Inverse of coordinate_to_index."""
+    index = as_integer("bit index", index)
     if not (1 <= index <= instance.n_bits):
         raise DomainError(f"bit index {index} out of range 1..{instance.n_bits}")
     pos, j = divmod(index - 1, instance.jobs)
@@ -82,6 +83,7 @@ def index_to_coordinate(instance: OsspInstance, index: int) -> Coordinate:
 
 def job_block(instance: OsspInstance, j: int) -> tuple[int, ...]:
     """Indices of job j across all positions: {j, j+J, ..., j+(P-1)J}."""
+    j = as_integer("job", j)
     if not (1 <= j <= instance.jobs):
         raise DomainError(f"job {j} out of range 1..{instance.jobs}")
     return tuple(j + p * instance.jobs for p in range(instance.positions))
@@ -162,6 +164,17 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def real_tuple(what: str, values) -> tuple[float, ...]:
+    """values, a list, a tuple or a 1-D array of finite reals
+    (is_finite_real), as a tuple of floats; DomainError otherwise, so a
+    string, a bool or a row of characters is refused rather than parsed."""
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)) or not all(map(is_finite_real, values)):
+        raise DomainError(f"{what} must be a list of finite real numbers, got {values!r}")
+    return tuple(map(float, values))
+
+
 # ---------------------------------------------------------------------------
 # feasible strings
 
@@ -200,13 +213,7 @@ class LinearObjective:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            weights = tuple(float(w) for w in self.weights)
-        except (TypeError, ValueError):
-            raise DomainError("linear weights must be a list of numbers") from None
-        if not all(math.isfinite(w) for w in weights):
-            raise DomainError("linear weights must be finite")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", real_tuple("linear weights", self.weights))
 
 
 @dataclass(frozen=True)
@@ -222,16 +229,16 @@ class TspObjective:
 
     def __post_init__(self) -> None:
         try:
-            d = tuple(tuple(float(x) for x in row) for row in self.distances)
-        except (TypeError, ValueError):
+            d = tuple(real_tuple("a distance row", row) for row in self.distances)
+        except TypeError:
             raise DomainError("distance matrix must be a list of rows of numbers") from None
         n = len(d)
         if any(len(row) != n for row in d):
             raise DomainError("distance matrix must be square")
         for u in range(n):
             for v in range(n):
-                if not 0 <= d[u][v] < math.inf:
-                    raise DomainError("distances must be finite and nonnegative")
+                if d[u][v] < 0:
+                    raise DomainError("distances must be nonnegative")
                 if abs(d[u][v] - d[v][u]) > 1e-12:
                     raise DomainError("distance matrix must be symmetric")
         object.__setattr__(self, "distances", d)
@@ -243,7 +250,7 @@ Objective = LinearObjective | TspObjective
 def linear_from_rows(instance: OsspInstance, rows) -> LinearObjective:
     """Build a LinearObjective from P rows of J weights, rows ordered by (m, t)."""
     try:
-        rows = [list(r) for r in rows]
+        rows = [real_tuple("a weight row", r) for r in rows]
     except TypeError:
         raise DomainError("linear weights must be a list of rows") from None
     if len(rows) != instance.positions or any(len(r) != instance.jobs for r in rows):
@@ -270,9 +277,6 @@ def _check_objective(obj: Objective, instance: OsspInstance) -> None:
             )
     else:
         raise DomainError(f"unknown objective type {type(obj).__name__}")
-
-
-STACK_CAP = 1 << 16  # largest group, terms times elements, built as one array
 
 
 def _add(total: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -312,60 +316,60 @@ def tensor_objective_values(obj: Objective, instance: OsspInstance, sectors, mas
     Every element is the left-to-right float sum of the objective's terms,
     starting at +0.0, as objective_values adds them string by string: w *
     bit per bit in index order for a linear objective, and for a tour the
-    (u, v, j) terms, u < v and then j, of each nonzero d_uv. The terms come
-    in groups of J: a linear objective's bits of one position block, or a
-    tour's cyclic terms of one d_uv. A group is built on its own axes only
-    and added to a running total that broadcasts one axis at a time, so
-    its cost is the size of the total so far, not of the basis.
+    (u, v, j) terms, u < v and then j, of each nonzero d_uv. Each string's
+    position block p is read as its J-bit pattern on the block's axis, and
+    the terms come in groups of J, each a small table over patterns: a
+    linear block's w[p, j] * bit j over its 2^J patterns, and a tour's d_uv
+    times the (J, 2^J, 2^J) table of cyclic terms on slots u and v, which
+    depends only on J and is built once per call with its nonzero count
+    and its sum. Within 63 bits J <= 7, so no table holds more than J *
+    4^J = 114,688 entries. A group is gathered onto its own axes through
+    the patterns and added to a running total that broadcasts one axis at
+    a time, so its cost is the size of the total so far, not of the basis,
+    and its terms are never stacked over an axis's elements.
 
-    A group of at most STACK_CAP terms times elements is built as one
-    array. Where at most one of its terms is nonzero per element, as on an
-    axis of weight 0 or 1 and for every d_uv of a tour with J >= 3 over
-    such axes, it is added as one table, its sum; otherwise term by term
-    (a tour with J = 2, an axis of weight 2 or more, the full basis). A
-    larger group, on a long single axis, is built and added one term at a
-    time. The tables are exact: the other terms add +-0.0 to a total that
-    starts at +0.0 and so is never -0.0, which leaves it unchanged. Float
-    + and * are commutative to the bit, so each element gets the same
-    products and sums in the same order, and the result equals the
-    per-string sum to the bit. On one CPU of a shared 2-CPU x86_64 host
-    the 823,543-amplitude diagonals of OSSP(3,3,7) (linear) and
-    OSSP(1,7,7) (tour) took 3.8 and 18 ms, against 0.28 and 1.9 s bit by
-    bit (BENCH_12.json)."""
+    Where at most one of a group's terms is nonzero on the patterns
+    present, as on blocks of weight 0 or 1 and for every d_uv of a tour
+    with J >= 3 over such blocks, the group is added as one table, its sum
+    (a tour's scaled by d_uv after the sum). Otherwise it is added term by
+    term, one gathered term at a time: a tour with J = 2, a block of weight
+    2 or more, the full engine, one axis of strings. The tables are exact:
+    the other terms add +-0.0 to a total that starts at +0.0 and so is
+    never -0.0, which leaves it unchanged, and d_uv times a sum of one
+    nonzero term is that term. Float + and * are commutative to the bit, so
+    each element gets the same products and sums in the same order, and
+    the result equals the per-string sum to the bit. On one CPU of a
+    shared 2-CPU x86_64 host the 823,543-amplitude diagonals of
+    OSSP(3,3,7) (linear) and OSSP(1,7,7) (tour) took 3.3 and 16.5 ms."""
     _check_objective(obj, instance)
     n, jobs = instance.n_bits, instance.jobs
     shape = tuple(len(s) for s in sectors)
-    lead = (-1,) + (1,) * len(shape)  # a leading term axis
+    owner = block_axes(instance, masks)
     cols = [as_int64(s, n).reshape([-1 if k == a else 1 for k in range(len(shape))])
             for a, s in enumerate(sectors)]
-    owner = block_axes(instance, masks)
+    every = (1 << jobs) - 1
+    bit = (np.arange(every + 1) >> np.arange(jobs - 1, -1, -1)[:, None]) & 1  # bit[j, q]: job j in q
 
-    def bits(p, js):
-        """Bit j of position block p, for the 0-based jobs js, stacked."""
-        return (cols[owner[p]] >> (n - jobs * p - 1 - js).reshape(lead)) & 1
+    def patterns(blocks):
+        """The J-bit pattern of each position block in blocks, on its axis."""
+        return tuple((cols[owner[p]] >> (n - jobs * p - jobs)) & every for p in blocks)
 
-    groups = []  # (axes, terms): terms(js) stacks the group's terms js
-    if isinstance(obj, LinearObjective):
-        weights = np.array(obj.weights).reshape(-1, jobs)
-        for p in range(instance.positions):
-            groups.append(({owner[p]}, lambda js, p=p: weights[p, js].reshape(lead) * bits(p, js)))
+    # groups of (scale, terms over patterns, at most one nonzero per pattern, their sum, blocks)
+    if isinstance(obj, LinearObjective):  # w[p, j] * bit j of block p
+        table = np.reshape(obj.weights, (-1, jobs, 1)) * bit
+        groups = [(1.0, t, (t != 0).sum(axis=0) <= 1, t.sum(axis=0), (p,)) for p, t in enumerate(table)]
     else:
-        for u, v in itertools.combinations(range(jobs), 2):  # slot t is block t
-            if d := obj.distances[u][v]:
-                groups.append(({owner[u], owner[v]}, lambda js, u=u, v=v, d=d: d * (
-                    (bits(u, js) & bits(v, (js + 1) % jobs))
-                    + (bits(v, js) & bits(u, (js + 1) % jobs)))))
+        after = np.roll(bit, -1, axis=0)  # bit j + 1, cyclically
+        tour = ((bit[:, :, None] & after[:, None, :])
+                + (bit[:, None, :] & after[:, :, None])).astype(np.uint8)  # tour[j, qu, qv]
+        single, summed = (tour != 0).sum(axis=0) <= 1, tour.sum(axis=0)
+        groups = [(d, tour, single, summed, (u, v)) for u, v in itertools.combinations(range(jobs), 2)
+                  if (d := obj.distances[u][v])]  # slot t is block t
     total = np.zeros((1,) * len(shape))
-    every = np.arange(jobs)
-    for axes, terms in groups:
-        if jobs * math.prod(shape[a] for a in axes) <= STACK_CAP:
-            stack = terms(every)
-            if np.all((stack != 0).sum(axis=0) <= 1):
-                stack = stack.sum(axis=0, keepdims=True)
-        else:
-            stack = (terms(np.array([j]))[0] for j in range(jobs))
-        for term in stack:
-            total = _add(total, term)
+    for scale, terms, single, summed, blocks in groups:
+        index = patterns(blocks)
+        for term in [summed] if single[index].all() else terms:
+            total = _add(total, (scale * term)[index])
     if total.shape != shape:
         total = np.broadcast_to(total, shape).copy()
     return total.ravel()
@@ -375,8 +379,10 @@ def objective_values(obj: Objective, instance: OsspInstance, ints: np.ndarray) -
     """Vectorized objective over basis states given as integers (bit 1 = MSB):
     the one-axis case of tensor_objective_values. Rows are scored
     independently, so a value does not depend on the batch; a linear value
-    adds the set bits' weights in index order, like Python's sum. A long
-    batch is read one bit at a time, so no (rows x bits) matrix is built."""
+    adds the set bits' weights in index order, like Python's sum. The
+    batch is read one position block at a time, as J-bit patterns, and
+    each term is one gather from a table over patterns, so no (rows x
+    bits) matrix and no stack of a block's J terms is built."""
     return tensor_objective_values(obj, instance, (np.ravel(ints),), ((1 << instance.n_bits) - 1,))
 
 

@@ -558,15 +558,15 @@ def phase_separator(objective: Objective, instance: OsspInstance, basis: Basis) 
     order, as float64. The separator acts as z -> e^{i gamma f(z)} z.
 
     Built on the basis's sectors and masks by tensor_objective_values, so
-    no per-string value is decoded. Terms are added to a total that
-    broadcasts one axis at a time: a block's J linear terms as one table on
-    its axis, and a tour's d_uv as one table on the axes of slots u and v,
-    wherever at most one of the J terms is nonzero per string; term by term
-    otherwise (a tour with J = 2, sectors of weight 2 or more, the full
-    engine's all-pattern sectors). Each entry equals objective_values on
-    the string to the bit. The 823,543-amplitude diagonals of OSSP(3,3,7)
-    and of the tour OSSP(1,7,7) take milliseconds, not seconds
-    (tensor_objective_values)."""
+    no per-string value is decoded: each position block is read as its
+    J-bit pattern on its axis, and each group of J terms, a block's linear
+    terms or a tour's d_uv on slots u and v, is a table over patterns,
+    gathered onto its axes and added to a total that broadcasts one axis
+    at a time. A group is added as one table wherever at most one of its
+    terms is nonzero on the patterns present; term by term otherwise (a
+    tour with J = 2, sectors of weight 2 or more, the full engine's
+    all-pattern sectors). Each entry equals objective_values on the string
+    to the bit."""
     return tensor_objective_values(objective, instance, basis.sectors, basis.masks)
 
 
@@ -794,12 +794,20 @@ class Circuit:
 
 @dataclass(eq=False)
 class ParameterVector:
+    """A circuit's angles, beta for the mixers and gamma for the phases:
+    each a 1-D array of integers or floats, stored as float64 (a float64
+    array itself, not a copy). DomainError for any other dtype (strings,
+    bools, complex, objects) or shape, before any gate runs."""
+
     beta: np.ndarray
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
+        for name in ("beta", "gamma"):
+            angles = np.asarray(getattr(self, name))
+            if angles.dtype.kind not in "iuf" or angles.ndim != 1:
+                raise DomainError(f"{name} must be a 1-D array of real angles, got {getattr(self, name)!r}")
+            setattr(self, name, angles.astype(float, copy=False))
 
 
 def build_circuit(instance: OsspInstance, objective: Objective, depth: int) -> Circuit:

@@ -156,7 +156,15 @@ def test_non_finite_weight_exits_2(tmp_path):
     {"linear": {"weights": 5}},
     {"tsp": {"distances": [[0, 1, 2], [1, 0, "far"], [2, "far", 0]]}},
     {"tsp": {"distances": 5}},
-], ids=["string-weight", "null-row", "scalar-weights", "string-distance", "scalar-distances"])
+    {"linear": {"weights": ["123", "456", "789"]}},
+    {"linear": {"weights": [["1", "2", "3"], [4, 5, 6], [7, 8, 9]]}},
+    {"linear": {"weights": [[True, False, True], [4, 5, 6], [7, 8, 9]]}},
+    {"tsp": {"distances": ["012", "104", "240"]}},
+    {"tsp": {"distances": [[0, "1", 2], ["1", 0, 4], [2, 4, 0]]}},
+    {"tsp": {"distances": [[False, True, True], [True, False, True], [True, True, False]]}},
+], ids=["string-weight", "null-row", "scalar-weights", "string-distance", "scalar-distances",
+        "string-rows", "numeric-string-weights", "bool-weights", "string-distance-rows",
+        "numeric-string-distances", "bool-distances"])
 def test_malformed_objective_exits_2(tmp_path, capsys, objective):
     path = write_instance(tmp_path, "bad.json", {
         "machines": 1, "time_slots": 3, "jobs": 3, "objective": objective,

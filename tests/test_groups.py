@@ -479,6 +479,28 @@ def test_generate_group_refuses_non_permutations():
     for bad in ([(0, 0, 1)], [(-1, 0, 1)], [(1, 0, 2), (0, 1)], [(1, 0, 2), (0, 1, 2, 3)]):
         with pytest.raises(DomainError, match="not a permutation"):
             generate_group(bad)
+    # labels follow the one integer rule: 0.0 is not read as 0
+    labels = "permutation label must be an integer"
+    for call in (lambda: generate_group([(1.0, 0.0)]),
+                 lambda: decompose_job_permutation([1.0, 0.0]),
+                 lambda: decompose_job_permutation([True, False]),
+                 lambda: vertex_permutation(OSSP133, GroupElement((0.0, 1.0, 2.0), (0, 1, 2))),
+                 lambda: is_automorphism(OSSP122, (1.0, 0, 3, 2))):
+        with pytest.raises(DomainError, match=labels):
+            call()
+    assert decompose_job_permutation(np.array([1, 0])) == [1]
+    assert vertex_permutation(OSSP122, GroupElement(np.array([1, 0]), (0, 1))) == (2, 3, 0, 1)
+    # vertices are integers, and generators group elements
+    with pytest.raises(DomainError, match="must be an integer"):
+        is_independent_set(OSSP133, [1.5])
+    blocks = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    with pytest.raises(DomainError, match="must be an integer"):
+        verify_block_system(OSSP133, [[1.0, 2, 3], [4, 5, 6], [7, 8, 9]], [])
+    for call in (lambda: orbit(OSSP133, "100010001", [1]),
+                 lambda: verify_block_system(OSSP133, blocks, [1]),
+                 lambda: vertex_permutation(OSSP133, ((0, 1, 2), (0, 1, 2)))):
+        with pytest.raises(DomainError, match="not a group element"):
+            call()
 
 
 def test_group_set_against_plain_sets():

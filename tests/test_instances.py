@@ -122,6 +122,21 @@ def test_instance_sizes_follow_the_one_integer_rule():
     for bad in (1.0, True, "1"):
         with pytest.raises(DomainError):
             load_instance_dict({**doc, "machines": bad})
+    # indices follow the same rule: a float, a bool or a string is refused,
+    # not read as a fractional index; numpy integers are read as ints
+    for call in (lambda: coordinate_to_index(OSSP133, (1, 1.5, 1)),
+                 lambda: coordinate_to_index(OSSP133, (1.0, 1, 1)),
+                 lambda: index_to_coordinate(OSSP133, 2.5),
+                 lambda: index_to_coordinate(OSSP133, "2"),
+                 lambda: index_to_coordinate(OSSP133, True),
+                 lambda: job_block(OSSP133, 1.5),
+                 lambda: position_block(OSSP133, 1.0, 1)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+    assert coordinate_to_index(OSSP133, (np.int64(1), np.uint8(2), 3)) == 6
+    coord, block = index_to_coordinate(OSSP133, np.int64(6)), job_block(OSSP133, np.int32(2))
+    assert coord == (1, 2, 3) and block == (2, 5, 8)
+    assert all(type(v) is int for v in coord + block)
 
 
 def test_index_formula_goldens():
@@ -443,13 +458,24 @@ def per_bit_value(obj, instance, z):
     return total
 
 
-def test_phase_diagonal_matches_the_per_string_reference(monkeypatch):
+def bit_matrix_linear_values(obj, ints, n_bits):
+    """Reference: the linear diagonal from a (rows x bits) float matrix, w *
+    bit added bit by bit in index order from +0.0."""
+    shifts = np.arange(n_bits - 1, -1, -1, dtype=np.int64)
+    cols = ((np.asarray(ints, dtype=np.int64)[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+    total = np.zeros(len(cols))
+    for w, col in zip(obj.weights, cols.T):
+        total += w * col
+    return total
+
+
+def test_phase_diagonal_matches_the_per_string_reference():
     """phase_separator against per_bit_value, byte for byte, on full bases
     of at most 12 bits and on sectors of block weights 0, 1 and 2: linear
     objectives with integer, real, negative, -0.0 and tied weights, and
-    tours with J = 2, 3 and 4 and zero distances. Every case runs with
-    groups built whole and, with STACK_CAP = 0, one term at a time."""
-    from ossvqa import instances
+    tours with J = 2, 3 and 4 and zero distances. Then the one-axis
+    full_basis diagonals of 2^15 and 2^16 strings, where a group's terms
+    are added one at a time, against the bit-matrix formulas."""
     from ossvqa.simulator import full_basis, phase_separator, subspace_basis
 
     rng = np.random.default_rng(61)
@@ -479,9 +505,39 @@ def test_phase_diagonal_matches_the_per_string_reference(monkeypatch):
         strings = [int_to_bits(v, inst.n_bits) for v in basis.values().tolist()]
         want = np.array([per_bit_value(obj, inst, z) for z in strings]).tobytes()
         assert phase_separator(obj, inst, basis).tobytes() == want
-        with monkeypatch.context() as patch:
-            patch.setattr(instances, "STACK_CAP", 0)
-            assert phase_separator(obj, inst, basis).tobytes() == want
+    strings = np.arange(1 << 16)
+    for shape in ((1, 5, 3), (2, 2, 4)):
+        inst = OsspInstance(*shape)
+        n = inst.n_bits
+        signed = rng.uniform(-2, 2, n)
+        signed[rng.random(n) < 0.4] = -0.0
+        for w in (rng.integers(0, 10, n), rng.uniform(-5, 5, n), rng.choice([0.1, 0.2, 0.3], n), signed):
+            obj = LinearObjective(tuple(w.tolist()))
+            want = bit_matrix_linear_values(obj, strings[: 1 << n], n).tobytes()
+            assert phase_separator(obj, inst, full_basis(n)).tobytes() == want
+    inst = OsspInstance(1, 4, 4)
+    for d in (rng.integers(0, 9, (4, 4)), rng.choice([0.0, 0.1, 0.2, 0.3], (4, 4))):
+        d = np.triu(d, 1)
+        tour = TspObjective(tuple(map(tuple, (d + d.T).tolist())))
+        want = bit_matrix_tour_values(tour, inst, strings).tobytes()
+        assert phase_separator(tour, inst, full_basis(16)).tobytes() == want
+
+
+def test_one_axis_diagonal_stacks_no_terms():
+    # 65,536 strings on one axis: the total, one gathered term and one
+    # pattern take 1.6 MB; J shift stacks over the axis took 5.6 MB or more
+    from ossvqa.simulator import full_basis, phase_separator
+
+    obj = LinearObjective(tuple(float(w) for row in WEIGHTS_224 for w in row))
+    basis = full_basis(OSSP224.n_bits)
+    tracemalloc.start()
+    try:
+        diagonal = phase_separator(obj, OSSP224, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diagonal[bits_to_int("0010000110000100")] == 5
+    assert peak < 4e6
 
 
 def test_solution_values_follow_itertools_permutations():
@@ -625,6 +681,24 @@ def test_linear_from_rows_validation():
         linear_from_rows(OSSP133, [[1, 2], [3, 4], [5, 6]])  # wrong row width
     with pytest.raises(DomainError):
         linear_from_rows(OSSP133, [[1, 2, math.nan], [3, 4, 5], [6, 7, 8]])
+    # weights and distances are finite reals, and a row is a list, not a
+    # string: neither is parsed nor split into characters
+    for rows in (["322", "223", "123"], [["3", "2", "2"], [2, 2, 3], [1, 2, 3]],
+                 [[True, 2, 2], [2, 2, 3], [1, 2, 3]], [[3, 2, 2j], [2, 2, 3], [1, 2, 3]],
+                 [{3: 2, 2: 3, 1: 0}, [2, 2, 3], [1, 2, 3]], [[3, 2, 10**400], [2, 2, 3], [1, 2, 3]]):
+        with pytest.raises(DomainError, match="must be a list of finite real numbers"):
+            linear_from_rows(OSSP133, rows)
+    for weights in (("1.5", "2"), (True, False), "12", (1.0, None), np.array([[1.0, 2.0]])):
+        with pytest.raises(DomainError, match="linear weights must be a list of finite real numbers"):
+            LinearObjective(weights)
+    for d in ((("0", "1"), ("1", "0")), ((False, True), (True, False)), ("01", "10"), ((0, 1), "10")):
+        with pytest.raises(DomainError, match="distance row must be a list of finite real numbers"):
+            TspObjective(d)
+    # valid weights are stored as Python floats, as before
+    obj = linear_from_rows(OSSP133, [[np.int64(3), 2, 2.0], (2, 2, np.float32(3)), np.array([1, 2, 3])])
+    assert obj == objective_133() and all(type(w) is float for w in obj.weights)
+    tour = TspObjective(((0, np.int64(1)), [1.0, 0]))
+    assert tour.distances == ((0.0, 1.0), (1.0, 0.0)) and all(type(x) is float for x in tour.distances[1])
 
 
 def test_instance_json_round_trip(tmp_path):

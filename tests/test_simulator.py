@@ -1110,6 +1110,21 @@ def test_build_circuit_refuses_more_parameters_than_dim_cap():
         build_circuit(OSSP224, OBJ224, cap + 1)
 
 
+def test_parameter_vector_takes_flat_real_angles():
+    # strings were parsed, bools read as 1.0, a complex raised TypeError and
+    # a scalar failed later in apply_circuit: each is now a DomainError
+    for bad in (["0.3"], [True], [0.3 + 1j], 0.3, [[0.3]], [None], "0.3"):
+        with pytest.raises(DomainError, match="beta must be a 1-D array of real angles"):
+            ParameterVector(bad, [0.2])
+        with pytest.raises(DomainError, match="gamma must be a 1-D array of real angles"):
+            ParameterVector([0.2], bad)
+    beta = np.array([0.1, 0.2])
+    params = ParameterVector(beta, [1])
+    assert params.beta is beta  # a float vector is not copied
+    assert params.gamma.dtype == np.float64 and params.gamma.tolist() == [1.0]
+    assert ParameterVector([], np.array([3], dtype=np.int8)).beta.shape == (0,)
+
+
 def test_apply_circuit_validation_and_clamp():
     circuit = build_circuit(OSSP133, OBJ133, 1)
     st = basis_state(OSSP133, Z0_133, "subspace")
